@@ -249,6 +249,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     if b is None:
         return LimitResult(0j, [(0.0, 0j)], 0.0, True, note="zero test form")
     support = float(b.radius)
+    center = complex(b.center[0])
     parts = laurent_parts(g)
     regular = g
     for part in parts:
@@ -261,9 +262,9 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
         # integral of fn * (-2i) over the polar portion: sum w_r * r * dtheta
         return complex(np.sum(fn_vals * (-2j) * rs[:, None] * ws[:, None]) * dtheta)
 
-    # smooth part: plain polar integral around the origin, no exclusion
+    # smooth part: plain polar integral over the support disk, no exclusion
     rs, ws = radial_panels(1e-12 * support, support, cfg.radial_panels_order)
-    zs = rs[:, None] * e_i[None, :]
+    zs = center + rs[:, None] * e_i[None, :]
     smooth_vals = regular.eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
     smooth = disk_integral(smooth_vals, rs, ws, zs)
 
@@ -291,7 +292,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     eps_list = cfg.eps_schedule(eps0)
     totals = smooth
     for part in parts:
-        totals += annulus(part, eps_list[0], abs(complex(part.pole)) + support)
+        totals += annulus(part, eps_list[0], abs(complex(part.pole) - center) + support)
     values = [totals]
     for a, b_prev in zip(eps_list[1:], eps_list[:-1]):
         for part in parts:

@@ -9,6 +9,7 @@ variable 0 strongest); normalization and serialization both use it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -330,7 +331,7 @@ def divides(q: MultiPoly, p: MultiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pseudo-division and gcd (primitive PRS)
+# pseudo-division, content and the primitive PRS
 # ---------------------------------------------------------------------------
 
 def pseudo_remainder(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
@@ -376,8 +377,12 @@ def primitive_part_in_var(p: MultiPoly, var: int) -> MultiPoly:
     return monic_grlex(exact_divide(p, c))
 
 
-def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Full multivariate gcd over Q(i), normalized graded-lex monic."""
+def _prs_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Multivariate gcd over Q(i) by primitive PRS, normalized graded-lex monic.
+
+    The fallback of `gcd` when the heuristic gives up; the tests also use it
+    as the reference that `gcd` must match exactly.
+    """
     if p.is_zero() and q.is_zero():
         return MultiPoly.zero(p.nvars)
     if p.is_zero():
@@ -389,8 +394,10 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     for var in range(p.nvars):
         in_p, in_q = p.depends_on(var), q.depends_on(var)
         if in_p and in_q:
-            cont = gcd(content_in_var(p, var), content_in_var(q, var))
-            a, b = primitive_part_in_var(p, var), primitive_part_in_var(q, var)
+            cont_p, cont_q = content_in_var(p, var), content_in_var(q, var)
+            cont = gcd(cont_p, cont_q)
+            a = monic_grlex(exact_divide(p, cont_p))
+            b = monic_grlex(exact_divide(q, cont_q))
             while not b.is_zero():
                 r = pseudo_remainder(a, b, var)
                 if not r.is_zero():
@@ -402,6 +409,223 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         if in_q:
             return gcd(p, content_in_var(q, var))
     return MultiPoly.const(p.nvars, 1)
+
+
+# ---------------------------------------------------------------------------
+# gcd: heuristic gcd over Z[i] (GCDHEU), certified by trial division
+# ---------------------------------------------------------------------------
+#
+# The helpers below work on Gaussian-integer polynomials stored as
+# {exponent: (re, im)} with int parts and no zero coefficients.
+
+_HEU_GCD_TRIES = 6
+
+
+def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Full multivariate gcd over Q(i), normalized graded-lex monic.
+
+    Heuristic gcd (GCDHEU: Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989)
+    carried over to Z[i], with `_prs_gcd` as the fallback:
+
+    1. Clear denominators, so that p and q lie in Z[i][x] (Q(i)[x] has the
+       same gcds up to a unit), and strip each one's Z[i] content, giving
+       primitive f and g.
+    2. Evaluate the highest variable x_v present at an integer xi, recurse
+       until both operands are Gaussian integers, and take their gcd by
+       Euclid in Z[i] (division rounded to the nearest Gaussian integer).
+    3. Expand the real and imaginary parts of each coefficient of the
+       image gcd gamma in base xi, digits in the symmetric range
+       [-xi/2, xi/2], giving H with H(xi) = gamma, and let G = H / c with
+       c the Z[i] content of H.
+    4. Accept G only if exact trial division shows G | f and G | g;
+       otherwise grow xi and try again.  After `_HEU_GCD_TRIES` values of
+       xi, or when a recursive level gives up, fall back to `_prs_gcd`.
+
+    Why an accepted G is the gcd.  Let h = gcd(f, g), primitive.  G is a
+    primitive common divisor, so h = G k with k in Z[i][x] (Gauss's lemma;
+    Z[i] is a UFD).  h(xi) divides f(xi) and g(xi), hence gamma = c G(xi)
+    (by induction gamma is their exact gcd), so k(xi) divides the constant
+    c: k(xi) = kappa is a constant with |kappa| <= |c| <= xi / sqrt(2),
+    because c divides a nonzero digit.  Suppose k is not a unit, hence not
+    constant (a constant divisor of the primitive f is a unit).  As k(xi)
+    is constant, k depends on x_v, and substituting x_j -> x_v^(M_j) for the other
+    variables, with M_j spaced past all degrees of f, maps f and k to
+    univariate F and K with K | F, deg K >= 1, K(xi) = kappa and the
+    coefficients of F those of f.  Every root of F lies in
+    |z| < 1 + |f|_inf (Cauchy; |lc F| >= 1 in Z[i]), so
+    |kappa| = |lc K| prod |xi - root| >= xi - 1 - |f|_inf.  The start value
+    xi > (2 + sqrt 2)(1 + min(|f|_inf, |g|_inf)) makes this exceed
+    xi / sqrt(2), a contradiction; xi only grows.  So k is a unit and
+    G = h up to a unit.  (This is the CGG bound with |.|_inf the largest
+    coefficient modulus and the digit bound xi/2 widened to xi/sqrt(2).)
+
+    The result is `monic_grlex` of G times the gcd of the contents, the
+    same canonical form `_prs_gcd` returns.
+    """
+    if p.is_zero() and q.is_zero():
+        return MultiPoly.zero(p.nvars)
+    if p.is_zero():
+        return monic_grlex(q)
+    if q.is_zero():
+        return monic_grlex(p)
+    if p.is_constant() or q.is_constant():
+        return MultiPoly.const(p.nvars, 1)
+    h = _heu_gcd(_to_zi(p), _to_zi(q))
+    if h is None:
+        return _prs_gcd(p, q)
+    out = MultiPoly.zero(p.nvars)
+    out.terms = {e: GaussianRational(a, b) for e, (a, b) in h.items()}
+    return monic_grlex(out)
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """gcd of two Z[i][x] polynomials up to a unit, or None on giving up."""
+    # an image can vanish: xi only has to pass the smaller operand's bound
+    if not f:
+        return g
+    if not g:
+        return f
+    cf, cg = _zi_content(f), _zi_content(g)
+    c = _zi_gcd(cf, cg)
+    nvars = len(next(iter(f)))
+    one = (0,) * nvars
+    if (len(f) == 1 and one in f) or (len(g) == 1 and one in g):
+        return {one: c}
+    f, g = _zi_div_exact(f, cf), _zi_div_exact(g, cg)
+    v = nvars - 1
+    while not any(e[v] for e in f) and not any(e[v] for e in g):
+        v -= 1
+    norm2 = min(max(a * a + b * b for a, b in f.values()),
+                max(a * a + b * b for a, b in g.values()))
+    xi = 4 * (isqrt(norm2) + 2)  # > (2 + sqrt 2)(1 + min |.|_inf), see gcd
+    for _ in range(_HEU_GCD_TRIES):
+        gamma = _heu_gcd(_zi_eval(f, v, xi), _zi_eval(g, v, xi))
+        if gamma is None:
+            return None
+        h = _zi_interpolate(gamma, v, xi)
+        h = _zi_div_exact(h, _zi_content(h))
+        if len(h) == 1 and one in h:
+            return {one: c}
+        if _zi_divides(h, f) and _zi_divides(h, g):
+            return _zi_scale(h, c)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _to_zi(p: MultiPoly) -> dict:
+    """p times the lcm of its coefficient denominators, as a Z[i] polynomial."""
+    den = lcm(*(d for c in p.terms.values() for d in (c.re.denominator, c.im.denominator)))
+    return {e: (c.re.numerator * (den // c.re.denominator),
+                c.im.numerator * (den // c.im.denominator))
+            for e, c in p.terms.items()}
+
+
+def _zi_gcd(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    """gcd in Z[i] by Euclid, each quotient rounded to the nearest Gaussian
+    integer, so that the remainder's norm is at most half the divisor's."""
+    a0, a1 = a
+    b0, b1 = b
+    while b0 or b1:
+        n = b0 * b0 + b1 * b1
+        x, y = a0 * b0 + a1 * b1, a1 * b0 - a0 * b1  # a * conj(b)
+        q0, q1 = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a0, a1, b0, b1 = b0, b1, a0 - q0 * b0 + q1 * b1, a1 - q0 * b1 - q1 * b0
+    return a0, a1
+
+
+def _zi_content(f: dict) -> Tuple[int, int]:
+    c = (0, 0)
+    for v in f.values():
+        c = _zi_gcd(v, c)
+        if c[0] * c[0] + c[1] * c[1] == 1:
+            break
+    return c
+
+
+def _zi_div_exact(f: dict, c: Tuple[int, int]) -> dict:
+    """f / c for a Gaussian integer c that divides every coefficient; a unit
+    c leaves f as it is (gcds are only determined up to a unit)."""
+    c0, c1 = c
+    n = c0 * c0 + c1 * c1
+    if n == 1:
+        return f
+    return {e: ((a * c0 + b * c1) // n, (b * c0 - a * c1) // n) for e, (a, b) in f.items()}
+
+
+def _zi_scale(f: dict, c: Tuple[int, int]) -> dict:
+    c0, c1 = c
+    if c0 * c0 + c1 * c1 == 1:
+        return f
+    return {e: (a * c0 - b * c1, a * c1 + b * c0) for e, (a, b) in f.items()}
+
+
+def _zi_eval(f: dict, var: int, xi: int) -> dict:
+    """f with x_var = xi; exponents keep their length, with 0 at `var`."""
+    powers = [1]
+    out: dict = {}
+    for e, (a, b) in f.items():
+        k = e[var]
+        while len(powers) <= k:
+            powers.append(powers[-1] * xi)
+        t = powers[k]
+        e = e[:var] + (0,) + e[var + 1:]
+        s = out.get(e)
+        out[e] = (a * t, b * t) if s is None else (s[0] + a * t, s[1] + b * t)
+    return {e: c for e, c in out.items() if c[0] or c[1]}
+
+
+def _zi_interpolate(h: dict, var: int, xi: int) -> dict:
+    """Inverse of `_zi_eval` for small coefficients: expand the real and
+    imaginary part of each coefficient of h in base xi, with digits in the
+    symmetric range, the k-th digit becoming the coefficient of x_var^k."""
+    half = xi // 2
+    out = {}
+    for e, (a, b) in h.items():
+        k = 0
+        while a or b:
+            da, db = a % xi, b % xi
+            if da > half:
+                da -= xi
+            if db > half:
+                db -= xi
+            if da or db:
+                out[e[:var] + (k,) + e[var + 1:]] = (da, db)
+            a, b = (a - da) // xi, (b - db) // xi
+            k += 1
+    return out
+
+
+def _zi_divides(g: dict, f: dict) -> bool:
+    """True iff g divides f in Z[i][x]: exact division by lex-leading terms,
+    stopping at the first monomial or coefficient that does not divide."""
+    lg = max(g)
+    if any(i < j for i, j in zip(max(f), lg)):
+        return False
+    g0, g1 = g[lg]
+    n = g0 * g0 + g1 * g1
+    rest = [(e, c) for e, c in g.items() if e != lg]
+    rem = dict(f)
+    while rem:
+        lr = max(rem)
+        shift = tuple(i - j for i, j in zip(lr, lg))
+        if min(shift) < 0:
+            return False
+        a, b = rem.pop(lr)
+        x, y = a * g0 + b * g1, b * g0 - a * g1  # (a + bi) * conj(lc g)
+        if x % n or y % n:
+            return False
+        q0, q1 = x // n, y // n
+        for e, (c0, c1) in rest:
+            m = tuple(i + j for i, j in zip(e, shift))
+            s0, s1 = q0 * c0 - q1 * c1, q0 * c1 + q1 * c0
+            r = rem.get(m)
+            if r is None:
+                rem[m] = (-s0, -s1)
+            elif r[0] != s0 or r[1] != s1:
+                rem[m] = (r[0] - s0, r[1] - s1)
+            else:
+                del rem[m]
+    return True
 
 
 def gcd_in_var(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:

@@ -54,19 +54,22 @@ def richardson(values: List[complex], power: int = 2,
                ratio: float = 2.0) -> Tuple[complex, float]:
     """Extrapolate a sequence v_m = L + sum_i c_i * (h0 * ratio^-m)^(power*i).
 
-    Returns (limit, residual); the residual is the magnitude of the last
-    correction, a practical error estimate.
+    Returns (limit, residual); the residual is the gap between the last two
+    extrapolants, the limit and the finest one of the order below it.  That
+    gap estimates the error of the lower-order extrapolant, so it bounds the
+    limit's error in practice; the gap to the finest raw value would be the
+    much larger O(h0^power) truncation error of the raw sequence instead.
     """
     vals = [complex(v) for v in values]
     if len(vals) == 1:
         return vals[0], float("inf")
     fact = ratio ** power
-    prev_last = vals[-1]
     while len(vals) > 1:
+        below = vals
         vals = [(fact * b - a) / (fact - 1) for a, b in zip(vals, vals[1:])]
         fact *= ratio ** power
     limit = vals[0]
-    return limit, abs(limit - prev_last)
+    return limit, abs(limit - below[-1])
 
 
 def stabilized_limit(values: List[complex]) -> Tuple[complex, float]:

@@ -133,7 +133,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 class TaggedScalar:
@@ -174,12 +173,3 @@ class TaggedScalar:
         tag = " * 2*pi*i" if self.two_pi_i else ""
         return f"TaggedScalar({self.rational}{tag})"
 
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse a 'p/q' string; plain integers are allowed."""
-    return Fraction(text)
-
-
-def format_fraction(x: Fraction) -> str:
-    """Serialize a Fraction as decimal-free 'p/q'."""
-    return f"{x.numerator}/{x.denominator}"

@@ -151,6 +151,25 @@ class TestContourOracle:
         assert c1 == pytest.approx(c0, rel=1e-10)
 
 
+class TestRichardsonResidual:
+    @pytest.mark.parametrize("levels, converged", [(5, True), (2, False)])
+    def test_converged_matches_error(self, levels, converged):
+        # the residual is an error estimate: the verdict it gives agrees with
+        # the real error against the exact pairing of each principal part
+        cfg = QuadratureConfig(eps_levels=levels)
+        gs = [RatFn(ONE, Z ** l) for l in (1, 3, 5)]
+        gs.append(RatFn(Z + 7 * ONE, (Z ** 2) * (Z - ONE) * (2 * Z + ONE)))
+        for g in gs:
+            for part in laurent_parts(g):
+                exact = residue_pairing_1d(part.as_ratfn(), GENERIC_BUMP)
+                res = contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(part.pole))
+                err = abs(res.value - exact)
+                assert res.converged is converged
+                assert (err <= max(cfg.abs_tol, cfg.rel_tol * max(1.0, abs(res.value)))) \
+                    is converged
+                assert err <= max(res.residual, cfg.abs_tol)
+
+
 class TestVp:
     def test_against_adaptive_2d_quadrature(self):
         # g = 1/z, psi = zbar * bump dzbar: the integrand (zbar/z) chi is bounded
@@ -193,6 +212,20 @@ class TestVp:
             lhs = contour_residue_numeric(g, phi).value
             rhs = vp_1d(g, TestForm.function(phi).d_bar()).value
             assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
+
+    def test_off_centre_bump(self):
+        # support disk centred at 1/2 + i/3, poles at 0 (double) and 1 inside it
+        a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+        phi = GENERIC_BUMP.translate((a,))
+        g = RatFn(Z + 3 * ONE, Z ** 2 * (Z - ONE))
+        exact = residue_pairing_1d(g, phi)
+        contour = sum(contour_residue_numeric(g, phi, center=complex(p.pole)).value
+                      for p in laurent_parts(g))
+        assert contour == pytest.approx(exact, rel=1e-6, abs=1e-9)
+        # the annuli around the poles end past the support, and their polar
+        # panels cross the non-analytic edge of the cutoff: about 2e-5 here
+        vp = vp_1d(g, TestForm.function(phi).d_bar()).value
+        assert vp == pytest.approx(exact, rel=1e-4)
 
     def test_vp_linearity_in_test_form(self):
         g = RatFn(ONE, Z)

@@ -2,7 +2,9 @@
 
 Expected values for the derived cases were computed with the small
 specialization oracles below (Euclid / Sylvester determinant over exact
-complex rationals), which share no code with the production path.
+complex rationals), which share no code with the production path.  The
+full multivariate gcd is checked against the primitive PRS it replaced and
+against sympy's gcd over QQ_I (sympy is a test-only dependency).
 """
 
 import random
@@ -10,10 +12,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.rings import ring
 
+from residuum import polynomials
 from residuum.errors import DivisionError, ZeroInputError
 from residuum.polynomials import (
     MultiPoly,
+    _prs_gcd,
     discriminant,
     divides,
     exact_divide,
@@ -211,6 +217,111 @@ class TestGcd:
                     degs.append(euclid_gcd_degree(pc, qc))
             if degs:
                 assert g.degree_in(0) == min(degs)
+
+
+# ---------------------------------------------------------------------------
+# full multivariate gcd: heuristic against the PRS and against sympy (QQ_I)
+# ---------------------------------------------------------------------------
+
+def sympy_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """gcd over Q(i) computed by sympy, in the graded-lex monic form."""
+    R = ring(",".join(f"x{i}" for i in range(p.nvars)), QQ_I)[0]
+
+    def to_sympy(f):
+        return R({e: QQ_I(QQ(c.re.numerator, c.re.denominator),
+                          QQ(c.im.numerator, c.im.denominator))
+                  for e, c in f.terms.items()})
+
+    g = to_sympy(p).gcd(to_sympy(q))
+    return monic_grlex(MultiPoly(p.nvars, {
+        e: GaussianRational(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                            Fraction(int(c.y.numerator), int(c.y.denominator)))
+        for e, c in g.terms()}))
+
+
+def assert_gcd_agrees(p, q):
+    g = gcd(p, q)
+    assert g == _prs_gcd(p, q)
+    assert g == sympy_gcd(p, q)
+    return g
+
+
+gaussian_coeffs = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-5, 5), st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 7]),
+).filter(lambda c: not c.is_zero())
+
+
+def polys(nvars, max_terms=4):
+    """Nonzero polynomials: zero operands are among the edge cases below."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), gaussian_coeffs,
+                           min_size=1, max_size=max_terms).map(lambda t: MultiPoly(nvars, t))
+
+
+@st.composite
+def planted_pairs(draw):
+    """(a h, b h) for random a, b and a planted common factor h."""
+    nvars = draw(st.sampled_from([2, 3]))
+    a, b, h = draw(polys(nvars)), draw(polys(nvars)), draw(polys(nvars, 3))
+    return a * h, b * h, h
+
+
+W1, W2, W3 = (MultiPoly.variable(3, i) for i in range(3))
+ONE3 = MultiPoly.const(3, 1)
+I2 = GaussianRational(0, 1)
+SHARED = Z1 * Z1 - Fraction(2, 3) * Z2 + ONE2 * GaussianRational(Fraction(1, 5), -1)
+
+
+class TestFullGcd:
+    @settings(max_examples=60, deadline=None)
+    @given(planted_pairs())
+    def test_matches_prs_and_sympy(self, pqh):
+        p, q, h = pqh
+        assert divides(h, assert_gcd_agrees(p, q))
+
+    @pytest.mark.parametrize("p, q", [
+        (MultiPoly.zero(2), MultiPoly.zero(2)),
+        (MultiPoly.zero(2), 3 * SHARED),
+        (SHARED, MultiPoly.zero(2)),
+        (MultiPoly.const(2, GaussianRational(Fraction(3, 7), 1)), SHARED),
+        (SHARED * Z2, MultiPoly.const(2, 5)),
+        # one operand free of a variable
+        (SHARED * (Z1 + Z2), SHARED * (Z1 * Z1 + 3 * ONE2)),
+        ((Z1 - ONE2) * (Z1 + Z2), (Z1 - ONE2) * (Z1 + 2 * ONE2)),
+        ((W1 + W3) * (W2 - ONE3), (W1 + W3) * W1),
+        ((W2 * W3 - ONE3) * (W1 + 2 * W2), (W2 * W3 - ONE3) * (W3 + ONE3)),
+        # unit multiples
+        (SHARED, SHARED * I2),
+        (SHARED * (Z1 - Z2), -(SHARED * I2) * (Z1 + Z2)),
+        # non-trivial denominators
+        (SHARED * (Fraction(1, 3) * Z1 + Fraction(2, 5) * Z2),
+         SHARED * Fraction(7, 11) * (Z2 * Z2 + ONE2 * GaussianRational(0, Fraction(1, 9)))),
+        # equal operands
+        (SHARED * Z1 * Z2, SHARED * Z1 * Z2),
+        ((W1 * W2 + W3) ** 2, (W1 * W2 + W3) ** 2),
+    ])
+    def test_edge_cases(self, p, q):
+        assert_gcd_agrees(p, q)
+
+    def test_falls_back_when_heuristic_gives_up(self, monkeypatch):
+        p, q = SHARED * (Z1 + Z2), SHARED * (Z1 - Z2 * Z2)
+        calls = []
+
+        def give_up(f, g):
+            calls.append((f, g))
+            return None
+
+        monkeypatch.setattr(polynomials, "_heu_gcd", give_up)
+        assert gcd(p, q) == _prs_gcd(p, q) == monic_grlex(SHARED)
+        assert calls
+
+    def test_trial_division_rejects_a_wrong_candidate(self, monkeypatch):
+        # every image interpolates to z1 + 1, which divides neither operand:
+        # no try is accepted and the PRS answers
+        p, q = SHARED * (Z1 + Z2), SHARED * (Z1 - Z2 * Z2)
+        monkeypatch.setattr(polynomials, "_zi_interpolate",
+                            lambda h, var, xi: {(1, 0): (1, 0), (0, 0): (1, 0)})
+        assert gcd(p, q) == monic_grlex(SHARED)
 
 
 def _random_poly(rng, max_deg=2):
