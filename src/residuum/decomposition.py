@@ -26,9 +26,7 @@ from .scalars import GaussianRational
 from .ratfn import (
     RatFn,
     poly_to_uni,
-    ratfn_to_uni,
     uni_divmod,
-    uni_ext_euclid,
     uni_mod_inverse,
     uni_mul,
     uni_to_ratfn,
@@ -57,12 +55,6 @@ class FactoredDenominator:
         out = MultiPoly.const(self.nvars, 1)
         for f in self.factors:
             out = out * f.rho ** f.multiplicity
-        return out
-
-    def reduced_product(self) -> MultiPoly:
-        out = MultiPoly.const(self.nvars, 1)
-        for f in self.factors:
-            out = out * f.rho
         return out
 
 
@@ -156,11 +148,37 @@ def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
 
 
 def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
-    total = RatFn.zero(fd.nvars)
-    for k, mu, c in pfd.entries:
-        total = total + c / RatFn(fd.factors[k].rho ** mu)
-    total = total + pfd.polynomial_part
-    expect = RatFn(MultiPoly.const(fd.nvars, 1), fd.product())
+    """Check 1/P = sum c/rho_k^mu + pp exactly, with P = prod rho_k^(m_k).
+
+    Times P*D, where D is the product of the distinct denominators of the
+    nonzero c and pp, the identity is one between polynomials:
+
+        sum c.num * (D/c.den) * (P/rho_k^mu) + pp.num * (D/pp.den) * P == D.
+
+    Each quotient there is a product of the remaining factors, so the check
+    needs no gcd and no division.
+    """
+    parts = [(c, k, mu) for k, mu, c in pfd.entries]
+    parts.append((pfd.polynomial_part, None, 0))
+    parts = [part for part in parts if not part[0].is_zero()]
+    dens: List[MultiPoly] = []
+    for c, _, _ in parts:
+        if c.den not in dens:
+            dens.append(c.den)
+    total = MultiPoly.zero(fd.nvars)
+    for c, k, mu in parts:
+        term = c.num
+        for den in dens:
+            if den != c.den:
+                term = term * den
+        for i, f in enumerate(fd.factors):
+            exponent = f.multiplicity - mu if i == k else f.multiplicity
+            if exponent:
+                term = term * f.rho ** exponent
+        total = total + term
+    expect = MultiPoly.const(fd.nvars, 1)
+    for den in dens:
+        expect = expect * den
     if total != expect:
         raise ArithmeticError("partial fraction recombination failed")
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .bump import BumpFunction
-from .errors import IrrationalPole, NonConvergent
+from .errors import IrrationalPole
 from .forms import TestForm
 from .polynomials import MultiPoly
 from .quadrature import (

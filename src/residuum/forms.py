@@ -8,7 +8,7 @@ strictly increasing indices; all signs below refer to that normal order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

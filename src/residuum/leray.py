@@ -31,9 +31,7 @@ from .polynomials import MultiPoly, exact_divide, divides
 from .ratfn import (
     RatFn,
     poly_to_uni,
-    ratfn_to_uni,
     uni_divmod,
-    uni_ext_euclid,
     uni_is_zero,
     uni_mod_inverse,
     uni_mul,

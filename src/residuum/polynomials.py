@@ -9,13 +9,14 @@ variable 0 strongest); normalization and serialization both use it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
+from operator import add
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .errors import DivisionError, ZeroInputError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _over_common_denominator, _reduced
 
 Exponent = Tuple[int, ...]
 
@@ -68,10 +69,6 @@ class MultiPoly:
         exp = [0] * nvars
         exp[i] = 1
         return MultiPoly(nvars, {tuple(exp): GaussianRational(1)})
-
-    @staticmethod
-    def monomial(nvars: int, exp: Exponent, c=1) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(exp): GaussianRational.from_any(c)})
 
     # -- predicates / queries ----------------------------------------
 
@@ -149,19 +146,26 @@ class MultiPoly:
             out.terms = {e: k * c for e, k in self.terms.items()}
             return out
         self._check(other)
-        terms: Dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+        # multiply the Z[i] numerators over the product of the common
+        # denominators; each result coefficient is reduced once at the end
+        f, df = _to_zi(self)
+        g, dg = _to_zi(other)
+        acc: Dict[Exponent, Tuple[int, int]] = {}
+        for e1, (a1, b1) in f.items():
+            for e2, (a2, b2) in g.items():
+                e = tuple(map(add, e1, e2))
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                s = acc.get(e)
+                if s is not None:
+                    a += s[0]
+                    b += s[1]
+                    if not (a or b):
+                        del acc[e]
+                        continue
+                acc[e] = (a, b)
+        d = df * dg
         out = MultiPoly.zero(self.nvars)
-        out.terms = terms
+        out.terms = {e: _reduced(a, b, d) for e, (a, b) in acc.items()}
         return out
 
     __rmul__ = __mul__
@@ -306,20 +310,32 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return MultiPoly.zero(p.nvars)
     p._check(q)
-    quot = MultiPoly.zero(p.nvars)
-    rem = p
     lq = q.leading_exponent()
     cq = q.terms[lq]
-    while not rem.is_zero():
-        lr = rem.leading_exponent()
+    rest = [(e, c) for e, c in q.terms.items() if e != lq]
+    rem = dict(p.terms)
+    quot: Dict[Exponent, GaussianRational] = {}
+    while rem:
+        lr = max(rem, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(lr, lq))
         if any(d < 0 for d in diff):
             raise DivisionError(f"{q!r} does not divide {p!r}")
-        c = rem.terms[lr] / cq
-        t = MultiPoly.monomial(p.nvars, diff, c)
-        quot = quot + t
-        rem = rem - t * q
-    return quot
+        c = rem.pop(lr) / cq
+        quot[diff] = c
+        for e, k in rest:  # rem -= c * x^diff * (q - lead term)
+            m = tuple(map(add, e, diff))
+            s = rem.get(m)
+            if s is None:
+                rem[m] = -(c * k)
+            else:
+                s = s - c * k
+                if s.is_zero():
+                    del rem[m]
+                else:
+                    rem[m] = s
+    out = MultiPoly.zero(p.nvars)
+    out.terms = quot
+    return out
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
@@ -470,7 +486,7 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return monic_grlex(p)
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(p.nvars, 1)
-    h = _heu_gcd(_to_zi(p), _to_zi(q))
+    h = _heu_gcd(_to_zi(p)[0], _to_zi(q)[0])
     if h is None:
         return _prs_gcd(p, q)
     out = MultiPoly.zero(p.nvars)
@@ -512,12 +528,11 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
     return None
 
 
-def _to_zi(p: MultiPoly) -> dict:
-    """p times the lcm of its coefficient denominators, as a Z[i] polynomial."""
-    den = lcm(*(d for c in p.terms.values() for d in (c.re.denominator, c.im.denominator)))
-    return {e: (c.re.numerator * (den // c.re.denominator),
-                c.im.numerator * (den // c.im.denominator))
-            for e, c in p.terms.items()}
+def _to_zi(p: MultiPoly) -> Tuple[dict, int]:
+    """(p times the lcm of its coefficient denominators, as a Z[i]
+    polynomial; that lcm)."""
+    nums, den = _over_common_denominator(p.terms.values())
+    return dict(zip(p.terms, nums)), den
 
 
 def _zi_gcd(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:

@@ -7,12 +7,12 @@ graded-lex leading coefficient 1, so every value has a unique representative.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DivisionError, ZeroInputError
-from .polynomials import MultiPoly, exact_divide, gcd, monic_grlex
+from .polynomials import MultiPoly, exact_divide, gcd
 from .scalars import GaussianRational
 
 

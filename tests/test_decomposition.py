@@ -7,6 +7,8 @@ import pytest
 
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.decomposition import (
+    PartialFractionDecomp,
+    _verify_recombination,
     check_simple_pole_holomorphy,
     partial_fractions,
     prepare_denominator,
@@ -115,6 +117,42 @@ class TestPartialFractions:
         b_pow = fd.discriminant_b ** bound
         for _, _, c in pfd.entries:
             assert divides(c.den, b_pow)
+
+
+class TestRecombinationCheck:
+    """The polynomial recombination check rejects every wrong decomposition
+    of 1/(p^3 l^2), p = y1^2 - y2, l = y1 - y3 - 1, in y1."""
+
+    @pytest.fixture(scope="class")
+    def decomposition(self):
+        y1, y2, y3 = (MultiPoly.variable(3, i) for i in range(3))
+        fd = prepare_denominator([(y1 * y1 - y2, 3), (y1 - y3 - MultiPoly.const(3, 1), 2)], 0)
+        return fd, partial_fractions(fd)
+
+    def test_entries_of_both_factors_present(self, decomposition):
+        _, pfd = decomposition
+        assert {(k, mu) for k, mu, _ in pfd.entries} == {(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)}
+
+    @pytest.mark.parametrize("perturb", ["scale_by_1+i", "add_1/den"])
+    def test_each_perturbed_entry_is_rejected(self, decomposition, perturb):
+        fd, pfd = decomposition
+        _verify_recombination(pfd, fd)
+        unit = RatFn.const(3, GaussianRational(1, 1))
+        for j, (k, mu, c) in enumerate(pfd.entries):
+            if perturb == "scale_by_1+i":
+                bad = c * unit
+            else:
+                bad = c + RatFn(MultiPoly.const(3, 1), c.den)
+            entries = pfd.entries[:j] + ((k, mu, bad),) + pfd.entries[j + 1:]
+            with pytest.raises(ArithmeticError):
+                _verify_recombination(PartialFractionDecomp(pfd.var, entries,
+                                                            pfd.polynomial_part), fd)
+
+    def test_nonzero_polynomial_part_is_rejected(self, decomposition):
+        fd, pfd = decomposition
+        with pytest.raises(ArithmeticError):
+            _verify_recombination(PartialFractionDecomp(pfd.var, pfd.entries,
+                                                        RatFn.one(3)), fd)
 
 
 class TestHolomorphyReports:

@@ -9,6 +9,7 @@ against sympy's gcd over QQ_I (sympy is a test-only dependency).
 
 import random
 from fractions import Fraction
+from math import gcd as igcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +150,149 @@ def rand_points(rng, k):
     for _ in range(k):
         pts.append({1: (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))})
     return pts
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rational scalars against the Fraction-pair oracle
+# ---------------------------------------------------------------------------
+
+fractions_ = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                       st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10 ** 9 + 7, 2 ** 64]))
+pairs = st.tuples(fractions_, fractions_)
+nonzero_pairs = pairs.filter(lambda x: x != C_ZERO)
+operands = st.one_of(pairs, st.integers(-50, 50), fractions_)
+
+
+def as_pair(x):
+    """Oracle value of a GaussianRational operand: an int, Fraction or pair."""
+    return x if isinstance(x, tuple) else (Fraction(x), Fraction(0))
+
+
+def gr(x):
+    return GaussianRational(*x) if isinstance(x, tuple) else x
+
+
+def parts(z):
+    return (z.re, z.im)
+
+
+def assert_canonical(z):
+    """(a + b i)/d with d > 0 and gcd(a, b, d) = 1, reading back as re, im."""
+    a, b, d = z._a, z._b, z._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and igcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == parts(z)
+
+
+def oracle_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}*i"
+
+
+def oracle_repr(re, im):
+    return f"GR({re})" if im == 0 else f"GR({re}, {im})"
+
+
+class TestGaussianRational:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, operands)
+    def test_ring_operations(self, x, y):
+        z = GaussianRational(*x)
+        for got, expect in [(z + gr(y), c_add(x, as_pair(y))),
+                            (gr(y) + z, c_add(x, as_pair(y))),
+                            (z - gr(y), c_sub(x, as_pair(y))),
+                            (gr(y) - z, c_sub(as_pair(y), x)),
+                            (z * gr(y), c_mul(x, as_pair(y))),
+                            (gr(y) * z, c_mul(x, as_pair(y))),
+                            (-z, c_sub(C_ZERO, x)),
+                            (z.conjugate(), (x[0], -x[1]))]:
+            assert_canonical(got)
+            assert parts(got) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, operands)
+    def test_division(self, x, y):
+        z = GaussianRational(*x)
+        if as_pair(y) == C_ZERO:
+            with pytest.raises(ZeroDivisionError):
+                z / gr(y)
+        else:
+            got = z / gr(y)
+            assert_canonical(got)
+            assert parts(got) == c_div(x, as_pair(y))
+        if x == C_ZERO:
+            for fail in (lambda: gr(y) / z, z.inverse, lambda: z ** -1):
+                with pytest.raises(ZeroDivisionError):
+                    fail()
+        else:
+            for got, expect in [(gr(y) / z, c_div(as_pair(y), x)),
+                                (z.inverse(), c_div((Fraction(1), Fraction(0)), x))]:
+                assert_canonical(got)
+                assert parts(got) == expect
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_pairs, st.integers(-5, 5))
+    def test_powers(self, x, n):
+        expect = (Fraction(1), Fraction(0))
+        for _ in range(abs(n)):
+            expect = c_mul(expect, x)
+        if n < 0:
+            expect = c_div((Fraction(1), Fraction(0)), expect)
+        got = GaussianRational(*x) ** n
+        assert_canonical(got)
+        assert parts(got) == expect
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, pairs)
+    def test_equality_and_hash_follow_the_value(self, x, y):
+        z, w = GaussianRational(*x), GaussianRational(*y)
+        assert (z == w) == (x == y)
+        if not y == C_ZERO:
+            # the same value reached through arithmetic has the same triple
+            back = (z * w) / w
+            assert back == z and hash(back) == hash(z)
+            assert (back._a, back._b, back._d) == (z._a, z._b, z._d)
+
+    @pytest.mark.parametrize("x, y", [
+        (GaussianRational(Fraction(2, 4)), GaussianRational(Fraction(1, 2))),
+        (GaussianRational(3, -2), GaussianRational(Fraction(3), Fraction(-6, 3))),
+        (GaussianRational(Fraction(6, 4), Fraction(9, 6)), GaussianRational(Fraction(3, 2), Fraction(3, 2))),
+        (GaussianRational(0, 0), GaussianRational(Fraction(0, 5), Fraction(0, 7))),
+        (GaussianRational(Fraction(1, 3)) * 3, GaussianRational(1)),
+        (GaussianRational(0, Fraction(1, 2)) + GaussianRational(0, Fraction(1, 2)),
+         GaussianRational(0, 1)),
+    ])
+    def test_equal_values_give_equal_triples(self, x, y):
+        assert_canonical(x)
+        assert_canonical(y)
+        assert (x._a, x._b, x._d) == (y._a, y._b, y._d)
+        assert x == y and hash(x) == hash(y)
+
+    def test_comparison_with_plain_numbers(self):
+        assert GaussianRational(Fraction(4, 2)) == 2
+        assert GaussianRational(Fraction(1, 2)) == Fraction(2, 4)
+        assert GaussianRational(1, 1) != 1
+        assert GaussianRational(1).__eq__(object()) is NotImplemented
+
+    def test_zero_and_one(self):
+        assert GaussianRational(Fraction(0, 3), Fraction(0, 5)).is_zero()
+        assert GaussianRational(Fraction(3, 3)).is_one()
+        assert not GaussianRational(Fraction(1, 3)).is_one()
+        assert not GaussianRational(1, 1).is_one()
+        assert GaussianRational(Fraction(1, 3)).is_real()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs)
+    def test_conversions(self, x):
+        z = GaussianRational(*x)
+        assert complex(z) == complex(float(x[0]), float(x[1]))
+        assert complex(z) == float(x[0]) + 1j * float(x[1])
+        assert str(z) == oracle_str(*x)
+        assert repr(z) == oracle_repr(*x)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +466,57 @@ class TestFullGcd:
         monkeypatch.setattr(polynomials, "_zi_interpolate",
                             lambda h, var, xi: {(1, 0): (1, 0), (0, 0): (1, 0)})
         assert gcd(p, q) == monic_grlex(SHARED)
+
+
+def reference_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Term-by-term product in GaussianRational arithmetic (oracle); a sum
+    that cancels drops its monomial, which a later term may bring back."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    out = MultiPoly.zero(p.nvars)
+    out.terms = terms
+    return out
+
+
+class TestMultiply:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(polys(n, 6), polys(n, 6))))
+    def test_matches_term_by_term_product(self, pq):
+        p, q = pq
+        got, expect = p * q, reference_mul(p, q)
+        assert got == expect
+        assert list(got.terms) == list(expect.terms)  # same term order
+        for c in got.terms.values():
+            assert_canonical(c)
+
+    def test_monomial_that_cancels_and_returns(self):
+        # z1 z2 appears from z1 * z2, cancels against z2 * (-z1), and comes
+        # back from z1 z2 * 1, so it moves to the end of the term order
+        p, q = Z1 + Z2 + Z1 * Z2, Z2 - Z1 + ONE2
+        got = p * q
+        assert list(got.terms)[-1] == (1, 1)
+        assert got == reference_mul(p, q)
+        assert list(got.terms) == list(reference_mul(p, q).terms)
+
+
+class TestExactDivide:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(polys(n), polys(n))))
+    def test_quotient_of_a_product(self, pq):
+        p, q = pq
+        assert exact_divide(p * q, q) == p
+        if not q.is_constant():
+            # q | p q + 1 would mean q | 1
+            with pytest.raises(DivisionError):
+                exact_divide(p * q + MultiPoly.const(p.nvars, 1), q)
 
 
 def _random_poly(rng, max_deg=2):
