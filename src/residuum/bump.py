@@ -162,19 +162,6 @@ class BumpFunction:
             acc = acc + p.eval_numeric(zzbar) * damp
         return np.where(inside, acc, 0.0)
 
-    def eval_point(self, *zs: complex) -> complex:
-        return complex(self.eval_numeric(np.array(zs, dtype=complex)))
-
-    def sample_scale(self, samples: int = 200, seed: int = 0) -> float:
-        """Deterministic sup-norm estimate over interior sample points."""
-        rng = np.random.default_rng(seed)
-        r = float(self.radius)
-        ctr = np.array([complex(c) for c in self.center])
-        pts = ctr + (rng.uniform(-r, r, size=(samples, self.nvars))
-                     + 1j * rng.uniform(-r, r, size=(samples, self.nvars)))
-        vals = np.abs(self.eval_numeric(pts))
-        return float(vals.max()) if vals.size else 0.0
-
     def translate(self, shift: Tuple[GaussianRational, ...]) -> "BumpFunction":
         """The function z -> value(z - shift): center moves, polynomial shifts."""
         shift = tuple(GaussianRational.from_any(s) for s in shift)

@@ -45,7 +45,6 @@ class FactoredDenominator:
     var: int
     factors: Tuple[Factor, ...]
     discriminant_b: MultiPoly
-    unit_note: str = "leading coefficients absorbed into the c-coefficients"
 
     @property
     def nvars(self) -> int:

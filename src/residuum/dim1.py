@@ -58,9 +58,6 @@ class DeltaOperatorCurrent:
     pole: GaussianRational
     coeffs: Tuple[TaggedScalar, ...]  # b_0, ..., b_{k-1}
 
-    def order(self) -> int:
-        return len(self.coeffs)
-
 
 def _univar_coeff_list(p: MultiPoly) -> List[GaussianRational]:
     out = [GaussianRational(0)] * (p.degree_in(0) + 1)
@@ -209,9 +206,7 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
     cfg = cfg or QuadratureConfig()
     if g.nvars != 1 or phi.nvars != 1:
         raise ValueError("one-variable data expected")
-    eps0 = cfg.eps0
-    if eps0 is None:
-        eps0 = float(phi.radius) / 4.0
+    eps0 = float(phi.radius) / 4.0
     # keep all circles clear of the other poles
     other = [complex(p) for p, _ in find_rational_roots(g.den)
              if abs(complex(p) - center) > 1e-12]
@@ -227,7 +222,7 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
         v = complex(integrand.sum() * (2.0 * np.pi / cfg.n_theta))
         table.append((eps, v))
         values.append(v)
-    value, residual = richardson(values, power=2)
+    value, residual = richardson(values)
     scale = max(1.0, abs(value))
     converged = residual <= max(cfg.abs_tol, cfg.rel_tol * scale)
     return LimitResult(value, table, residual, converged)
@@ -268,7 +263,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     smooth_vals = regular.eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
     smooth = disk_integral(smooth_vals, rs, ws, zs)
 
-    eps0 = cfg.eps0 if cfg.eps0 is not None else support / 8.0
+    eps0 = support / 8.0
     if parts:
         min_sep = min(
             [abs(complex(p.pole) - complex(q.pole))
@@ -299,7 +294,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
             totals += annulus(part, a, b_prev)
         values.append(totals)
     table = list(zip(eps_list, values))
-    value, residual = richardson(values, power=2)
+    value, residual = richardson(values)
     scale = max(1.0, abs(value))
     converged = residual <= max(cfg.abs_tol, cfg.rel_tol * scale)
     return LimitResult(value, table, residual, converged)

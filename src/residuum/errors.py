@@ -73,37 +73,5 @@ class ChartError(ResiduumError):
     """The chosen chart variable is invalid on the hypersurface."""
 
 
-# --- numerics ---
-
-class NumericsError(ResiduumError):
-    pass
-
-
-class NonConvergent(NumericsError):
-    """Extrapolation residual stayed above the configured tolerance."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
-class RootFindingDivergence(NumericsError):
-    """Simultaneous iteration failed to locate all fiber roots."""
-
-
-class LeadingCoefficientVanishes(NumericsError):
-    """The fiber polynomial degenerates at the requested base point."""
-
-
-class NewtonContinuationFailure(NumericsError):
-    """Tube tracing lost a root branch even after shrinking epsilon."""
-
-
-# --- input handling ---
-
-class SchemaViolation(ResiduumError):
-    """A JSON document does not conform to the input schema."""
-
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{pointer}: {message}" if pointer else message)
-        self.pointer = pointer
+class NonClosedForm(ResiduumError, ValueError):
+    """The input form is not d-closed, so it has no reduced residue."""

@@ -31,10 +31,6 @@ def merge_indices(a: Index, b: Index) -> Tuple[Index | None, int]:
     return merged, -1 if inv % 2 else 1
 
 
-def insertion_sign(i: int, idx: Index) -> Tuple[Index | None, int]:
-    return merge_indices((i,), idx)
-
-
 class MeroForm:
     """A (p, 0)-form with exact rational-function coefficients."""
 
@@ -129,7 +125,7 @@ class MeroForm:
                 dc = c.partial(var)
                 if dc.is_zero():
                     continue
-                merged, sign = insertion_sign(var, idx)
+                merged, sign = merge_indices((var,), idx)
                 if merged is None:
                     continue
                 term = dc * GaussianRational(sign)
@@ -197,11 +193,6 @@ class TestForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def radius(self):
-        for b in self.coeffs.values():
-            return b.radius
-        return None
-
     def __add__(self, other: "TestForm") -> "TestForm":
         if self.is_zero():
             return other
@@ -248,7 +239,7 @@ class TestForm:
         out: Dict[Tuple[Index, Index], BumpFunction] = {}
         for (iset, jset), b in self.coeffs.items():
             for var in range(self.nvars):
-                merged, sign = insertion_sign(var, iset)
+                merged, sign = merge_indices((var,), iset)
                 if merged is None:
                     continue
                 term = b.dz(var) * GaussianRational(sign)
@@ -261,7 +252,7 @@ class TestForm:
         for (iset, jset), b in self.coeffs.items():
             pass_sign = -1 if self.bidegree[0] % 2 else 1
             for var in range(self.nvars):
-                merged, sign = insertion_sign(var, jset)
+                merged, sign = merge_indices((var,), jset)
                 if merged is None:
                     continue
                 term = b.dzbar(var) * GaussianRational(sign * pass_sign)
@@ -312,9 +303,6 @@ class TestForm:
 
     def eval_numeric(self, points: np.ndarray) -> Dict[Tuple[Index, Index], np.ndarray]:
         return {k: b.eval_numeric(points) for k, b in self.coeffs.items()}
-
-    def sample_scale(self, samples: int = 200, seed: int = 0) -> float:
-        return max((b.sample_scale(samples, seed) for b in self.coeffs.values()), default=0.0)
 
     def __repr__(self):
         return f"TestForm(nvars={self.nvars}, bidegree={self.bidegree}, {len(self.coeffs)} terms)"

@@ -25,7 +25,7 @@ from .decomposition import (
     PartialFractionDecomp,
     transverse_operator,
 )
-from .errors import ChartError, NonConstantResidueForm, PoleReductionObstruction
+from .errors import ChartError, NonClosedForm, NonConstantResidueForm, PoleReductionObstruction
 from .forms import Index, MeroForm, merge_indices
 from .polynomials import MultiPoly, exact_divide, divides
 from .ratfn import (
@@ -158,15 +158,7 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
     r_terms: Dict[int, MeroForm] = {}
 
     def max_order(fr) -> int:
-        top = 0
-        for c in fr.values():
-            den = c.den
-            m = 0
-            while divides(rho, den):
-                den = exact_divide(den, rho)
-                m += 1
-            top = max(top, m)
-        return top
+        return max((rho_order(c, rho) for c in fr.values()), default=0)
 
     guard = max_order(frame) + multiplicity + 4
     while True:
@@ -268,26 +260,9 @@ class HypersurfaceForm:
         return self.normalize().rep.is_zero()
 
     def d_on_hypersurface(self) -> "HypersurfaceForm":
-        nf = self.normalize()
-        rho, var = self.rho, self.var
-        n = nf.rep.nvars
-        w = RatFn(rho.partial(var))
-        out: Dict[Index, RatFn] = {}
-        for idx, c in nf.rep.coeffs.items():
-            dc_var = c.partial(var)
-            for l in range(n):
-                if l == var:
-                    continue
-                total = c.partial(l) - dc_var * RatFn(rho.partial(l)) / w
-                if total.is_zero():
-                    continue
-                merged, s = merge_indices((l,), idx)
-                if merged is None:
-                    continue
-                term = total * GaussianRational(s)
-                out[merged] = out[merged] + term if merged in out else term
-        rep = MeroForm(n, nf.rep.degree + 1, out)
-        return HypersurfaceForm(self.component, rho, var, rep).normalize()
+        """d on Y: d of the normal form, with dz_var eliminated by normalizing."""
+        rep = self.normalize().rep.exterior_d()
+        return HypersurfaceForm(self.component, self.rho, self.var, rep).normalize()
 
     def constant_value(self) -> GaussianRational:
         nf = self.normalize()
@@ -354,9 +329,6 @@ class ReducedResidue:
     charts: Dict[int, Tuple[FactoredDenominator, PartialFractionDecomp]]
     leray: Dict[Tuple[int, int], LerayData] = field(default_factory=dict)
 
-    def components_for(self, var: int) -> List[Tuple[int, HypersurfaceForm]]:
-        return [(k, h) for k, h in self.components if h.var == var]
-
 
 def simple_pole_residue_form(omega: MeroForm, fd: FactoredDenominator,
                              pfd: PartialFractionDecomp, k: int) -> HypersurfaceForm:
@@ -384,7 +356,7 @@ def reduced_residue(omega: MeroForm,
     """
     closed, witness = check_closed(omega)
     if not closed:
-        raise ValueError(f"input form is not d-closed; d(omega) = {witness!r}")
+        raise NonClosedForm(f"input form is not d-closed; d(omega) = {witness!r}")
     p = omega.degree
     components: List[Tuple[int, HypersurfaceForm]] = []
     descriptors: List[SDescriptor] = []

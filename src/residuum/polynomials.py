@@ -52,15 +52,24 @@ class MultiPoly:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def _of(nvars: int, terms: Dict[Exponent, GaussianRational]) -> "MultiPoly":
+        """The polynomial with these terms, taken without checks: exponents
+        must have length nvars and coefficients be nonzero GaussianRationals."""
+        p = object.__new__(MultiPoly)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @staticmethod
     def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars, {})
+        return MultiPoly._of(nvars, {})
 
     @staticmethod
     def const(nvars: int, c) -> "MultiPoly":
         c = GaussianRational.from_any(c)
         if c.is_zero():
             return MultiPoly.zero(nvars)
-        return MultiPoly(nvars, {tuple([0] * nvars): c})
+        return MultiPoly._of(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
@@ -84,11 +93,6 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: int) -> int:
         if self.is_zero():
@@ -125,14 +129,10 @@ class MultiPoly:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
-        out = MultiPoly.zero(self.nvars)
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.nvars, terms)
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.zero(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -142,9 +142,7 @@ class MultiPoly:
             c = GaussianRational.from_any(other)
             if c.is_zero():
                 return MultiPoly.zero(self.nvars)
-            out = MultiPoly.zero(self.nvars)
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         # multiply the Z[i] numerators over the product of the common
         # denominators; each result coefficient is reduced once at the end
@@ -164,9 +162,7 @@ class MultiPoly:
                         continue
                 acc[e] = (a, b)
         d = df * dg
-        out = MultiPoly.zero(self.nvars)
-        out.terms = {e: _reduced(a, b, d) for e, (a, b) in acc.items()}
-        return out
+        return MultiPoly._of(self.nvars, {e: _reduced(a, b, d) for e, (a, b) in acc.items()})
 
     __rmul__ = __mul__
 
@@ -193,9 +189,7 @@ class MultiPoly:
             e = list(exp)
             e[var] = k - 1
             terms[tuple(e)] = c * k
-        out = MultiPoly.zero(self.nvars)
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.nvars, terms)
 
     # -- evaluation ---------------------------------------------------
 
@@ -226,9 +220,6 @@ class MultiPoly:
             acc = acc + v
         return acc
 
-    def vanishes_at_origin(self) -> bool:
-        return tuple([0] * self.nvars) not in self.terms
-
     # -- structure ----------------------------------------------------
 
     def coeffs_in_var(self, var: int) -> Dict[int, "MultiPoly"]:
@@ -236,14 +227,10 @@ class MultiPoly:
         out: Dict[int, MultiPoly] = {}
         for exp, c in self.terms.items():
             k = exp[var]
-            e = list(exp)
-            e[var] = 0
-            p = out.setdefault(k, MultiPoly.zero(self.nvars))
-            p.terms[tuple(e)] = p.terms.get(tuple(e), GaussianRational(0)) + c
-        for k in list(out):
-            out[k].terms = {e: c for e, c in out[k].terms.items() if not c.is_zero()}
-            if out[k].is_zero():
-                del out[k]
+            p = out.get(k)
+            if p is None:
+                p = out[k] = MultiPoly._of(self.nvars, {})
+            p.terms[exp[:var] + (0,) + exp[var + 1:]] = c
         return out
 
     def leading_coefficient_in(self, var: int) -> "MultiPoly":
@@ -274,10 +261,10 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self.to_string()})"
 
-    def to_string(self, names: List[str] | None = None) -> str:
+    def to_string(self) -> str:
         if self.is_zero():
             return "0"
-        names = names or [f"z{i+1}" for i in range(self.nvars)]
+        names = [f"z{i+1}" for i in range(self.nvars)]
         parts = []
         for exp, c in self.sorted_terms():
             mono = "*".join(
@@ -333,9 +320,7 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                     del rem[m]
                 else:
                     rem[m] = s
-    out = MultiPoly.zero(p.nvars)
-    out.terms = quot
-    return out
+    return MultiPoly._of(p.nvars, quot)
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
@@ -489,8 +474,7 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     h = _heu_gcd(_to_zi(p)[0], _to_zi(q)[0])
     if h is None:
         return _prs_gcd(p, q)
-    out = MultiPoly.zero(p.nvars)
-    out.terms = {e: GaussianRational(a, b) for e, (a, b) in h.items()}
+    out = MultiPoly._of(p.nvars, {e: GaussianRational(a, b) for e, (a, b) in h.items()})
     return monic_grlex(out)
 
 

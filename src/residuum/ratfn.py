@@ -60,10 +60,6 @@ class RatFn:
         return RatFn(MultiPoly.const(nvars, c))
 
     @staticmethod
-    def from_poly(p: MultiPoly) -> "RatFn":
-        return RatFn(p)
-
-    @staticmethod
     def from_any(x, nvars: int) -> "RatFn":
         if isinstance(x, RatFn):
             return x
@@ -88,9 +84,6 @@ class RatFn:
 
     def constant_value(self) -> GaussianRational:
         return self.num.constant_value() / self.den.constant_value()
-
-    def depends_on(self, var: int) -> bool:
-        return self.num.depends_on(var) or self.den.depends_on(var)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -192,27 +185,6 @@ def poly_to_uni(p: MultiPoly, var: int) -> UniPoly:
     for k, c in cs.items():
         out[k] = RatFn(c)
     return uni_trim(out)
-
-
-def ratfn_to_uni(f: RatFn, var: int) -> UniPoly:
-    """View a rational function that is polynomial in `var` as a UniPoly.
-
-    The denominator must be free of `var`.
-    """
-    if f.den.depends_on(var):
-        raise ValueError("denominator depends on the distinguished variable")
-    den = RatFn(f.den)
-    return uni_trim([RatFn(c) / den for c in _poly_coeff_list(f.num, var)])
-
-
-def _poly_coeff_list(p: MultiPoly, var: int) -> List[MultiPoly]:
-    cs = p.coeffs_in_var(var)
-    if not cs:
-        return []
-    out = [MultiPoly.zero(p.nvars) for _ in range(max(cs) + 1)]
-    for k, c in cs.items():
-        out[k] = c
-    return out
 
 
 def uni_to_ratfn(u: UniPoly, var: int, nvars: int) -> RatFn:

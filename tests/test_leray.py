@@ -3,7 +3,7 @@
 import pytest
 
 from residuum.decomposition import partial_fractions, prepare_denominator
-from residuum.errors import PoleReductionObstruction
+from residuum.errors import NonClosedForm, PoleReductionObstruction, ResiduumError
 from residuum.forms import MeroForm
 from residuum.leray import (
     HypersurfaceForm,
@@ -161,6 +161,47 @@ class TestSimplePoleResidueForm:
         assert a.d_on_hypersurface().is_zero()
 
 
+class TestDOnHypersurface:
+    def test_coordinate_on_parabola(self):
+        # on Y = {z1^2 = z2}: 2 z1 dz1 = dz2, so d(z1)|_Y = dz2 / (2 z1)
+        d = HypersurfaceForm(0, RHO, 0, MeroForm.function(RatFn(Z1))).d_on_hypersurface()
+        want = HypersurfaceForm(0, RHO, 0, DZ2.scale(RatFn(ONE, 2 * Z1)))
+        assert not d.is_zero()
+        assert d.equals(want)
+
+    def test_graph_is_ordinary_d_of_pullback(self):
+        # on the graph Y = {z1 = z2 z3 + 1}, f|_Y is f(z2 z3 + 1, z2, z3)
+        x1, x2, x3 = (MultiPoly.variable(3, i) for i in range(3))
+        graph = x2 * x3 + MultiPoly.const(3, 1)
+        rho = x1 - graph
+
+        def f_at(a: MultiPoly) -> RatFn:
+            return RatFn(a * a * x3 + x2, a + x2 * x2 + MultiPoly.const(3, 2))
+
+        d = HypersurfaceForm(0, rho, 0, MeroForm.function(f_at(x1))).d_on_hypersurface()
+        want = HypersurfaceForm(0, rho, 0, MeroForm.function(f_at(graph)).exterior_d())
+        assert not f_at(graph).is_polynomial()
+        assert d.rep.degree == 1 and not d.is_zero()
+        assert d.equals(want)
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_dd_zero_on_quadric(self, degree):
+        # in C^4, so that d(d(1-form)) is a 3-form on the 3-fold Y, not
+        # zero for degree reasons alone
+        x = [MultiPoly.variable(4, i) for i in range(4)]
+        one = MultiPoly.const(4, 1)
+        rho = x[0] * x[0] - x[1] * x[2] - one
+        if degree == 0:
+            rep = MeroForm.function(RatFn(x[0] * x[1] ** 2 + x[3], x[2] + x[0] + 2 * one))
+        else:
+            rep = MeroForm(4, 1, {(0,): RatFn(x[1] * x[3]),
+                                  (1,): RatFn(x[0] * x[2], x[3] + 3 * one),
+                                  (3,): RatFn(x[0] ** 3 + x[1])})
+        d = HypersurfaceForm(0, rho, 0, rep).d_on_hypersurface()
+        assert not d.is_zero()
+        assert d.d_on_hypersurface().is_zero()
+
+
 class TestReducedResidue:
     def charts_for(self, factors, js=(0, 1)):
         charts = {}
@@ -225,6 +266,12 @@ class TestReducedResidue:
         omega = DZ1.scale(RatFn(Z2, RHO))
         with pytest.raises(ValueError):
             reduced_residue(omega, self.charts_for([(RHO, 1)], js=(0,)))
+
+    def test_non_closed_is_typed(self):
+        omega = DZ1.scale(RatFn(Z2, RHO))
+        with pytest.raises(NonClosedForm) as info:
+            reduced_residue(omega, self.charts_for([(RHO, 1)], js=(0,)))
+        assert isinstance(info.value, ResiduumError)
 
     def test_triple_pole_top_form(self):
         omega = over(TOP, RHO ** 3)
