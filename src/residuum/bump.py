@@ -165,7 +165,6 @@ class BumpFunction:
     def translate(self, shift: Tuple[GaussianRational, ...]) -> "BumpFunction":
         """The function z -> value(z - shift): center moves, polynomial shifts."""
         shift = tuple(GaussianRational.from_any(s) for s in shift)
-        n2 = 2 * self.nvars
         out_terms = []
         for p, m, c in self.terms:
             q = p

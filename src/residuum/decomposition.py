@@ -293,7 +293,6 @@ def residue_operator_data(pfd: PartialFractionDecomp,
     if pfd.var != fd.var:
         raise ValueError("partial fractions and denominator use different variables")
     var = fd.var
-    nvars = fd.nvars
     rod = ResidueOperatorData(var, fd, pfd)
     for k, f in enumerate(fd.factors):
         w = RatFn(f.rho.partial(var))

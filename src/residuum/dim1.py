@@ -22,7 +22,7 @@ import numpy as np
 from .bump import BumpFunction
 from .errors import IrrationalPole
 from .forms import TestForm
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, exact_divide
 from .quadrature import (
     LimitResult,
     QuadratureConfig,
@@ -94,25 +94,13 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
         lin = z - MultiPoly.const(1, cand)
         mult = 0
         while remaining.eval_exact([cand]).is_zero():
-            remaining = _exact_linear_deflate(remaining, cand)
+            remaining = exact_divide(remaining, lin)
             mult += 1
         roots.append((cand, mult))
     if remaining.degree_in(0) != 0:
         raise IrrationalPole("numeric root finding missed a factor",
                              numeric_roots=list(numeric))
     return roots
-
-
-def _exact_linear_deflate(p: MultiPoly, a: GaussianRational) -> MultiPoly:
-    """Exact synthetic division of p by (z - a); the caller checks p(a) = 0."""
-    coeffs = _univar_coeff_list(p)
-    out = [GaussianRational(0)] * (len(coeffs) - 1)
-    acc = GaussianRational(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = coeffs[k] + acc
-        out[k - 1] = acc
-        acc = acc * a
-    return MultiPoly(1, {(k,): c for k, c in enumerate(out)})
 
 
 def _series_inverse(coeffs: List[GaussianRational], order: int) -> List[GaussianRational]:
@@ -138,9 +126,7 @@ def laurent_parts(g: RatFn) -> List[LaurentPart]:
     z = MultiPoly.variable(1, 0)
     parts: List[LaurentPart] = []
     for pole, k in sorted(roots, key=lambda t: (t[0].re, t[0].im)):
-        q = g.den
-        for _ in range(k):
-            q = _exact_linear_deflate(q, pole)
+        q = exact_divide(g.den, (z - MultiPoly.const(1, pole)) ** k)
         num_t = g.num.shift_var(0, pole)
         q_t = q.shift_var(0, pole)
         num_c = _univar_coeff_list(num_t)[:k] or [GaussianRational(0)]
@@ -212,7 +198,7 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
              if abs(complex(p) - center) > 1e-12]
     if other:
         eps0 = min(eps0, 0.5 * min(abs(p - center) for p in other))
-    th, e_i = circle_nodes(cfg.n_theta)
+    e_i = circle_nodes(cfg.n_theta)
     table = []
     values = []
     for eps in cfg.eps_schedule(eps0):
@@ -250,10 +236,10 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     for part in parts:
         regular = regular - part.as_ratfn()
 
-    th, e_i = circle_nodes(cfg.n_theta)
+    e_i = circle_nodes(cfg.n_theta)
     dtheta = 2.0 * np.pi / cfg.n_theta
 
-    def disk_integral(fn_vals, rs, ws, zs):
+    def disk_integral(fn_vals, rs, ws):
         # integral of fn * (-2i) over the polar portion: sum w_r * r * dtheta
         return complex(np.sum(fn_vals * (-2j) * rs[:, None] * ws[:, None]) * dtheta)
 
@@ -261,7 +247,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     rs, ws = radial_panels(1e-12 * support, support, cfg.radial_panels_order)
     zs = center + rs[:, None] * e_i[None, :]
     smooth_vals = regular.eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
-    smooth = disk_integral(smooth_vals, rs, ws, zs)
+    smooth = disk_integral(smooth_vals, rs, ws)
 
     eps0 = support / 8.0
     if parts:
@@ -279,7 +265,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
             return 0j
         zs = complex(part.pole) + rs[:, None] * e_i[None, :]
         vals = part.as_ratfn().eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
-        return disk_integral(vals, rs, ws, zs)
+        return disk_integral(vals, rs, ws)
 
     # nested decomposition: one fixed outer region per pole plus the thin
     # annuli between consecutive eps levels, so that the eps-table differences

@@ -1,13 +1,19 @@
 """Exterior algebra of meromorphic forms and of smooth test forms.
 
-MeroForm is purely holomorphic type (p, 0) with RatFn coefficients; test
-forms carry a bidegree (q, r) and bump-algebra coefficients.  Differentials
-are always written sorted: dz_{i1} ^ ... ^ dz_{ip} ^ dzbar_{j1} ^ ... with
-strictly increasing indices; all signs below refer to that normal order.
+Both kinds of form are elements of one sparse exterior algebra: a dict from
+strictly increasing tuples of generator numbers to nonzero coefficients,
+with every sign referring to that increasing order.  A MeroForm is a
+(p, 0)-form on the n generators dz_1..dz_n with RatFn coefficients.  A
+TestForm is a (q, r)-form on 2n generators with bump-algebra coefficients:
+dz_i is generator i and dzbar_j is generator n + j (0-based), so a key
+lists its dz's before its dzbar's, and wedge, d', d'' and contraction take
+their signs from the same merge rule.  At its interface a TestForm keys its
+coefficients by the pair (I, J) of dz and dzbar index sets.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -31,26 +37,137 @@ def merge_indices(a: Index, b: Index) -> Tuple[Index | None, int]:
     return merged, -1 if inv % 2 else 1
 
 
-class MeroForm:
+def _checked(idx, size: int, bound: int) -> Index:
+    """idx as a tuple of ints, checked to be strictly increasing, of length
+    `size` and inside range(bound)."""
+    idx = tuple(int(i) for i in idx)
+    if len(idx) != size or list(idx) != sorted(set(idx)):
+        raise ValueError(f"bad index set {idx} for degree {size}")
+    if any(not 0 <= i < bound for i in idx):
+        raise ValueError(f"index out of range in {idx}")
+    return idx
+
+
+def _summed(pairs) -> dict:
+    """Sum (key, coefficient) pairs by key; zero sums are dropped."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _wedge_terms(left: dict, right: dict) -> dict:
+    """Terms of left ^ right.  The right coefficient is the left operand of
+    the product, so that a bump coefficient can take a polynomial one."""
+
+    def pairs():
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                merged, sign = merge_indices(k1, k2)
+                if merged is not None:
+                    yield merged, c2 * c1 * GaussianRational(sign)
+
+    return _summed(pairs())
+
+
+class _Form:
+    """A form of the sparse exterior algebra.  `terms` maps generator
+    tuples to nonzero coefficients; `grading` is the degree of a MeroForm
+    or the bidegree of a TestForm, kept so that a zero form keeps its type.
+    """
+
+    __slots__ = ("nvars", "grading", "terms")
+
+    def _new(self, terms: dict, grading=None):
+        """A form of this class and nvars from checked terms."""
+        form = object.__new__(type(self))
+        form.nvars = self.nvars
+        form.grading = self.grading if grading is None else grading
+        form.terms = terms
+        return form
+
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nvars, self.grading, self.terms) == \
+            (other.nvars, other.grading, other.terms)
+
+    def __add__(self, other):
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if (self.nvars, self.grading) != (other.nvars, other.grading):
+            raise ValueError("cannot add forms of different type")
+        return self._new(_summed(chain(self.terms.items(), other.terms.items())))
+
+    def __neg__(self):
+        return self.map_coeffs(lambda c: -c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        return self.map_coeffs(lambda c: c * s)
+
+    def map_coeffs(self, fn):
+        return self._new(_summed((k, fn(c)) for k, c in self.terms.items()))
+
+    def eval_numeric(self, points: np.ndarray) -> dict:
+        return {k: c.eval_numeric(points) for k, c in self.coeffs.items()}
+
+    def _wedge(self, other, grading):
+        if self.nvars != other.nvars:
+            raise ValueError("nvars mismatch")
+        return self._new(_wedge_terms(self.terms, other.terms), grading)
+
+    def _d(self, gens, deriv, grading):
+        """Sum over the generators g in `gens` of dg ^ (the form with each
+        coefficient c replaced by deriv(c, g))."""
+
+        def pairs():
+            for k, c in self.terms.items():
+                for g in gens:
+                    dc = deriv(c, g)
+                    if dc.is_zero():
+                        continue
+                    merged, sign = merge_indices((g,), k)
+                    if merged is not None:
+                        yield merged, dc * GaussianRational(sign)
+
+        return self._new(_summed(pairs()), grading)
+
+    def _contract(self, g: int, grading):
+        """Interior product with the vector dual to generator g."""
+        out = {}
+        for k, c in self.terms.items():
+            if g in k:
+                pos = k.index(g)
+                out[k[:pos] + k[pos + 1:]] = c * GaussianRational(-1 if pos % 2 else 1)
+        return self._new(out, grading)
+
+
+class MeroForm(_Form):
     """A (p, 0)-form with exact rational-function coefficients."""
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, nvars: int, degree: int, coeffs: Dict[Index, RatFn] | None = None):
-        self.nvars = int(nvars)
-        self.degree = int(degree)
-        clean: Dict[Index, RatFn] = {}
-        for idx, c in (coeffs or {}).items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"bad index set {idx} for degree {self.degree}")
-            if any(not 0 <= i < self.nvars for i in idx):
-                raise ValueError(f"index out of range in {idx}")
-            c = RatFn.from_any(c, self.nvars)
-            if c.is_zero():
-                continue
-            clean[idx] = clean[idx] + c if idx in clean else c
-        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
+        self.nvars, self.grading = int(nvars), int(degree)
+        self.terms = _summed((_checked(idx, self.grading, self.nvars),
+                              RatFn.from_any(c, self.nvars))
+                             for idx, c in (coeffs or {}).items())
+
+    @property
+    def degree(self) -> int:
+        return self.grading
 
     # -- constructors ------------------------------------------------
 
@@ -72,83 +189,21 @@ class MeroForm:
         """df for a polynomial f."""
         return MeroForm(p.nvars, 1, {(i,): RatFn(p.partial(i)) for i in range(p.nvars)})
 
-    # -- structure ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, MeroForm):
-            return NotImplemented
-        return (self.nvars, self.degree, self.coeffs) == (other.nvars, other.degree, other.coeffs)
-
-    def __add__(self, other: "MeroForm") -> "MeroForm":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.nvars, self.degree) != (other.nvars, other.degree):
-            raise ValueError("cannot add forms of different type")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out[idx] + c if idx in out else c
-        return MeroForm(self.nvars, self.degree, out)
-
-    def __neg__(self) -> "MeroForm":
-        return MeroForm(self.nvars, self.degree, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "MeroForm") -> "MeroForm":
-        return self + (-other)
+    # -- algebra --------------------------------------------------------
 
     def scale(self, f) -> "MeroForm":
         f = RatFn.from_any(f, self.nvars)
-        return MeroForm(self.nvars, self.degree, {k: v * f for k, v in self.coeffs.items()})
+        return self.map_coeffs(lambda v: v * f)
 
     def wedge(self, other: "MeroForm") -> "MeroForm":
-        if self.nvars != other.nvars:
-            raise ValueError("nvars mismatch")
-        deg = self.degree + other.degree
-        out: Dict[Index, RatFn] = {}
-        for i1, c1 in self.coeffs.items():
-            for i2, c2 in other.coeffs.items():
-                merged, sign = merge_indices(i1, i2)
-                if merged is None:
-                    continue
-                c = c1 * c2 * GaussianRational(sign)
-                out[merged] = out[merged] + c if merged in out else c
-        return MeroForm(self.nvars, deg, out)
+        return self._wedge(other, self.degree + other.degree)
 
     def exterior_d(self) -> "MeroForm":
-        out: Dict[Index, RatFn] = {}
-        for idx, c in self.coeffs.items():
-            for var in range(self.nvars):
-                dc = c.partial(var)
-                if dc.is_zero():
-                    continue
-                merged, sign = merge_indices((var,), idx)
-                if merged is None:
-                    continue
-                term = dc * GaussianRational(sign)
-                out[merged] = out[merged] + term if merged in out else term
-        return MeroForm(self.nvars, self.degree + 1, out)
+        return self._d(range(self.nvars), RatFn.partial, self.degree + 1)
 
     def contract(self, j: int) -> "MeroForm":
         """Interior product with d/dz_j."""
-        out: Dict[Index, RatFn] = {}
-        for idx, c in self.coeffs.items():
-            if j not in idx:
-                continue
-            pos = idx.index(j)
-            rest = idx[:pos] + idx[pos + 1:]
-            term = c * GaussianRational(-1 if pos % 2 else 1)
-            out[rest] = out[rest] + term if rest in out else term
-        return MeroForm(self.nvars, self.degree - 1, out)
-
-    def map_coeffs(self, fn) -> "MeroForm":
-        return MeroForm(self.nvars, self.degree, {k: fn(v) for k, v in self.coeffs.items()})
-
-    def eval_numeric(self, points: np.ndarray) -> Dict[Index, np.ndarray]:
-        return {idx: c.eval_numeric(points) for idx, c in self.coeffs.items()}
+        return self._contract(j, self.degree - 1)
 
     def __repr__(self):
         if self.is_zero():
@@ -160,27 +215,26 @@ class MeroForm:
         return "MeroForm(" + " + ".join(bits) + ")"
 
 
-class TestForm:
+class TestForm(_Form):
     """A (q, r) test form with bump-algebra coefficients."""
 
-    __slots__ = ("nvars", "bidegree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, nvars: int, bidegree: Tuple[int, int],
                  coeffs: Dict[Tuple[Index, Index], BumpFunction] | None = None):
-        self.nvars = int(nvars)
-        self.bidegree = (int(bidegree[0]), int(bidegree[1]))
-        clean: Dict[Tuple[Index, Index], BumpFunction] = {}
-        for (iset, jset), b in (coeffs or {}).items():
-            iset, jset = tuple(iset), tuple(jset)
-            if len(iset) != self.bidegree[0] or len(jset) != self.bidegree[1]:
-                raise ValueError("index sets inconsistent with bidegree")
-            if list(iset) != sorted(set(iset)) or list(jset) != sorted(set(jset)):
-                raise ValueError("index sets must be strictly increasing")
-            if b.is_zero():
-                continue
-            key = (iset, jset)
-            clean[key] = clean[key] + b if key in clean else b
-        self.coeffs = {k: v for k, v in clean.items() if not v.is_zero()}
+        n = self.nvars = int(nvars)
+        q, r = self.grading = (int(bidegree[0]), int(bidegree[1]))
+        self.terms = _summed((_checked(iset, q, n) + tuple(n + j for j in _checked(jset, r, n)), b)
+                             for (iset, jset), b in (coeffs or {}).items())
+
+    @property
+    def bidegree(self) -> Tuple[int, int]:
+        return self.grading
+
+    @property
+    def coeffs(self) -> Dict[Tuple[Index, Index], BumpFunction]:
+        q, n = self.grading[0], self.nvars
+        return {(k[:q], tuple(g - n for g in k[q:])): b for k, b in self.terms.items()}
 
     @staticmethod
     def zero(nvars: int, bidegree=(0, 0)) -> "TestForm":
@@ -190,138 +244,54 @@ class TestForm:
     def function(b: BumpFunction) -> "TestForm":
         return TestForm(b.nvars, (0, 0), {((), ()): b})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TestForm") -> "TestForm":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if (self.nvars, self.bidegree) != (other.nvars, other.bidegree):
-            raise ValueError("cannot add test forms of different type")
-        out = dict(self.coeffs)
-        for k, b in other.coeffs.items():
-            out[k] = out[k] + b if k in out else b
-        return TestForm(self.nvars, self.bidegree, out)
-
-    def __neg__(self) -> "TestForm":
-        return TestForm(self.nvars, self.bidegree, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s) -> "TestForm":
-        return TestForm(self.nvars, self.bidegree, {k: v * s for k, v in self.coeffs.items()})
-
     def wedge(self, other: "TestForm") -> "TestForm":
-        if self.nvars != other.nvars:
-            raise ValueError("nvars mismatch")
-        q = self.bidegree[0] + other.bidegree[0]
-        r = self.bidegree[1] + other.bidegree[1]
-        out: Dict[Tuple[Index, Index], BumpFunction] = {}
-        for (i1, j1), b1 in self.coeffs.items():
-            for (i2, j2), b2 in other.coeffs.items():
-                mi, si = merge_indices(i1, i2)
-                if mi is None:
-                    continue
-                mj, sj = merge_indices(j1, j2)
-                if mj is None:
-                    continue
-                # moving dz_{i2} block past dzbar_{j1} block
-                sign = si * sj * (-1 if (len(j1) * len(i2)) % 2 else 1)
-                term = b1 * b2 * GaussianRational(sign)
-                key = (mi, mj)
-                out[key] = out[key] + term if key in out else term
-        return TestForm(self.nvars, (q, r), out)
+        (q1, r1), (q2, r2) = self.bidegree, other.bidegree
+        return self._wedge(other, (q1 + q2, r1 + r2))
 
     def d_holo(self) -> "TestForm":
-        out: Dict[Tuple[Index, Index], BumpFunction] = {}
-        for (iset, jset), b in self.coeffs.items():
-            for var in range(self.nvars):
-                merged, sign = merge_indices((var,), iset)
-                if merged is None:
-                    continue
-                term = b.dz(var) * GaussianRational(sign)
-                key = (merged, jset)
-                out[key] = out[key] + term if key in out else term
-        return TestForm(self.nvars, (self.bidegree[0] + 1, self.bidegree[1]), out)
+        q, r = self.bidegree
+        return self._d(range(self.nvars), BumpFunction.dz, (q + 1, r))
 
     def d_bar(self) -> "TestForm":
-        out: Dict[Tuple[Index, Index], BumpFunction] = {}
-        for (iset, jset), b in self.coeffs.items():
-            pass_sign = -1 if self.bidegree[0] % 2 else 1
-            for var in range(self.nvars):
-                merged, sign = merge_indices((var,), jset)
-                if merged is None:
-                    continue
-                term = b.dzbar(var) * GaussianRational(sign * pass_sign)
-                key = (iset, merged)
-                out[key] = out[key] + term if key in out else term
-        return TestForm(self.nvars, (self.bidegree[0], self.bidegree[1] + 1), out)
+        n, (q, r) = self.nvars, self.bidegree
+        return self._d(range(n, 2 * n), lambda b, g: b.dzbar(g - n), (q, r + 1))
 
     def exterior_d(self) -> List["TestForm"]:
         """Full d = d' + d''; returned as the bidegree components."""
         return [self.d_holo(), self.d_bar()]
 
     def contract(self, j: int) -> "TestForm":
-        out: Dict[Tuple[Index, Index], BumpFunction] = {}
-        for (iset, jset), b in self.coeffs.items():
-            if j not in iset:
-                continue
-            pos = iset.index(j)
-            rest = iset[:pos] + iset[pos + 1:]
-            term = b * GaussianRational(-1 if pos % 2 else 1)
-            key = (rest, jset)
-            out[key] = out[key] + term if key in out else term
-        return TestForm(self.nvars, (self.bidegree[0] - 1, self.bidegree[1]), out)
+        q, r = self.bidegree
+        return self._contract(j, (q - 1, r))
 
     def split_by_missing_conjugate(self) -> List[Tuple[int, "TestForm"]]:
         """Split a (q, n-1) form into the pieces that omit dzbar_j, per j.
 
-        Degenerate n = 1 case: antiholomorphic degree 0, the whole form is
-        assigned to j = 1 (index 0).
+        For n = 1 the antiholomorphic degree is 0 and the whole form omits
+        dzbar_1 (index 0).
         """
-        if self.bidegree[1] != self.nvars - 1:
+        n = self.nvars
+        if self.bidegree[1] != n - 1:
             raise ValueError("antiholomorphic degree must be nvars - 1")
-        if self.nvars == 1:
-            return [(0, self)]
-        full = set(range(self.nvars))
-        buckets: Dict[int, Dict] = {j: {} for j in range(self.nvars)}
-        for (iset, jset), b in self.coeffs.items():
-            missing = full - set(jset)
-            (j,) = missing
-            buckets[j][(iset, jset)] = b
-        return [(j, TestForm(self.nvars, self.bidegree, buckets[j]))
-                for j in range(self.nvars)]
-
-    def __eq__(self, other):
-        if not isinstance(other, TestForm):
-            return NotImplemented
-        return (self.nvars, self.bidegree, self.coeffs) == \
-            (other.nvars, other.bidegree, other.coeffs)
-
-    def eval_numeric(self, points: np.ndarray) -> Dict[Tuple[Index, Index], np.ndarray]:
-        return {k: b.eval_numeric(points) for k, b in self.coeffs.items()}
+        buckets: Dict[int, Dict] = {j: {} for j in range(n)}
+        for k, b in self.terms.items():
+            (g,) = set(range(n, 2 * n)).difference(k)
+            buckets[g - n][k] = b
+        return [(j, self._new(terms)) for j, terms in buckets.items()]
 
     def __repr__(self):
-        return f"TestForm(nvars={self.nvars}, bidegree={self.bidegree}, {len(self.coeffs)} terms)"
+        return f"TestForm(nvars={self.nvars}, bidegree={self.bidegree}, {len(self.terms)} terms)"
 
 
 def wedge_mero_test(alpha: MeroForm, phi: TestForm) -> TestForm:
-    """alpha ^ phi for a holomorphic-coefficient alpha (polynomial RatFns)."""
+    """alpha ^ phi for a holomorphic-coefficient alpha (polynomial RatFns):
+    the wedge of the algebra, with alpha's coefficients embedded in the
+    (z, zbar) polynomial ring."""
     if alpha.nvars != phi.nvars:
         raise ValueError("nvars mismatch")
-    out: Dict[Tuple[Index, Index], BumpFunction] = {}
-    for i1, c in alpha.coeffs.items():
-        if not c.is_polynomial():
-            raise ValueError("wedging into a test form needs polynomial coefficients")
-        poly = embed_holomorphic(c.num * c.den.constant_value().inverse())
-        for (i2, j2), b in phi.coeffs.items():
-            merged, sign = merge_indices(i1, i2)
-            if merged is None:
-                continue
-            term = b * poly * GaussianRational(sign)
-            key = (merged, j2)
-            out[key] = out[key] + term if key in out else term
-    return TestForm(phi.nvars, (alpha.degree + phi.bidegree[0], phi.bidegree[1]), out)
+    if not all(c.is_polynomial() for c in alpha.terms.values()):
+        raise ValueError("wedging into a test form needs polynomial coefficients")
+    polys = {k: embed_holomorphic(c.num * c.den.constant_value().inverse())
+             for k, c in alpha.terms.items()}
+    q, r = phi.bidegree
+    return phi._new(_wedge_terms(polys, phi.terms), (alpha.degree + q, r))

@@ -26,7 +26,7 @@ from .decomposition import (
     transverse_operator,
 )
 from .errors import ChartError, NonClosedForm, NonConstantResidueForm, PoleReductionObstruction
-from .forms import Index, MeroForm, merge_indices
+from .forms import Index, MeroForm
 from .polynomials import MultiPoly, exact_divide, divides
 from .ratfn import (
     RatFn,
@@ -47,57 +47,33 @@ FrameKey = Tuple[bool, Index]  # (carries drho?, increasing non-chart dz indices
 # ---------------------------------------------------------------------------
 
 def to_frame(form: MeroForm, rho: MultiPoly, var: int) -> Dict[FrameKey, RatFn]:
-    n = form.nvars
+    """Write form = drho ^ a + b with a and b free of dz_var.
+
+    With w = drho/dz_var and i the interior product with d/dz_var,
+
+        a = i(form) / w,    b = form|_{no dz_var} - (sum_{l != var} drho/dz_l dz_l) ^ a,
+
+    since dz_var = (drho - sum_{l != var} drho/dz_l dz_l) / w.  The frame maps
+    (True, I) to a's dz_I coefficient and (False, I) to b's.
+    """
     w = RatFn(rho.partial(var))
     if w.is_zero():
         raise ChartError("factor free of the chart variable")
-    grad = {l: RatFn(rho.partial(l)) for l in range(n) if l != var}
-    out: Dict[FrameKey, RatFn] = {}
-
-    def add(key: FrameKey, c: RatFn):
-        if c.is_zero():
-            return
-        out[key] = out[key] + c if key in out else c
-
-    for idx, c in form.coeffs.items():
-        if var not in idx:
-            add((False, idx), c)
-            continue
-        pos = idx.index(var)
-        rest = idx[:pos] + idx[pos + 1:]
-        sign0 = GaussianRational(-1 if pos % 2 else 1)
-        lead = c * sign0 / w
-        add((True, rest), lead)
-        for l, gl in grad.items():
-            merged, s1 = merge_indices((l,), rest)
-            if merged is None:
-                continue
-            add((False, merged), -lead * gl * GaussianRational(s1))
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    n = form.nvars
+    a = form.contract(var).map_coeffs(lambda c: c / w)
+    grad = MeroForm(n, 1, {(l,): RatFn(rho.partial(l)) for l in range(n) if l != var})
+    rest = MeroForm(n, form.degree, {k: c for k, c in form.coeffs.items() if var not in k})
+    b = rest - grad.wedge(a)
+    return {**{(True, k): c for k, c in a.coeffs.items()},
+            **{(False, k): c for k, c in b.coeffs.items()}}
 
 
-def from_frame(frame: Dict[FrameKey, RatFn], rho: MultiPoly, var: int,
-               nvars: int, degree: int) -> MeroForm:
-    grad = {l: RatFn(rho.partial(l)) for l in range(nvars)}
-    coeffs: Dict[Index, RatFn] = {}
-
-    def add(idx: Index, c: RatFn):
-        if c.is_zero():
-            return
-        coeffs[idx] = coeffs[idx] + c if idx in coeffs else c
-
-    for (has_drho, rest), c in frame.items():
-        if not has_drho:
-            add(rest, c)
-            continue
-        for l, gl in grad.items():
-            if gl.is_zero():
-                continue
-            merged, s = merge_indices((l,), rest)
-            if merged is None:
-                continue
-            add(merged, c * gl * GaussianRational(s))
-    return MeroForm(nvars, degree, coeffs)
+def from_frame(frame: Dict[FrameKey, RatFn], rho: MultiPoly, nvars: int,
+               degree: int) -> MeroForm:
+    """drho ^ a + b, the inverse of `to_frame`."""
+    a = MeroForm(nvars, degree - 1, {k: c for (has, k), c in frame.items() if has})
+    b = MeroForm(nvars, degree, {k: c for (has, k), c in frame.items() if not has})
+    return MeroForm.d_of_poly(rho).wedge(a) + b
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +191,7 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
         key = (True, rest)
         beta_frame[key] = beta_frame.get(key, RatFn.zero(n)) - c * inv_rho
     beta = from_frame({k: v for k, v in beta_frame.items() if not v.is_zero()},
-                      rho, var, n, p)
+                      rho, n, p)
 
     a_prime = c_cert = None
     da_frame = to_frame(a_form.exterior_d(), rho, var)
@@ -283,10 +259,8 @@ def normal_form_on_hypersurface(rep: MeroForm, rho: MultiPoly, var: int) -> Mero
     frame = to_frame(rep, rho, var)
     nvars = rep.nvars
     rho_u = poly_to_uni(rho, var)
-    out: Dict[Index, RatFn] = {}
-    for (has, rest), c in frame.items():
-        if has:
-            continue  # drho restricts to zero on Y
+
+    def reduced(c: RatFn) -> RatFn:
         num_u = poly_to_uni(c.num, var)
         den_u = poly_to_uni(c.den, var)
         _, den_red = uni_divmod(den_u, rho_u, nvars)
@@ -294,11 +268,11 @@ def normal_form_on_hypersurface(rep: MeroForm, rho: MultiPoly, var: int) -> Mero
             raise ChartError("coefficient denominator vanishes on the component")
         inv = uni_mod_inverse(den_red, rho_u, nvars)
         _, val = uni_divmod(uni_mul(num_u, inv, nvars), rho_u, nvars)
-        cval = uni_to_ratfn(val, var, nvars)
-        if cval.is_zero():
-            continue
-        out[rest] = out[rest] + cval if rest in out else cval
-    return MeroForm(nvars, rep.degree, out)
+        return uni_to_ratfn(val, var, nvars)
+
+    # drho restricts to zero on Y
+    return MeroForm(nvars, rep.degree,
+                    {rest: reduced(c) for (has, rest), c in frame.items() if not has})
 
 
 # ---------------------------------------------------------------------------

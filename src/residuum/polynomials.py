@@ -638,15 +638,10 @@ def gcd_in_var(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
         return monic_grlex(p)
     if not (p.depends_on(var) and q.depends_on(var)):
         return MultiPoly.const(p.nvars, 1)
-    a, b = primitive_part_in_var(p, var), primitive_part_in_var(q, var)
-    while not b.is_zero():
-        r = pseudo_remainder(a, b, var)
-        if not r.is_zero():
-            r = primitive_part_in_var(r, var)
-        a, b = b, r
-    if not a.depends_on(var):
-        return MultiPoly.const(p.nvars, 1)
-    return primitive_part_in_var(a, var)
+    # Gauss's lemma: the gcd over the function field is the primitive part
+    # of the full gcd
+    g = gcd(p, q)
+    return primitive_part_in_var(g, var) if g.depends_on(var) else MultiPoly.const(p.nvars, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def radial_panels(eps: float, outer: float, order: int):
     return np.concatenate(rs), np.concatenate(ws)
 
 
-def circle_nodes(n_theta: int):
-    """Unit-circle nodes and the e^{i theta} values, trapezoid weights 2pi/N."""
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    return th, np.exp(1j * th)
+def circle_nodes(n_theta: int) -> np.ndarray:
+    """e^{i theta} at the unit-circle nodes theta_k = 2 pi k / N (trapezoid
+    weights 2 pi / N)."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))

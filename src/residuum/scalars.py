@@ -77,8 +77,8 @@ class GaussianRational:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.from_any(other)
+        if type(other) is not GaussianRational and (other := _scalar(other)) is None:
+            return NotImplemented
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = other._a, other._b, other._d
         if d1 == d2:
@@ -100,14 +100,18 @@ class GaussianRational:
         return _canonical(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.from_any(other))
+        if type(other) is not GaussianRational and (other := _scalar(other)) is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.from_any(other) + (-self)
+        if (other := _scalar(other)) is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.from_any(other)
+        if type(other) is not GaussianRational and (other := _scalar(other)) is None:
+            return NotImplemented
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = other._a, other._b, other._d
         a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
@@ -118,8 +122,8 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.from_any(other)
+        if type(other) is not GaussianRational and (other := _scalar(other)) is None:
+            return NotImplemented
         a2, b2, d2 = other._a, other._b, other._d
         n = a2 * a2 + b2 * b2
         if n == 0:
@@ -129,7 +133,9 @@ class GaussianRational:
         return _reduced(a1 * a2 + b1 * b2, b1 * a2 - a1 * b2, self._d * n)
 
     def __rtruediv__(self, other):
-        return GaussianRational.from_any(other) / self
+        if (other := _scalar(other)) is None:
+            return NotImplemented
+        return other / self
 
     def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d
@@ -156,11 +162,8 @@ class GaussianRational:
     # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not GaussianRational:
-            try:
-                other = GaussianRational.from_any(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not GaussianRational and (other := _scalar(other)) is None:
+            return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -187,6 +190,15 @@ class GaussianRational:
 
 
 _new = object.__new__
+
+
+def _scalar(x):
+    """x as a GaussianRational, or None when x is not a scalar; the
+    operators then return NotImplemented, so the other operand decides."""
+    try:
+        return GaussianRational.from_any(x)
+    except TypeError:
+        return None
 
 
 def _canonical(a: int, b: int, d: int) -> GaussianRational:

@@ -277,6 +277,17 @@ class TestGaussianRational:
         assert GaussianRational(1, 1) != 1
         assert GaussianRational(1).__eq__(object()) is NotImplemented
 
+    def test_defers_to_polynomial_and_rational_operands(self):
+        x = Z1 * Z2 + 3 * Z1
+        i = GaussianRational(0, 1)
+        assert i * x == x * i
+        r = RatFn(Z1 + 2 * ONE2, Z2 - ONE2)
+        assert GaussianRational(2) * r == r * GaussianRational(2)
+        assert GaussianRational(1) - r == RatFn.const(2, 1) - r
+        assert GaussianRational(1) / r == RatFn.const(2, 1) / r
+        with pytest.raises(TypeError):
+            GaussianRational(1) + object()
+
     def test_zero_and_one(self):
         assert GaussianRational(Fraction(0, 3), Fraction(0, 5)).is_zero()
         assert GaussianRational(Fraction(3, 3)).is_one()

@@ -220,6 +220,13 @@ class TestTestForm:
         total = split[0] + split[1]
         assert total == phi
 
+    @pytest.mark.parametrize("bidegree, key", [((1, 0), ((2,), ())), ((0, 1), ((), (2,))),
+                                               ((2, 0), ((1, 0), ())), ((0, 1), ((0,), ()))])
+    def test_constructor_rejects_bad_index_sets(self, bidegree, key):
+        # an out-of-range dz index would alias a dzbar generator
+        with pytest.raises(ValueError):
+            TestForm(2, bidegree, {key: BumpFunction.radial(2, Fraction(2))})
+
     def test_dbar_then_dbar_zero(self):
         phi = simple_testform(2, (1, 0), seed=9)
         dd = phi.d_bar().d_bar()
@@ -266,3 +273,31 @@ class TestMergeSign:
         assert merge_indices((1,), (0,)) == ((0, 1), -1)
         assert merge_indices((0,), (1,)) == ((0, 1), 1)
         assert merge_indices((0, 2), (1,)) == ((0, 1, 2), -1)
+
+
+BIDEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+class TestTestFormAlgebra:
+    """Exact identities of the shared algebra on bump-coefficient forms (n = 2)."""
+
+    @pytest.mark.parametrize("bidegrees", [((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 0)),
+                                           ((0, 1), (1, 0), (0, 1)), ((1, 1), (0, 1), (1, 0))])
+    def test_wedge_associative(self, bidegrees):
+        a, b, c = (simple_testform(2, bd, seed=s) for s, bd in enumerate(bidegrees))
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+    @pytest.mark.parametrize("d1", BIDEGREES)
+    @pytest.mark.parametrize("d2", BIDEGREES)
+    def test_wedge_graded_commutative(self, d1, d2):
+        a, b = simple_testform(2, d1, seed=1), simple_testform(2, d2, seed=2)
+        sign = GaussianRational((-1) ** (sum(d1) * sum(d2)))
+        assert a.wedge(b) == b.wedge(a).scale(sign)
+
+    @pytest.mark.parametrize("d1", BIDEGREES)
+    @pytest.mark.parametrize("d2", BIDEGREES)
+    def test_leibniz(self, d1, d2):
+        a, b = simple_testform(2, d1, seed=3), simple_testform(2, d2, seed=4)
+        sign = GaussianRational((-1) ** sum(d1))
+        for d in (TestForm.d_holo, TestForm.d_bar):
+            assert d(a.wedge(b)) == d(a).wedge(b) + a.wedge(d(b)).scale(sign)

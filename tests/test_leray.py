@@ -1,5 +1,8 @@
 """Pole lowering, hypersurface normal forms, reduced residues, divisors."""
 
+import itertools
+import random
+
 import pytest
 
 from residuum.decomposition import partial_fractions, prepare_denominator
@@ -9,10 +12,12 @@ from residuum.leray import (
     HypersurfaceForm,
     check_closed,
     divisor_coefficients,
+    from_frame,
     lower_pole_order,
     normal_form_on_hypersurface,
     reduced_residue,
     simple_pole_residue_form,
+    to_frame,
 )
 from residuum.polynomials import MultiPoly
 from residuum.ratfn import RatFn
@@ -94,6 +99,37 @@ class TestLowerPoleOrder:
         omega = DZ2.scale(RatFn(Z2, RHO ** 2))
         with pytest.raises(PoleReductionObstruction):
             lower_pole_order(omega, RHO, 0, 2)
+
+
+def rand_poly(rng, nvars):
+    terms = {tuple(rng.randint(0, 1) for _ in range(nvars)):
+             GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(2)}
+    p = MultiPoly(nvars, terms)
+    return p if not p.is_zero() else MultiPoly.const(nvars, 1)
+
+
+Y1, Y2, Y3 = (MultiPoly.variable(3, i) for i in range(3))
+ONE3 = MultiPoly.const(3, 1)
+
+
+class TestFrame:
+    """to_frame writes omega = drho ^ a + b; from_frame must rebuild omega
+    exactly, for every chart and degree."""
+
+    @pytest.mark.parametrize("rho", [RHO, Z1 * Z2 - ONE, Y1 * Y1 - Y2 * Y3,
+                                     Y1 * Y2 + Y3 * Y3 - ONE3],
+                             ids=["parabola", "hyperbola", "cone", "mixed"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_trip(self, rho, seed):
+        rng = random.Random(seed)
+        n = rho.nvars
+        for degree in range(n + 1):
+            omega = MeroForm(n, degree, {
+                idx: RatFn(rand_poly(rng, n), rand_poly(rng, n))
+                for idx in itertools.combinations(range(n), degree) if rng.random() < 0.7})
+            for var in range(n):
+                frame = to_frame(omega, rho, var)
+                assert from_frame(frame, rho, n, degree) == omega
 
 
 class TestNormalForm:
