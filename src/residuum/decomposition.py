@@ -23,14 +23,7 @@ from .errors import (
 )
 from .polynomials import MultiPoly, discriminant, resultant
 from .scalars import GaussianRational
-from .ratfn import (
-    RatFn,
-    poly_to_uni,
-    uni_divmod,
-    uni_mod_inverse,
-    uni_mul,
-    uni_to_ratfn,
-)
+from .ratfn import RatFn, uni_divmod, uni_mod_inverse
 
 
 @dataclass(frozen=True)
@@ -119,28 +112,22 @@ def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
     remaining variables.  Verifies the recombination identity."""
     nvars = fd.nvars
     var = fd.var
-    unis = [poly_to_uni(f.rho ** f.multiplicity, var) for f in fd.factors]
-    rhos = [poly_to_uni(f.rho, var) for f in fd.factors]
+    powers = [f.rho ** f.multiplicity for f in fd.factors]
     entries: List[Tuple[int, int, RatFn]] = []
     for k, f in enumerate(fd.factors):
-        others = [RatFn.one(nvars)]
-        for i, u in enumerate(unis):
+        others = MultiPoly.const(nvars, 1)
+        for i, p in enumerate(powers):
             if i != k:
-                others = uni_mul(others, u, nvars)
-        n_k = uni_mod_inverse(others, unis[k], nvars)
-        # rho-adic digits: n_k = sum_mu c_mu * rho^(r-mu), deg c_mu < deg rho
-        digits: List = []
-        rest = n_k
-        for _ in range(f.multiplicity):
-            rest, digit = uni_divmod(rest, rhos[k], nvars)
-            digits.append(digit)
-        # digits[0] corresponds to mu = r, digits[-1] to mu = 1
-        for idx, digit in enumerate(digits):
-            mu = f.multiplicity - idx
-            c = uni_to_ratfn(digit, var, nvars)
-            if not c.is_zero():
-                entries.append((k, mu, c))
-        entries.sort(key=lambda e: (e[0], e[1]))
+                others = others * p
+        # n_k = rest/den, the inverse of the other factors modulo rho^r, has
+        # rho-adic digits n_k = sum_mu c_mu * rho^(r-mu) with deg c_mu < deg rho
+        rest, den = uni_mod_inverse(others, powers[k], var)
+        for mu in range(f.multiplicity, 0, -1):
+            l, rest, digit = uni_divmod(rest, f.rho, var)
+            den = den * l
+            if not digit.is_zero():
+                entries.append((k, mu, RatFn(digit, den)))
+    entries.sort(key=lambda e: (e[0], e[1]))
     pfd = PartialFractionDecomp(var, tuple(entries), RatFn.zero(nvars))
     _verify_recombination(pfd, fd)
     return pfd

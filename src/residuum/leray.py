@@ -28,15 +28,7 @@ from .decomposition import (
 from .errors import ChartError, NonClosedForm, NonConstantResidueForm, PoleReductionObstruction
 from .forms import Index, MeroForm
 from .polynomials import MultiPoly, exact_divide, divides
-from .ratfn import (
-    RatFn,
-    poly_to_uni,
-    uni_divmod,
-    uni_is_zero,
-    uni_mod_inverse,
-    uni_mul,
-    uni_to_ratfn,
-)
+from .ratfn import RatFn, uni_divmod, uni_mod_inverse
 from .scalars import GaussianRational
 
 FrameKey = Tuple[bool, Index]  # (carries drho?, increasing non-chart dz indices)
@@ -258,17 +250,16 @@ def normal_form_on_hypersurface(rep: MeroForm, rho: MultiPoly, var: int) -> Mero
     invert denominators modulo rho."""
     frame = to_frame(rep, rho, var)
     nvars = rep.nvars
-    rho_u = poly_to_uni(rho, var)
 
     def reduced(c: RatFn) -> RatFn:
-        num_u = poly_to_uni(c.num, var)
-        den_u = poly_to_uni(c.den, var)
-        _, den_red = uni_divmod(den_u, rho_u, nvars)
-        if uni_is_zero(den_red):
+        # l1*den == d (mod rho), s*d == dd (mod rho), l2*num*s == v (mod rho),
+        # so num/den == v*l1 / (dd*l2) on Y
+        l1, _, d = uni_divmod(c.den, rho, var)
+        if d.is_zero():
             raise ChartError("coefficient denominator vanishes on the component")
-        inv = uni_mod_inverse(den_red, rho_u, nvars)
-        _, val = uni_divmod(uni_mul(num_u, inv, nvars), rho_u, nvars)
-        return uni_to_ratfn(val, var, nvars)
+        s, dd = uni_mod_inverse(d, rho, var)
+        l2, _, v = uni_divmod(c.num * s, rho, var)
+        return RatFn(v * l1, dd * l2)
 
     # drho restricts to zero on Y
     return MeroForm(nvars, rep.degree,

@@ -143,6 +143,8 @@ class MultiPoly:
             if c.is_zero():
                 return MultiPoly.zero(self.nvars)
             return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         # multiply the Z[i] numerators over the product of the common
         # denominators; each result coefficient is reduced once at the end
@@ -335,32 +337,59 @@ def divides(q: MultiPoly, p: MultiPoly) -> bool:
 # pseudo-division, content and the primitive PRS
 # ---------------------------------------------------------------------------
 
-def pseudo_remainder(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
-    """Pseudo-remainder of p by q, both viewed univariate in `var`."""
+def _pseudo_divide(p: MultiPoly, q: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(l, quot, rem) with l*p == quot*q + rem, l = lc_var(q)^max(dp - dq + 1, 0)
+    and deg_var rem < deg_var q, where dp and dq are the degrees in `var`.
+
+    p is multiplied by l once; after that every step divides a leading
+    coefficient by lc_var(q) exactly.  The work is on the coefficient lists
+    in `var`, which are joined back into polynomials at the end.
+    """
     dq = q.degree_in(var)
     if dq < 0:
         raise ZeroInputError("pseudo-division by zero")
-    lc_q = q.leading_coefficient_in(var)
-    rem = p
-    dp = rem.degree_in(var)
+    dp = p.degree_in(var)
     if dp < dq:
-        return rem
-    # multiply once by lc_q^(dp-dq+1), then do exact single-step reductions
-    rem = rem * (lc_q ** (dp - dq + 1))
-    while not rem.is_zero():
-        dr = rem.degree_in(var)
-        if dr < dq:
-            break
-        lead = rem.coeffs_in_var(var).get(dr, MultiPoly.zero(p.nvars))
-        factor = exact_divide(lead, lc_q)
-        shift = MultiPoly.variable(p.nvars, var) ** (dr - dq)
-        rem = rem - factor * shift * q
-    return rem
+        return MultiPoly.const(p.nvars, 1), MultiPoly.zero(p.nvars), p
+    qc = q.coeffs_in_var(var)
+    lc = qc.pop(dq)
+    l = lc ** (dp - dq + 1)
+    rem = {k: c * l for k, c in p.coeffs_in_var(var).items()}
+    quot: Dict[int, MultiPoly] = {}
+    for dr in range(dp, dq - 1, -1):
+        lead = rem.pop(dr, None)
+        if lead is None:
+            continue
+        f = quot[dr - dq] = exact_divide(lead, lc)
+        for k, c in qc.items():  # rem -= f * x^(dr-dq) * (q - lead term)
+            i = k + dr - dq
+            s = rem.get(i)
+            s = -(f * c) if s is None else s - f * c
+            if s.is_zero():
+                del rem[i]
+            else:
+                rem[i] = s
+    return l, _join_in_var(quot, var, p.nvars), _join_in_var(rem, var, p.nvars)
 
 
-def content_in_var(p: MultiPoly, var: int) -> MultiPoly:
-    """gcd of the coefficients of p viewed univariate in `var`."""
-    coeffs = list(p.coeffs_in_var(var).values())
+def _join_in_var(coeffs: Dict[int, MultiPoly], var: int, nvars: int) -> MultiPoly:
+    """Inverse of `MultiPoly.coeffs_in_var`."""
+    terms: Dict[Exponent, GaussianRational] = {}
+    for k, c in coeffs.items():
+        for e, v in c.terms.items():
+            terms[e[:var] + (k,) + e[var + 1:]] = v
+    return MultiPoly._of(nvars, terms)
+
+
+def pseudo_remainder(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
+    """Pseudo-remainder of p by q, both viewed univariate in `var`."""
+    return _pseudo_divide(p, q, var)[2]
+
+
+def content_in_var(p: MultiPoly, var: int, *more: MultiPoly) -> MultiPoly:
+    """gcd of the coefficients of p, and of each polynomial in `more`, viewed
+    univariate in `var`."""
+    coeffs = [c for f in (p,) + more for c in f.coeffs_in_var(var).values()]
     if not coeffs:
         return MultiPoly.zero(p.nvars)
     g = coeffs[0]

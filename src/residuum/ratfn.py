@@ -1,4 +1,6 @@
-"""Exact rational functions num/den over Q(i).
+"""Exact rational functions num/den over Q(i), and the fraction-free
+univariate kernel (pseudo-division, modular inverses) whose results they
+are formed from.
 
 Normalization keeps gcd(num, den) = 1 and scales the denominator to have
 graded-lex leading coefficient 1, so every value has a unique representative.
@@ -7,12 +9,12 @@ graded-lex leading coefficient 1, so every value has a unique representative.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import DivisionError, ZeroInputError
-from .polynomials import MultiPoly, exact_divide, gcd
+from .errors import DivisionError
+from .polynomials import MultiPoly, _pseudo_divide, content_in_var, exact_divide, gcd
 from .scalars import GaussianRational
 
 
@@ -156,119 +158,52 @@ class RatFn:
 
 
 # ---------------------------------------------------------------------------
-# univariate views: polynomials in one distinguished variable whose
-# coefficients are rational functions free of that variable.
+# univariate kernel: polynomials viewed in one distinguished variable `var`,
+# with coefficients polynomials in the others, kept fraction free.
+#
+# Division follows the pseudo-division convention
+#
+#     l * p == quot * q + rem,   l = lc_var(q)^max(deg p - deg q + 1, 0),
+#
+# with deg_var rem < deg_var q, so no coefficient is ever divided.  The
+# extended Euclid is the primitive PRS with cofactors (Collins, J. ACM 14,
+# 1967; Brown-Traub, J. ACM 18, 1971): after each pseudo-division the new
+# remainder and its cofactor are divided by the gcd of all their
+# coefficients in `var`, which keeps the coefficients from growing
+# exponentially.  Results come back as a numerator and a var-free
+# denominator, so a caller forms one RatFn per result instead of one per
+# coefficient operation.
 # ---------------------------------------------------------------------------
 
-UniPoly = List[RatFn]  # index = power of the distinguished variable
+def uni_divmod(p: MultiPoly, q: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Pseudo-division in `var`: (l, quot, rem) with l*p == quot*q + rem."""
+    return _pseudo_divide(p, q, var)
 
 
-def uni_trim(u: UniPoly) -> UniPoly:
-    while u and u[-1].is_zero():
-        u.pop()
-    return u
+def uni_ext_euclid(a: MultiPoly, m: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly]:
+    """(s, r) with s*a == r (mod m) in `var`, r nonzero and free of `var`.
 
-
-def uni_is_zero(u: UniPoly) -> bool:
-    return not u
-
-
-def uni_deg(u: UniPoly) -> int:
-    return len(u) - 1
-
-
-def poly_to_uni(p: MultiPoly, var: int) -> UniPoly:
-    cs = p.coeffs_in_var(var)
-    if not cs:
-        return []
-    out = [RatFn.zero(p.nvars) for _ in range(max(cs) + 1)]
-    for k, c in cs.items():
-        out[k] = RatFn(c)
-    return uni_trim(out)
-
-
-def uni_to_ratfn(u: UniPoly, var: int, nvars: int) -> RatFn:
-    acc = RatFn.zero(nvars)
-    z = RatFn(MultiPoly.variable(nvars, var))
-    for k, c in enumerate(u):
-        if not c.is_zero():
-            acc = acc + c * z ** k
-    return acc
-
-
-def uni_add(a: UniPoly, b: UniPoly, nvars: int) -> UniPoly:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else RatFn.zero(nvars)
-        y = b[i] if i < len(b) else RatFn.zero(nvars)
-        out.append(x + y)
-    return uni_trim(out)
-
-
-def uni_neg(a: UniPoly) -> UniPoly:
-    return [-c for c in a]
-
-
-def uni_scale(a: UniPoly, s: RatFn) -> UniPoly:
-    if s.is_zero():
-        return []
-    return uni_trim([c * s for c in a])
-
-
-def uni_mul(a: UniPoly, b: UniPoly, nvars: int) -> UniPoly:
-    if not a or not b:
-        return []
-    out = [RatFn.zero(nvars) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if y.is_zero():
-                continue
-            out[i + j] = out[i + j] + x * y
-    return uni_trim(out)
-
-
-def uni_divmod(a: UniPoly, b: UniPoly, nvars: int) -> Tuple[UniPoly, UniPoly]:
-    if uni_is_zero(b):
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quot = [RatFn.zero(nvars) for _ in range(max(len(a) - len(b) + 1, 0))]
-    db = uni_deg(b)
-    lead = b[db]
-    while not uni_is_zero(rem) and uni_deg(rem) >= db:
-        dr = uni_deg(rem)
-        c = rem[dr] / lead
-        quot[dr - db] = quot[dr - db] + c
-        for i in range(db + 1):
-            rem[dr - db + i] = rem[dr - db + i] - c * b[i]
-        rem = uni_trim(rem)
-    return uni_trim(quot), rem
-
-
-def uni_ext_euclid(a: UniPoly, b: UniPoly, nvars: int) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    one = [RatFn.one(nvars)]
-    r0, r1 = list(a), list(b)
-    s0, s1 = one, []
-    t0, t1 = [], one
-    while not uni_is_zero(r1):
-        q, r = uni_divmod(r0, r1, nvars)
-        r0, r1 = r1, r
-        s0, s1 = s1, uni_add(s0, uni_neg(uni_mul(q, s1, nvars)), nvars)
-        t0, t1 = t1, uni_add(t0, uni_neg(uni_mul(q, t1, nvars)), nvars)
-    if uni_is_zero(r0):
-        raise ZeroInputError("extended Euclid of two zero polynomials")
-    lead = r0[uni_deg(r0)]
-    inv = RatFn.one(nvars) / lead
-    return uni_scale(r0, inv), uni_scale(s0, inv), uni_scale(t0, inv)
-
-
-def uni_mod_inverse(a: UniPoly, m: UniPoly, nvars: int) -> UniPoly:
-    """Inverse of a modulo m over the coefficient field; a, m coprime."""
-    g, s, _ = uni_ext_euclid(a, m, nvars)
-    if uni_deg(g) != 0:
+    Raises DivisionError when a and m have a common factor in `var`.
+    """
+    r0, s0 = m, MultiPoly.zero(a.nvars)
+    r1, s1 = a, MultiPoly.const(a.nvars, 1)
+    while r1.depends_on(var):
+        l, q, r = uni_divmod(r0, r1, var)
+        if r.is_zero():
+            break
+        s = s0 * l - q * s1
+        g = content_in_var(r, var, s)
+        if not g.is_constant():
+            r, s = exact_divide(r, g), exact_divide(s, g)
+        r0, s0, r1, s1 = r1, s1, r, s
+    if r1.is_zero() or r1.depends_on(var):
         raise DivisionError("elements are not coprime; no modular inverse")
-    _, r = uni_divmod(s, m, nvars)
-    return r
+    return s1, r1
+
+
+def uni_mod_inverse(a: MultiPoly, m: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly]:
+    """(S, D) with S*a == D (mod m) in `var`, D free of `var` and, for m of
+    positive degree in `var`, deg_var S < deg_var m: S/D is the inverse of a
+    modulo m.  The PRS cofactor already has that degree bound: it is
+    deg m - deg r for the last remainder r of positive degree."""
+    return uni_ext_euclid(a, m, var)

@@ -38,6 +38,8 @@ CORPUS = {
     "parabola_sq": [(PARABOLA, 2)],
     "two_lines": [(Z1, 1), (Z1 - Z2, 1)],
     "cross": [(Z1 - Z2, 1), (Z1 + Z2, 1)],
+    # leading coefficients in both charts are not constant
+    "skew_sq": [((ONE + Z2) * Z1 * Z1 - Z2, 2), ((2 * ONE - Z2) * Z1 + Z2 + ONE, 1)],
 }
 
 
@@ -96,7 +98,7 @@ class TestPartialFractions:
             total = total + c / RatFn(fd.factors[k].rho ** mu)
         assert total == RatFn(ONE, fd.product())
 
-    @pytest.mark.parametrize("name", ["parabola", "cusp", "parabola_sq", "cross"])
+    @pytest.mark.parametrize("name", ["parabola", "cusp", "parabola_sq", "cross", "skew_sq"])
     def test_recombination_j2_where_defined(self, name):
         fd = prepare_denominator(CORPUS[name], 1)
         pfd = partial_fractions(fd)

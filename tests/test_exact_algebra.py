@@ -17,6 +17,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.rings import ring
 
 from residuum import polynomials
+from residuum.bump import BumpFunction
 from residuum.errors import DivisionError, ZeroInputError
 from residuum.polynomials import (
     MultiPoly,
@@ -30,7 +31,7 @@ from residuum.polynomials import (
     resultant,
     squarefree_decompose,
 )
-from residuum.ratfn import RatFn
+from residuum.ratfn import RatFn, uni_divmod, uni_mod_inverse
 from residuum.scalars import GaussianRational
 
 
@@ -518,6 +519,21 @@ class TestMultiply:
         assert list(got.terms) == list(reference_mul(p, q).terms)
 
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_defers_to_a_bump_operand(self, n):
+        bump = BumpFunction.radial(n, 2)
+        # a holomorphic polynomial on C^n and one in the 2n real coordinates
+        for poly in (MultiPoly.variable(n, 0) + 3 * MultiPoly.const(n, 1),
+                     MultiPoly.variable(2 * n, 2 * n - 1) * GaussianRational(1, -2)):
+            assert poly * bump == bump * poly
+
+    def test_unknown_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Z1 * object()
+        with pytest.raises(TypeError):
+            object() * Z1
+
+
 class TestExactDivide:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(polys(n), polys(n))))
@@ -682,3 +698,59 @@ class TestRatFn:
         # (1*(z1^2-z2) - z1*2z1) / (z1^2-z2)^2 = (-z1^2-z2)/(z1^2-z2)^2
         num = -(Z1 * Z1) - Z2
         assert d == RatFn(num, (Z1 * Z1 - Z2) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# univariate kernel: pseudo-division and modular inverses in one variable
+# ---------------------------------------------------------------------------
+
+@st.composite
+def in_var(draw, max_terms=4):
+    """(nvars, var, p, q): random p and a q of positive degree in `var`
+    whose leading coefficient in `var` is a random polynomial, so q is
+    usually not monic."""
+    nvars = draw(st.sampled_from([2, 3]))
+    var = draw(st.integers(0, nvars - 1))
+    x = MultiPoly.variable(nvars, var)
+    p = draw(polys(nvars, max_terms))
+    q = draw(polys(nvars, max_terms)) + draw(polys(nvars, 2)) * x ** draw(st.integers(1, 3))
+    return nvars, var, p, q
+
+
+class TestUnivariateKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(in_var())
+    def test_pseudo_division(self, case):
+        _, var, p, q = case
+        if q.is_zero():
+            return
+        l, quot, rem = uni_divmod(p, q, var)
+        assert l * p == quot * q + rem
+        assert rem.degree_in(var) < q.degree_in(var)
+        dp, dq = p.degree_in(var), q.degree_in(var)
+        assert l == q.leading_coefficient_in(var) ** max(dp - dq + 1, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(in_var(3))
+    def test_mod_inverse(self, case):
+        _, var, a, m = case
+        if not m.depends_on(var):
+            return
+        if gcd_in_var(a, m, var).depends_on(var):
+            with pytest.raises(DivisionError):
+                uni_mod_inverse(a, m, var)
+            return
+        s, d = uni_mod_inverse(a, m, var)
+        assert not d.is_zero() and not d.depends_on(var)
+        assert s.degree_in(var) < m.degree_in(var)
+        assert uni_divmod(s * a - d, m, var)[2].is_zero()
+
+    @settings(max_examples=30, deadline=None)
+    @given(in_var(3), st.data())
+    def test_common_factor_raises(self, case, data):
+        nvars, var, a, m = case
+        h = data.draw(polys(nvars, 2)) + MultiPoly.variable(nvars, var)
+        if not h.depends_on(var):
+            return
+        with pytest.raises(DivisionError):
+            uni_mod_inverse(a * h, m * h, var)

@@ -2,11 +2,19 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from residuum.decomposition import partial_fractions, prepare_denominator
-from residuum.errors import NonClosedForm, PoleReductionObstruction, ResiduumError
+from residuum.errors import (
+    ChartError,
+    DivisionError,
+    NonClosedForm,
+    PoleReductionObstruction,
+    ResiduumError,
+)
 from residuum.forms import MeroForm
 from residuum.leray import (
     HypersurfaceForm,
@@ -19,7 +27,7 @@ from residuum.leray import (
     simple_pole_residue_form,
     to_frame,
 )
-from residuum.polynomials import MultiPoly
+from residuum.polynomials import MultiPoly, divides, gcd_in_var, primitive_part_in_var
 from residuum.ratfn import RatFn
 from residuum.scalars import GaussianRational
 
@@ -161,6 +169,92 @@ class TestNormalForm:
         lhs = normal_form_on_hypersurface(a + b, RHO, 0)
         rhs = normal_form_on_hypersurface(a, RHO, 0) + normal_form_on_hypersurface(b, RHO, 0)
         assert lhs == rhs
+
+
+def assert_reduces(c: RatFn, reduced: RatFn, rho: MultiPoly, var: int):
+    """reduced is c modulo rho: the difference of the cross products is a
+    multiple of rho, the numerator has lower degree than rho in `var` and
+    the denominator is free of it.  Needs rho primitive in `var`."""
+    assert divides(rho, c.num * reduced.den - reduced.num * c.den)
+    assert reduced.num.degree_in(var) < rho.degree_in(var)
+    assert not reduced.den.depends_on(var)
+
+
+gaussian_ints = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def small_polys(nvars):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), gaussian_ints,
+                           min_size=1, max_size=3).map(lambda t: MultiPoly(nvars, t))
+
+
+@st.composite
+def hypersurface_cases(draw):
+    """(rho, var, c): rho primitive of positive degree in `var`, with a
+    leading coefficient that is usually not constant."""
+    nvars = draw(st.sampled_from([2, 3]))
+    var = draw(st.integers(0, nvars - 1))
+    x = MultiPoly.variable(nvars, var)
+    rho = draw(small_polys(nvars)) + draw(small_polys(nvars)) * x ** draw(st.integers(1, 2))
+    assume(rho.depends_on(var))
+    num, den = draw(small_polys(nvars)), draw(small_polys(nvars))
+    assume(not den.is_zero())
+    return primitive_part_in_var(rho, var), var, RatFn(num, den)
+
+
+def rho_found() -> MultiPoly:
+    """A non-monic quadratic chart: rho = z3^2 + z1^3 z2 z3^2 + z1^3 z2 z3
+    + (2 - i) z1^3 z3 - 1, chart variable z3."""
+    return MultiPoly(3, {(0, 0, 2): 1, (3, 1, 2): 1, (3, 1, 1): 1,
+                         (3, 0, 1): GaussianRational(2, -1), (0, 0, 0): -1})
+
+
+def found_form(seed: int) -> MeroForm:
+    """A 1-form on C^3 with three coefficients p/q; each p and q has 1-3
+    terms, exponents in {0,1,2}^3 and coefficients a + bi, a, b in [-3, 3]."""
+    rng = random.Random(seed)
+
+    def poly():
+        while True:
+            p = MultiPoly(3, {tuple(rng.randint(0, 2) for _ in range(3)):
+                              GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                              for _ in range(rng.randint(1, 3))})
+            if not p.is_zero():
+                return p
+
+    return MeroForm(3, 1, {(j,): RatFn(poly(), poly()) for j in range(3)})
+
+
+class TestNormalFormIsReduction:
+    """normal_form_on_hypersurface checked against the definition of a
+    reduction modulo rho, not against another run of the code."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hypersurface_cases())
+    def test_function(self, case):
+        rho, var, c = case
+        if gcd_in_var(c.den, rho, var).depends_on(var):
+            with pytest.raises((ChartError, DivisionError)):
+                normal_form_on_hypersurface(MeroForm.function(c), rho, var)
+            return
+        nf = normal_form_on_hypersurface(MeroForm.function(c), rho, var)
+        assert_reduces(c, nf.coeffs.get((), RatFn.zero(rho.nvars)), rho, var)
+
+    def test_non_monic_chart(self):
+        # drho = 0 on Y eliminates dz3: the dz_l coefficient of the form on Y
+        # is c_l - (d rho/dz_l) c_3 / (d rho/dz3)
+        rho, var = rho_found(), 2
+        form = found_form(2)
+        w = RatFn(rho.partial(var))
+        # a kernel that normalises every coefficient operation took about
+        # 15 s here, in gcds of ever larger operands
+        t0 = time.process_time()
+        nf = normal_form_on_hypersurface(form, rho, var)
+        assert time.process_time() - t0 < 1.0
+        assert set(nf.coeffs) <= {(0,), (1,)}
+        for l in (0, 1):
+            c = form.coeffs[(l,)] - RatFn(rho.partial(l)) * form.coeffs[(var,)] / w
+            assert_reduces(c, nf.coeffs.get((l,), RatFn.zero(3)), rho, var)
 
 
 class TestSimplePoleResidueForm:
