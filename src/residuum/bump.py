@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, _horner_numeric
 from .scalars import GaussianRational
 
 
@@ -143,23 +143,32 @@ class BumpFunction:
     # -- evaluation -----------------------------------------------------------
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at complex points, shape (..., nvars) -> (...)."""
+        """Evaluate at complex points, shape (..., nvars) -> (...).
+
+        Each term's polynomial is evaluated by Horner's rule in z_1, ..., z_n,
+        zbar_1, ..., zbar_n, variable z_1 outermost (`polynomials._horner`),
+        on the columns of the points and their conjugates; log(1 - t) is
+        taken once for all terms.
+        """
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 0 or pts.shape[-1] != self.nvars:
             if self.nvars == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
                 pts = pts[..., np.newaxis]
             else:
                 raise ValueError("point dimension mismatch")
-        zzbar = np.concatenate([pts, np.conj(pts)], axis=-1)
+        zs = [pts[..., i] for i in range(self.nvars)]
+        cols = zs + [np.conj(z) for z in zs]
         ctr = np.array([complex(c) for c in self.center])
         rel = pts - ctr
         t = np.sum((rel * np.conj(rel)).real, axis=-1) / float(self.radius) ** 2
+        del rel  # a full-grid array: free it before the terms' arrays are built
         inside = t < 1.0
         u = np.where(inside, 1.0 - t, 1.0)  # u > 0; masked out anyway when outside
+        log_u = np.log(u)
         acc = np.zeros(t.shape, dtype=complex)
         for p, m, c in self.terms:
-            damp = np.exp(-c / u - m * np.log(u))
-            acc = acc + p.eval_numeric(zzbar) * damp
+            damp = np.exp(-c / u - m * log_u) if m else np.exp(-c / u)
+            acc = acc + _horner_numeric(p, cols) * damp
         return np.where(inside, acc, 0.0)
 
     def translate(self, shift: Tuple[GaussianRational, ...]) -> "BumpFunction":

@@ -232,9 +232,10 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     support = float(b.radius)
     center = complex(b.center[0])
     parts = laurent_parts(g)
+    principal = [(complex(part.pole), part.as_ratfn()) for part in parts]
     regular = g
-    for part in parts:
-        regular = regular - part.as_ratfn()
+    for _, h in principal:
+        regular = regular - h
 
     e_i = circle_nodes(cfg.n_theta)
     dtheta = 2.0 * np.pi / cfg.n_theta
@@ -258,13 +259,13 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     if not parts:
         return LimitResult(smooth, [(0.0, smooth)], 0.0, True, note="no poles")
 
-    def annulus(part, a, out):
-        # polar integral of the principal part over a <= |z - pole| <= out
+    def annulus(pole, h, a, out):
+        # polar integral of the principal part h over a <= |z - pole| <= out
         rs, ws = radial_panels(a, out, cfg.radial_panels_order)
         if rs.size == 0:
             return 0j
-        zs = complex(part.pole) + rs[:, None] * e_i[None, :]
-        vals = part.as_ratfn().eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
+        zs = pole + rs[:, None] * e_i[None, :]
+        vals = h.eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
         return disk_integral(vals, rs, ws)
 
     # nested decomposition: one fixed outer region per pole plus the thin
@@ -272,12 +273,12 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     # carry no re-meshing noise and stay analytic in eps^2
     eps_list = cfg.eps_schedule(eps0)
     totals = smooth
-    for part in parts:
-        totals += annulus(part, eps_list[0], abs(complex(part.pole) - center) + support)
+    for pole, h in principal:
+        totals += annulus(pole, h, eps_list[0], abs(pole - center) + support)
     values = [totals]
     for a, b_prev in zip(eps_list[1:], eps_list[:-1]):
-        for part in parts:
-            totals += annulus(part, a, b_prev)
+        for pole, h in principal:
+            totals += annulus(pole, h, a, b_prev)
         values.append(totals)
     table = list(zip(eps_list, values))
     value, residual = richardson(values)

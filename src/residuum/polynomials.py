@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from operator import add
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -196,31 +196,27 @@ class MultiPoly:
     # -- evaluation ---------------------------------------------------
 
     def eval_exact(self, point: Iterable[GaussianRational]) -> GaussianRational:
+        """The exact value at a point, by the Horner rule of `_horner`."""
         pt = [GaussianRational.from_any(p) for p in point]
         if len(pt) != self.nvars:
             raise ValueError("point dimension mismatch")
-        acc = GaussianRational(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
-                if e:
-                    v = v * (x ** e)
-            acc = acc + v
-        return acc
+        if not self.terms:
+            return GaussianRational(0)
+        return _horner(list(self.terms.items()), pt)
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at complex points; last axis indexes the variables."""
+        """Evaluate at complex points; last axis indexes the variables.
+
+        Horner's rule in variable 0 whose coefficients are evaluated by the
+        same rule in variables 1, 2, ... (`_horner`), so the summation order
+        is fixed by the polynomial alone.  Returns a complex array of shape
+        points.shape[:-1], also for a constant or zero polynomial.
+        """
         pts = np.asarray(points, dtype=complex)
         if pts.shape[-1] != self.nvars:
             raise ValueError("point dimension mismatch")
-        acc = np.zeros(pts.shape[:-1], dtype=complex)
-        for exp, c in self.terms.items():
-            v = np.full(pts.shape[:-1], complex(c))
-            for i, e in enumerate(exp):
-                if e:
-                    v = v * pts[..., i] ** e
-            acc = acc + v
-        return acc
+        v = _horner_numeric(self, [pts[..., i] for i in range(self.nvars)])
+        return v if isinstance(v, np.ndarray) else np.full(pts.shape[:-1], v, dtype=complex)
 
     # -- structure ----------------------------------------------------
 
@@ -279,6 +275,47 @@ class MultiPoly:
             else:
                 parts.append(f"({c})")
         return " + ".join(parts)
+
+
+def _horner(terms: List[Tuple[Exponent, object]], xs: Sequence, var: int = 0):
+    """sum c * prod_{i >= var} xs[i]^e_i over the nonempty (exponent, c)
+    pairs `terms`, whose exponents must agree before `var`.
+
+    Horner's rule in xs[var] (Knuth, TAOCP 2, 4.6.4): the terms are grouped
+    by their exponent of variable `var`, each group's coefficient is
+    evaluated by the same rule in the later variables, and the groups are
+    combined from the highest exponent down by acc = acc * x^gap + coeff.
+    Variables in which no term has a positive exponent are skipped.  The
+    order of operations depends only on the terms, not on their order.
+
+    The c and xs[i] may be GaussianRationals, Python complex numbers or
+    numpy arrays; a coefficient free of the later variables stays the
+    scalar c, so with array xs only the Horner steps make arrays.
+    """
+    while var < len(xs) and not any(e[var] for e, _ in terms):
+        var += 1
+    if var == len(xs):
+        return terms[0][1]  # the exponents agree in every variable: one term
+    groups: Dict[int, List[Tuple[Exponent, object]]] = {}
+    for e, c in terms:
+        groups.setdefault(e[var], []).append((e, c))
+    x = xs[var]
+    degrees = sorted(groups, reverse=True)
+    acc = _horner(groups[degrees[0]], xs, var + 1)
+    for hi, lo in zip(degrees, degrees[1:]):
+        acc = acc * (x if hi - lo == 1 else x ** (hi - lo)) + _horner(groups[lo], xs, var + 1)
+    low = degrees[-1]
+    if low:
+        acc = acc * (x if low == 1 else x ** low)
+    return acc
+
+
+def _horner_numeric(p: MultiPoly, cols: Sequence[np.ndarray]):
+    """p at the complex columns cols[i] of its variables by `_horner`, each
+    coefficient converted once; a Python complex when p is constant."""
+    if not p.terms:
+        return 0j
+    return _horner([(e, complex(c)) for e, c in p.terms.items()], cols)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ order, no adaptive branching on floating-point noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -54,6 +55,16 @@ def richardson(values: List[complex]) -> Tuple[complex, float]:
     return limit, abs(limit - below[-1])
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only, since every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def radial_panels(eps: float, outer: float, order: int):
     """Panels on [eps, outer]: widths double away from eps and halve again,
     eight times, toward the outer edge (cutoff factors are C-infinity but not
@@ -63,7 +74,7 @@ def radial_panels(eps: float, outer: float, order: int):
     """
     if eps >= outer:
         return np.array([]), np.array([])
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     mid = 0.5 * (eps + outer)
     left = [eps]
     while left[-1] * 2.0 < mid:

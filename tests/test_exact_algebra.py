@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from math import gcd as igcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
@@ -754,3 +755,92 @@ class TestUnivariateKernel:
             return
         with pytest.raises(DivisionError):
             uni_mod_inverse(a * h, m * h, var)
+
+
+# ---------------------------------------------------------------------------
+# evaluation: Horner's rule against the term-by-term sum
+# ---------------------------------------------------------------------------
+
+def term_by_term(p: MultiPoly, point) -> GaussianRational:
+    """sum c * prod x_i^e_i, one term at a time (oracle)."""
+    acc = GaussianRational(0)
+    for exp, c in p.terms.items():
+        v = c
+        for x, e in zip(point, exp):
+            for _ in range(e):
+                v = v * x
+        acc = acc + v
+    return acc
+
+
+def dense_polys(nvars):
+    """Polynomials of degree <= 6 in each variable, the zero one included."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 6)] * nvars), gaussian_coeffs,
+                           max_size=8).map(lambda t: MultiPoly(nvars, t))
+
+
+gaussian_points = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-7, 7), st.integers(-7, 7), st.sampled_from([1, 2, 3, 5, 7]))
+# |re| + |im| <= 1, so that no term outweighs the value by much and 1e-12
+# bounds the rounding, not a cancellation
+unit_points = st.sampled_from([1, 2, 3, 5, 7]).flatmap(
+    lambda den: st.integers(-den, den).flatmap(
+        lambda re: st.integers(abs(re) - den, den - abs(re)).map(
+            lambda im: GaussianRational(Fraction(re, den), Fraction(im, den)))))
+
+
+def poly_and_points(points, count):
+    return st.sampled_from([1, 2, 3]).flatmap(lambda n: st.tuples(
+        dense_polys(n), st.lists(st.lists(points, min_size=n, max_size=n),
+                                 min_size=count, max_size=count)))
+
+
+class TestEvalExact:
+    @settings(max_examples=80, deadline=None)
+    @given(poly_and_points(gaussian_points, 3))
+    def test_matches_term_by_term_sum(self, case):
+        p, pts = case
+        for pt in pts:
+            got = p.eval_exact(pt)
+            assert got == term_by_term(p, pt)
+            assert_canonical(got)
+
+    def test_zero_polynomial(self):
+        assert MultiPoly.zero(2).eval_exact([GaussianRational(1, 2), 3]) == 0
+
+
+class TestEvalNumeric:
+    @staticmethod
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_and_points(unit_points, 6))
+    def test_matches_exact_value_in_every_shape(self, case):
+        p, pts = case
+        n = p.nvars
+        want = [complex(p.eval_exact(pt)) for pt in pts]
+        grid = np.array([[complex(x) for x in pt] for pt in pts])
+        for shape in ((), (6,), (2, 3)):
+            points = grid.reshape(shape + (n,)) if shape else grid[0]
+            got = p.eval_numeric(points)
+            assert isinstance(got, np.ndarray) and got.dtype == complex
+            assert got.shape == shape
+            for g, w in zip(got.reshape(-1), want if shape else want[:1]):
+                self.assert_close(g, w)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_and_constant_have_the_points_shape(self, n, shape):
+        points = np.full(shape + (n,), 0.5 - 0.25j)
+        c = GaussianRational(Fraction(2, 3), -1)
+        for p, value in ((MultiPoly.zero(n), 0j), (MultiPoly.const(n, c), complex(c))):
+            got = p.eval_numeric(points)
+            assert isinstance(got, np.ndarray) and got.dtype == complex
+            assert got.shape == shape
+            assert np.all(got == value)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            Z1.eval_numeric(np.zeros((4, 3), dtype=complex))

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +174,73 @@ class TestBump:
         chi = np.exp(-1.0 / u)
         want = z[0] * (-1.0 / u ** 2) * (z[0] / 4.0) * chi
         assert complex(db.eval_numeric(z)) == pytest.approx(complex(want), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_mpmath_formula(self, n):
+        # off-centre support with a centre and radius exact in binary, so
+        # that points exactly on t = 1 exist in floating point
+        center = (GaussianRational(Fraction(1, 2), Fraction(1, 4)),
+                  GaussianRational(Fraction(-3, 4), Fraction(1, 2)))[:n]
+        rng = random.Random(n)
+
+        def poly():
+            terms = {tuple(rng.randint(0, 2) for _ in range(2 * n)):
+                     GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                     for _ in range(4)}
+            return MultiPoly(2 * n, terms) + MultiPoly.const(2 * n, 1)
+
+        b = BumpFunction(n, Fraction(2), [(poly(), 0, 1), (poly(), 2, 1), (poly(), 1, 3)],
+                         center=center)
+        a = np.array([complex(c) for c in center])
+        unit = np.eye(n)[0]
+        inside = [a, a + 0.3 + 0.2j, a - 1.1j * unit, a + (0.9 - 0.7j) * np.ones(n) / n,
+                  a + 1.9 * unit]
+        edge = [a + (2 - 1e-7) * unit, a - 2j * (1 - 3e-7) * unit]
+        on = [a + 2 * unit, a - 2j * unit]
+        outside = [a + (2 + 1e-12) * unit, a + 2.5 * np.ones(n), a + 40j * unit]
+        pts = np.array(inside + edge + on + outside)
+        for bump in (b, b.dz(0), b.dzbar(n - 1), b.dz(0).dzbar(0)):
+            got = bump.eval_numeric(pts)
+            for z, value in zip(pts, got):
+                want, scale = mp_bump(bump, z)
+                if scale == 0:
+                    assert value == 0
+                else:
+                    # rounding is relative to the sum of |term|s; a value
+                    # under the smallest double (near t = 1) reads 0
+                    assert abs(value - complex(want)) <= 1e-12 * scale + 1e-300
+            assert np.all(got[len(inside) + len(edge):] == 0)
+
+
+def mp_exact(g: GaussianRational):
+    """g in the current mpmath precision."""
+    return mpmath.mpc(mpmath.mpf(g.re.numerator) / g.re.denominator,
+                      mpmath.mpf(g.im.numerator) / g.im.denominator)
+
+
+def mp_bump(b, z):
+    """The module docstring's formula in 40-digit arithmetic:
+    sum P(z, zbar) (1-t)^(-m) exp(-c/(1-t)), 0 for t >= 1.  Returns the value
+    and the same sum over |coefficient| * |monomial|, the scale of its
+    rounding error."""
+    with mpmath.workdps(40):
+        zs = [mpmath.mpc(complex(x)) for x in z]
+        w = zs + [mpmath.conj(x) for x in zs]
+        r = mpmath.mpf(b.radius.numerator) / b.radius.denominator
+        t = sum(abs(x - mp_exact(c)) ** 2 for x, c in zip(zs, b.center)) / r ** 2
+        if t >= 1:
+            return mpmath.mpf(0), 0
+        value = scale = mpmath.mpf(0)
+        for p, m, c in b.terms:
+            damp = (1 - t) ** (-m) * mpmath.exp(-c / (1 - t))
+            for exp, coeff in p.terms.items():
+                mono = mp_exact(coeff)
+                for x, e in zip(w, exp):
+                    mono *= x ** e
+                value += mono * damp
+                scale += abs(mono) * damp
+        return value, scale
 
 
 # ---------------------------------------------------------------------------
