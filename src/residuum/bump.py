@@ -14,12 +14,13 @@ derivatives act exactly; only point evaluation is floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .polynomials import MultiPoly, _horner_numeric
 from .scalars import GaussianRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BumpFunction:
@@ -150,6 +151,8 @@ class BumpFunction:
         on the columns of the points and their conjugates; log(1 - t) is
         taken once for all terms.
         """
+        import numpy as np
+
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 0 or pts.shape[-1] != self.nvars:
             if self.nvars == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-import numpy as np
-
 from .bump import BumpFunction
 from .errors import IrrationalPole
 from .forms import TestForm
@@ -73,6 +71,8 @@ def _rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
 def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     """Split a 1-variable polynomial into exact Gaussian-rational linear
     factors; raises IrrationalPole if any numeric root fails to rationalize."""
+    import numpy as np
+
     if den.nvars != 1:
         raise ValueError("expected a one-variable polynomial")
     deg = den.degree_in(0)
@@ -158,6 +158,8 @@ def residue_current_1d(parts: List[LaurentPart]) -> List[DeltaOperatorCurrent]:
 
 def apply_delta_current(cur: DeltaOperatorCurrent, phi: BumpFunction) -> complex:
     """sum_j b_j (d^j phi / dz^j)(pole); derivatives exact in the bump algebra."""
+    import numpy as np
+
     if phi.nvars != 1:
         raise ValueError("expected a one-variable test function")
     z0 = np.array([complex(cur.pole)])
@@ -189,6 +191,8 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
     Trapezoid in the angle (spectrally accurate), Richardson in eps^2.
     This is the oracle that pins the delta-operator constants.
     """
+    import numpy as np
+
     cfg = cfg or QuadratureConfig()
     if g.nvars != 1 or phi.nvars != 1:
         raise ValueError("one-variable data expected")
@@ -221,6 +225,8 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     eps-disks around every pole (equivalent to the |f| >= eps family in the
     limit).  The exact Laurent split localizes each singular piece.
     """
+    import numpy as np
+
     cfg = cfg or QuadratureConfig()
     if g.nvars != 1:
         raise ValueError("one-variable data expected")

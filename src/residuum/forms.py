@@ -14,14 +14,14 @@ coefficients by the pair (I, J) of dz and dzbar index sets.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .bump import BumpFunction, embed_holomorphic
 from .polynomials import MultiPoly
 from .ratfn import RatFn
-from .scalars import GaussianRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Index = Tuple[int, ...]
 
@@ -65,7 +65,8 @@ def _wedge_terms(left: dict, right: dict) -> dict:
             for k2, c2 in right.items():
                 merged, sign = merge_indices(k1, k2)
                 if merged is not None:
-                    yield merged, c2 * c1 * GaussianRational(sign)
+                    c = c2 * c1
+                    yield merged, c if sign > 0 else -c
 
     return _summed(pairs())
 
@@ -135,12 +136,12 @@ class _Form:
         def pairs():
             for k, c in self.terms.items():
                 for g in gens:
-                    dc = deriv(c, g)
-                    if dc.is_zero():
-                        continue
                     merged, sign = merge_indices((g,), k)
-                    if merged is not None:
-                        yield merged, dc * GaussianRational(sign)
+                    if merged is None:
+                        continue
+                    dc = deriv(c, g)
+                    if not dc.is_zero():
+                        yield merged, dc if sign > 0 else -dc
 
         return self._new(_summed(pairs()), grading)
 
@@ -150,7 +151,7 @@ class _Form:
         for k, c in self.terms.items():
             if g in k:
                 pos = k.index(g)
-                out[k[:pos] + k[pos + 1:]] = c * GaussianRational(-1 if pos % 2 else 1)
+                out[k[:pos] + k[pos + 1:]] = -c if pos % 2 else c
         return self._new(out, grading)
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from operator import add
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DivisionError, ZeroInputError
 from .scalars import GaussianRational, _over_common_denominator, _reduced
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Exponent = Tuple[int, ...]
 
@@ -212,6 +213,8 @@ class MultiPoly:
         is fixed by the polynomial alone.  Returns a complex array of shape
         points.shape[:-1], also for a constant or zero polynomial.
         """
+        import numpy as np
+
         pts = np.asarray(points, dtype=complex)
         if pts.shape[-1] != self.nvars:
             raise ValueError("point dimension mismatch")

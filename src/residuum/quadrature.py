@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -59,6 +60,8 @@ def richardson(values: List[complex]) -> Tuple[complex, float]:
 def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
     and returned read-only, since every caller shares them."""
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(order)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -72,6 +75,8 @@ def radial_panels(eps: float, outer: float, order: int):
 
     Returns (radii, weights) flattened over panels.
     """
+    import numpy as np
+
     if eps >= outer:
         return np.array([]), np.array([])
     x, w = _gauss_legendre(order)
@@ -94,4 +99,6 @@ def radial_panels(eps: float, outer: float, order: int):
 def circle_nodes(n_theta: int) -> np.ndarray:
     """e^{i theta} at the unit-circle nodes theta_k = 2 pi k / N (trapezoid
     weights 2 pi / N)."""
+    import numpy as np
+
     return np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))

@@ -2,26 +2,36 @@
 univariate kernel (pseudo-division, modular inverses) whose results they
 are formed from.
 
-Normalization keeps gcd(num, den) = 1 and scales the denominator to have
-graded-lex leading coefficient 1, so every value has a unique representative.
+Every RatFn is canonical: gcd(num, den) = 1, the denominator has graded-lex
+leading coefficient 1, and zero is 0/1, so every value has one
+representative and equality compares num and den.  `RatFn(num, den)`
+reaches that form by a full gcd; the arithmetic relies on its operands
+being canonical already and builds each result reduced without it.  A
+negation, a constant multiple or a power cannot create a common factor,
+and the graded-lex leading coefficient is multiplicative, so products of
+monic denominators stay monic.  A product cancels crosswise, by
+gcd(a.num, b.den) and gcd(b.num, a.den) (Knuth, TAOCP 2, 4.5.1); a sum is
+Henrici's (P. Henrici, J. ACM 3, 1956): with d = gcd(a.den, b.den), only
+gcd(t, d) of the cross sum t = a.num (b.den/d) + b.num (a.den/d) can cancel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from .errors import DivisionError
 from .polynomials import MultiPoly, _pseudo_divide, content_in_var, exact_divide, gcd
 from .scalars import GaussianRational
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class RatFn:
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None, normalize: bool = True):
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
             den = MultiPoly.const(num.nvars, 1)
         if den.is_zero():
@@ -30,8 +40,7 @@ class RatFn:
             raise ValueError("nvars mismatch between numerator and denominator")
         self.num = num
         self.den = den
-        if normalize:
-            self._normalize()
+        self._normalize()
 
     def _normalize(self):
         if self.num.is_zero():
@@ -50,23 +59,31 @@ class RatFn:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def _of(num: MultiPoly, den: MultiPoly) -> "RatFn":
+        """num/den taken as canonical, without checks or gcd."""
+        f = object.__new__(RatFn)
+        f.num = num
+        f.den = den
+        return f
+
+    @staticmethod
     def zero(nvars: int) -> "RatFn":
-        return RatFn(MultiPoly.zero(nvars))
+        return RatFn.const(nvars, 0)
 
     @staticmethod
     def one(nvars: int) -> "RatFn":
-        return RatFn(MultiPoly.const(nvars, 1))
+        return RatFn.const(nvars, 1)
 
     @staticmethod
     def const(nvars: int, c) -> "RatFn":
-        return RatFn(MultiPoly.const(nvars, c))
+        return RatFn._of(MultiPoly.const(nvars, c), MultiPoly.const(nvars, 1))
 
     @staticmethod
     def from_any(x, nvars: int) -> "RatFn":
         if isinstance(x, RatFn):
             return x
         if isinstance(x, MultiPoly):
-            return RatFn(x)
+            return RatFn._of(x, MultiPoly.const(x.nvars, 1))
         return RatFn.const(nvars, x)
 
     # -- predicates ----------------------------------------------------
@@ -87,16 +104,31 @@ class RatFn:
     def constant_value(self) -> GaussianRational:
         return self.num.constant_value() / self.den.constant_value()
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic on canonical operands (see the module docstring) ------
 
     def __add__(self, other):
         other = RatFn.from_any(other, self.nvars)
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        # Henrici's sum: with d = gcd(a.den, b.den), the cross sum
+        # t = a.num (b.den/d) + b.num (a.den/d) is prime to both cofactors,
+        # so only g = gcd(t, d) can cancel: a + b = (t/g) / ((a.den/d) (b.den/g))
+        a, b, d = self, other, None
+        if not (a.den.is_constant() or b.den.is_constant()):
+            d = gcd(a.den, b.den)
+        a_cof = _divided(a.den, d)
+        t = a.num * _divided(b.den, d) + b.num * a_cof
+        if t.is_zero():
+            return RatFn.zero(self.nvars)
+        g = None if d is None or d.is_constant() else gcd(t, d)
+        return RatFn._of(_divided(t, g), a_cof * _divided(b.den, g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFn(-self.num, self.den, normalize=False)
+        return RatFn._of(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-RatFn.from_any(other, self.nvars))
@@ -105,26 +137,50 @@ class RatFn:
         return RatFn.from_any(other, self.nvars) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            c = GaussianRational.from_any(other)
+            return RatFn.zero(self.nvars) if c.is_zero() else RatFn._of(self.num * c, self.den)
         other = RatFn.from_any(other, self.nvars)
-        return RatFn(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RatFn.zero(self.nvars)
+        # cross-cancellation (Knuth, TAOCP 2, 4.5.1): only a.num and b.den,
+        # or b.num and a.den, can share a factor
+        a_num, a_den = self._cancelled(other)
+        b_num, b_den = other._cancelled(self)
+        return RatFn._of(a_num * b_num, a_den * b_den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = RatFn.from_any(other, self.nvars)
-        if other.is_zero():
+    def _cancelled(self, other: "RatFn") -> Tuple[MultiPoly, MultiPoly]:
+        """(self.num / g, other.den / g) with g = gcd(self.num, other.den):
+        what `self * other` keeps of self's numerator and other's
+        denominator."""
+        g = None
+        if not (self.num.is_constant() or other.den.is_constant()):
+            g = gcd(self.num, other.den)
+        return _divided(self.num, g), _divided(other.den, g)
+
+    def _inverse(self) -> "RatFn":
+        """den/num scaled to a monic denominator."""
+        if self.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
+        inv = self.num.leading_coefficient().inverse()
+        return RatFn._of(self.den * inv, self.num * inv)
+
+    def __truediv__(self, other):
+        return self * RatFn.from_any(other, self.nvars)._inverse()
 
     def __rtruediv__(self, other):
         return RatFn.from_any(other, self.nvars) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return (RatFn.one(self.nvars) / self) ** (-n)
-        return RatFn(self.num ** n, self.den ** n)
+            return self._inverse() ** (-n)
+        return RatFn._of(self.num ** n, self.den ** n)
 
     def partial(self, var: int) -> "RatFn":
+        if self.den.is_constant():
+            return RatFn._of(self.num.partial(var), self.den)
         num = self.num.partial(var) * self.den - self.num * self.den.partial(var)
         return RatFn(num, self.den * self.den)
 
@@ -137,6 +193,12 @@ class RatFn:
         return self.num.eval_exact(point) / d
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
+        """Values at complex points (last axis the variables); a constant
+        numerator or denominator is one scalar, not a filled array."""
+        if self.num.is_constant():
+            return complex(self.num.constant_value()) / self.den.eval_numeric(points)
+        if self.den.is_constant():
+            return self.num.eval_numeric(points) / complex(self.den.constant_value())
         return self.num.eval_numeric(points) / self.den.eval_numeric(points)
 
     # -- comparison -------------------------------------------------------
@@ -155,6 +217,11 @@ class RatFn:
         if self.is_polynomial():
             return f"RatFn({self.num.to_string()})"
         return f"RatFn(({self.num.to_string()}) / ({self.den.to_string()}))"
+
+
+def _divided(p: MultiPoly, g: MultiPoly | None) -> MultiPoly:
+    """p / g for a monic divisor g of p; p itself when g is None or 1."""
+    return p if g is None or g.is_constant() else exact_divide(p, g)
 
 
 # ---------------------------------------------------------------------------

@@ -701,6 +701,90 @@ class TestRatFn:
         assert d == RatFn(num, (Z1 * Z1 - Z2) ** 2)
 
 
+@st.composite
+def ratfn_pairs(draw):
+    """(a, b) over 2 or 3 variables, built by `RatFn(num, den)` from
+    unreduced parts: often with a factor planted between a.num and b.den,
+    between the two denominators, or between the Henrici cross sum
+    t = a.num (b.den/d) + b.num (a.den/d) and d = gcd(a.den, b.den); and
+    among them zero, constant and non-monic operands."""
+    nvars = draw(st.sampled_from([2, 3]))
+
+    def p(terms=3):
+        return draw(polys(nvars, terms))
+
+    unit = draw(gaussian_coeffs)  # a non-monic denominator's scale
+    kind = draw(st.sampled_from(["plain", "num_den", "dens", "sum", "zero", "const"]))
+    if kind == "num_den":
+        h = p(2)
+        a, b = RatFn(p() * h, p() * unit), RatFn(p(), p() * h)
+    elif kind == "dens":
+        h = p(2)
+        a, b = RatFn(p(), p() * h * unit), RatFn(p(), p(2) * h)
+    elif kind == "sum":
+        # a = x/d, b = (h k - x v)/(d v): the cross sum is h k and h | d
+        h, x, k, v = p(2), p(), p(), p(2)
+        d = h * p(2) * unit
+        a, b = RatFn(x, d), RatFn(h * k - x * v, d * v)
+    elif kind == "zero":
+        a, b = RatFn(MultiPoly.zero(nvars), p()), RatFn(p(), p() * unit)
+    elif kind == "const":
+        a, b = RatFn(MultiPoly.const(nvars, unit)), RatFn(p(), p() * unit)
+    else:
+        a, b = RatFn(p(), p() * unit), RatFn(p(), p())
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def assert_same(got: RatFn, expect: RatFn):
+    assert got.num == expect.num and got.den == expect.den, (got, expect)
+
+
+class TestRatFnArithmetic:
+    """Each operator against `RatFn(num, den)` of the textbook formula, so
+    that the gcd-free and cross-cancelled paths must give the one canonical
+    representative the full normalisation gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratfn_pairs())
+    def test_binary_operators(self, ab):
+        a, b = ab
+        assert_same(a + b, RatFn(a.num * b.den + b.num * a.den, a.den * b.den))
+        assert_same(a - b, RatFn(a.num * b.den - b.num * a.den, a.den * b.den))
+        assert_same(a * b, RatFn(a.num * b.num, a.den * b.den))
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            assert_same(a / b, RatFn(a.num * b.den, a.den * b.num))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ratfn_pairs().map(lambda ab: ab[0]), st.integers(-3, 3), gaussian_coeffs)
+    def test_unary_operators(self, a, n, c):
+        assert_same(-a, RatFn(-a.num, a.den))
+        assert_same(a * c, RatFn(a.num * c, a.den))
+        assert_same(c * a, RatFn(a.num * c, a.den))
+        assert_same(a / c, RatFn(a.num, a.den * c))
+        assert_same(a * GaussianRational(0), RatFn.zero(a.nvars))
+        for var in range(a.nvars):
+            assert_same(a.partial(var), RatFn(a.num.partial(var) * a.den
+                                              - a.num * a.den.partial(var), a.den * a.den))
+        if n >= 0:
+            assert_same(a ** n, RatFn(a.num ** n, a.den ** n))
+        elif a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a ** n
+        else:
+            assert_same(a ** n, RatFn(a.den ** -n, a.num ** -n))
+
+    def test_planted_factors_cancel(self):
+        h = Z1 * Z1 - Z2
+        a, b = RatFn(Z1 * h, Z2 + ONE2), RatFn(Z2 + ONE2, 3 * h * (Z1 + Z2))
+        assert_same(a * b, RatFn(Z1, 3 * (Z1 + Z2)))
+        # the cross sum of z1/h and (h - z1)/h is h itself
+        assert_same(RatFn(Z1, h) + RatFn(h - Z1, h), RatFn.one(2))
+        assert_same(RatFn(Z1, h) - RatFn(Z1, h), RatFn.zero(2))
+
+
 # ---------------------------------------------------------------------------
 # univariate kernel: pseudo-division and modular inverses in one variable
 # ---------------------------------------------------------------------------

@@ -9,11 +9,18 @@ call each other, nor a name shared by a live and a dead definition.
 
 Inside each function, a parameter (other than `self`) or an assigned name
 (other than one starting with `_`) that neither the function nor a function
-nested in it reads is dead too.
+nested in it reads is dead too.  So is a module-level import whose name the
+module never reads.
+
+The exact layer does not load numpy: importing the package leaves it out
+of `sys.modules`, and the numeric routines import it when they first run.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -68,3 +75,70 @@ def _unread_names():
 def test_every_parameter_and_local_is_read():
     unread = _unread_names()
     assert not unread, f"assigned or passed but never read: {unread}"
+
+
+def _module_imports(tree: ast.Module):
+    """(line, bound name) for every import statement at module level, also
+    inside a module-level `if` or `try`, but not `from __future__`."""
+    out, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            todo += node.body + node.orelse + getattr(node, "finalbody", [])
+            todo += [stmt for h in getattr(node, "handlers", []) for stmt in h.body]
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, a.asname or a.name) for a in node.names]
+    return out
+
+
+def _unused_imports():
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [(path.name, line, name) for line, name in _module_imports(tree)
+                if name not in read]
+    return sorted(out)
+
+
+def test_every_module_import_is_read():
+    unused = _unused_imports()
+    assert not unused, f"imported but never read: {unused}"
+
+
+def _program_modules():
+    """bench/run.py's PROGRAM_MODULES, read without running bench/run.py."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "PROGRAM_MODULES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no PROGRAM_MODULES")
+
+
+NUMPY_PROBE = """
+import importlib, sys
+for name in {modules!r}:
+    importlib.import_module("residuum." + name)
+assert "numpy" not in sys.modules, "importing the package loaded numpy"
+from fractions import Fraction
+from residuum.polynomials import MultiPoly
+from residuum.scalars import GaussianRational
+z1, z2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+p = z1 * z1 * z2 * GaussianRational(1, 2) - MultiPoly.const(2, Fraction(3, 2))
+v = p.eval_numeric([[1 + 1j, 2], [0, 3]])   # (1 + 2i) (2i) 2 - 3/2 and -3/2
+assert "numpy" in sys.modules
+assert v.tolist() == [-9.5 + 4j, -1.5 + 0j], v
+print("ok")
+"""
+
+
+def test_exact_layer_loads_numpy_on_first_numeric_call():
+    modules = _program_modules()
+    assert {"polynomials", "ratfn", "forms", "dim1"} <= set(modules)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(modules=modules)],
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
