@@ -5,11 +5,17 @@ table they assemble into.
 Everything here is exact.  The distinguished variable is written `var`
 (0-based); factors must be squarefree and pairwise coprime in it, with
 leading coefficients that do not vanish at the origin.
+
+Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
+and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Only
+`TransverseOperator.apply_ratfn` applies them.  On the test side, as
+`OperatorEntry.op` and `SDescriptor.delta`, D_s is ((a, c_a), ...) with
+c_a = beta_a^(s)/w^(2s-1), ((0, 1),) at s = 0: eta -> sum_a c_a d^a eta/dz_var^a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -22,7 +28,6 @@ from .errors import (
     ZeroInputError,
 )
 from .polynomials import MultiPoly, discriminant, resultant
-from .scalars import GaussianRational
 from .ratfn import RatFn, uni_divmod, uni_mod_inverse
 
 
@@ -30,7 +35,6 @@ from .ratfn import RatFn, uni_divmod, uni_mod_inverse
 class Factor:
     rho: MultiPoly
     multiplicity: int
-    leading: MultiPoly  # leading coefficient of rho in the distinguished variable
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,11 @@ class FactoredDenominator:
 
 def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> FactoredDenominator:
     """Validate a factor list in the distinguished variable and compute the
-    discriminant of the reduced product."""
+    discriminant of the reduced product, prod_k disc(rho_k) prod_(i<k) res(rho_i, rho_k)^2."""
     if not factors:
         raise ZeroInputError("empty factor list")
     checked: List[Factor] = []
+    disc_b = MultiPoly.const(factors[0][0].nvars, 1)
     for i, (rho, mult) in enumerate(factors):
         if rho.is_zero():
             raise ZeroInputError(f"factor {i} is zero")
@@ -64,8 +69,7 @@ def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> Facto
         if rho.degree_in(var) < 1:
             raise FactorFreeOfVariable(
                 f"factor {i} has degree 0 in variable {var + 1}")
-        lead = rho.leading_coefficient_in(var)
-        if lead.eval_exact([0] * rho.nvars).is_zero():
+        if rho.leading_coefficient_in(var).eval_exact([0] * rho.nvars).is_zero():
             raise LeadingCoefficientVanishesAtOrigin(
                 f"leading coefficient of factor {i} vanishes at the origin")
         if rho.degree_in(var) > 1:
@@ -73,22 +77,15 @@ def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> Facto
             if disc.is_zero():
                 raise NonSquarefreeFactor(
                     f"factor {i} is not squarefree in variable {var + 1}")
-        checked.append(Factor(rho, int(mult), lead))
+            disc_b = disc_b * disc
+        checked.append(Factor(rho, int(mult)))
     for i in range(len(checked)):
         for k in range(i + 1, len(checked)):
             res = resultant(checked[i].rho, checked[k].rho, var)
             if res.is_zero():
                 raise CoprimalityViolation(
                     f"factors {i} and {k} share a root sheet in variable {var + 1}")
-    prod = MultiPoly.const(checked[0].rho.nvars, 1)
-    for f in checked:
-        prod = prod * f.rho
-    if prod.degree_in(var) > 1:
-        disc_b = discriminant(prod, var)
-    else:
-        disc_b = MultiPoly.const(prod.nvars, 1)
-    if disc_b.is_zero():
-        raise NonSquarefreeFactor("reduced product has vanishing discriminant")
+            disc_b = disc_b * res * res
     return FactoredDenominator(var, tuple(checked), disc_b)
 
 
@@ -195,19 +192,24 @@ def check_simple_pole_holomorphy(pfd: PartialFractionDecomp,
 
 
 # ---------------------------------------------------------------------------
-# transverse derivatives:  d^s/drho^s = w^-(2s-1) * sum_a beta_a^s d^a/dz_var^a
+# transverse derivatives:  D_0 = 1,  D_s = w^-(2s-1) * sum_a beta_a^s d^a/dz_var^a
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TransverseOperator:
+    """D_s: the identity at s = 0, else w^-(2s-1) sum_a beta_a d^a/dz_var^a.
+    `test_side` is ((a, c_a), ...), c_a = beta_a/w^(2s-1), or ((0, 1),) at
+    s = 0, acting as eta -> sum_a c_a d^a eta/dz_var^a."""
+
     var: int
     order: int
     betas: Tuple[RatFn, ...]  # betas[a-1] multiplies d^a/dz_var^a
+    test_side: Tuple[Tuple[int, RatFn], ...]
 
     def apply_ratfn(self, h: RatFn, w: RatFn) -> RatFn:
-        """d^order h / drho^order as a rational function (w = drho/dz_var)."""
+        """D_order h as a rational function (w = drho/dz_var)."""
         if self.order == 0:
-            return h / w
+            return h
         acc = RatFn.zero(h.nvars)
         d = h
         for a in range(1, self.order + 1):
@@ -230,7 +232,7 @@ def transverse_operator(rho: MultiPoly, var: int, order: int) -> TransverseOpera
     if w.is_zero():
         raise FactorFreeOfVariable("factor free of the distinguished variable")
     if order == 0:
-        return TransverseOperator(var, 0, ())
+        return TransverseOperator(var, 0, (), ((0, RatFn.one(rho.nvars)),))
     wp = w.partial(var)
     betas: List[MultiPoly] = [MultiPoly.const(rho.nvars, 1)]  # s = 1: beta_1 = 1
     for s in range(1, order):
@@ -241,7 +243,10 @@ def transverse_operator(rho: MultiPoly, var: int, order: int) -> TransverseOpera
             term = w * cur.partial(var) - (2 * s - 1) * wp * cur + w * below
             nxt.append(term)
         betas = nxt
-    return TransverseOperator(var, order, tuple(RatFn(b) for b in betas))
+    betas_r = tuple(RatFn(b) for b in betas)
+    scale = RatFn(w) ** (2 * order - 1)
+    return TransverseOperator(var, order, betas_r,
+                              tuple((a, b / scale) for a, b in enumerate(betas_r, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +255,17 @@ def transverse_operator(rho: MultiPoly, var: int, order: int) -> TransverseOpera
 
 @dataclass(frozen=True)
 class OperatorEntry:
-    """One (k, mu, l) cell: the meromorphic weight g and the signed operator.
-
-    `op` lists (a, (-1)^a * beta_a^(mu-1-l)) exactly as displayed in the
-    source formulas; an empty list is the identity operator.  Evaluators must
-    undo the (-1)^a when acting on the test side (the displayed sign encodes
-    the current-side adjoint).
-    """
+    """One (k, mu, l) cell: the weight g and `op`, the test-side form of
+    D_(mu-1-l), acting as eta -> sum_a c_a d^a eta/dz_var^a; D_0 is ((0, 1),)."""
 
     g: RatFn
     op: Tuple[Tuple[int, RatFn], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidueOperatorData:
     var: int
-    fd: FactoredDenominator
-    pfd: PartialFractionDecomp
-    entries: Dict[Tuple[int, int, int], OperatorEntry] = field(default_factory=dict)
-    transverse: Dict[Tuple[int, int], TransverseOperator] = field(default_factory=dict)
+    entries: Dict[Tuple[int, int, int], OperatorEntry]
 
     def entry(self, k: int, mu: int, l: int) -> OperatorEntry:
         return self.entries[(k, mu, l)]
@@ -276,37 +273,21 @@ class ResidueOperatorData:
 
 def residue_operator_data(pfd: PartialFractionDecomp,
                           fd: FactoredDenominator) -> ResidueOperatorData:
-    """Assemble the full (k, mu, l) table for one distinguished variable."""
+    """Assemble the full (k, mu, l) table for one distinguished variable:
+    with c = c_(k, mu), g = D_l(c/w) at l = mu - 1, else
+    C(mu-1, l) D_l(c/w) / w^(2(mu-l)-3), and op is D_(mu-1-l)."""
     if pfd.var != fd.var:
         raise ValueError("partial fractions and denominator use different variables")
     var = fd.var
-    rod = ResidueOperatorData(var, fd, pfd)
+    entries: Dict[Tuple[int, int, int], OperatorEntry] = {}
     for k, f in enumerate(fd.factors):
         w = RatFn(f.rho.partial(var))
-        ops: Dict[int, TransverseOperator] = {}
-        for s in range(0, f.multiplicity):
-            ops[s] = transverse_operator(f.rho, var, s)
-            rod.transverse[(k, s)] = ops[s]
+        ops = [transverse_operator(f.rho, var, s) for s in range(f.multiplicity)]
         for mu in range(1, f.multiplicity + 1):
-            c = pfd.coefficient(k, mu)
-            target = c / w
-            for l in range(0, mu):
-                # D_l(c/w): D_0 multiplies by w^-1; for l >= 1 strip the
-                # w^-(2l-1) that apply_ratfn includes.
-                if l == 0:
-                    d_l = target / w
-                else:
-                    d_l = ops[l].apply_ratfn(target, w) * w ** (2 * l - 1)
-                if l == mu - 1:
-                    g = d_l * w if mu == 1 else d_l / w ** (2 * mu - 3)
-                else:
-                    g = d_l * comb(mu - 1, l) / w ** (2 * mu - 4)
-                s = mu - 1 - l
-                entry_ops: List[Tuple[int, RatFn]] = []
-                if s >= 1:
-                    tr = ops[s]
-                    for a in range(1, s + 1):
-                        sign = GaussianRational(-1 if a % 2 else 1)
-                        entry_ops.append((a, tr.betas[a - 1] * sign))
-                rod.entries[(k, mu, l)] = OperatorEntry(g, tuple(entry_ops))
-    return rod
+            target = pfd.coefficient(k, mu) / w
+            for l in range(mu):
+                g = ops[l].apply_ratfn(target, w)
+                if l < mu - 1:
+                    g = g * comb(mu - 1, l) / w ** (2 * (mu - l) - 3)
+                entries[(k, mu, l)] = OperatorEntry(g, ops[mu - 1 - l].test_side)
+    return ResidueOperatorData(var, entries)

@@ -28,7 +28,7 @@ from .quadrature import (
     radial_panels,
     richardson,
 )
-from .ratfn import RatFn
+from .ratfn import RatFn, uni_divmod
 from .scalars import GaussianRational, TaggedScalar
 
 
@@ -42,13 +42,12 @@ class LaurentPart:
         return len(self.coeffs)
 
     def as_ratfn(self) -> RatFn:
-        z = MultiPoly.variable(1, 0)
-        lin = z - MultiPoly.const(1, self.pole)
-        out = RatFn.zero(1)
-        for l, a in enumerate(self.coeffs, start=1):
-            if not a.is_zero():
-                out = out + RatFn(MultiPoly.const(1, a), lin ** l)
-        return out
+        """sum_l a_{-l} (z-p)^(k-l) over (z-p)^k, k the multiplicity."""
+        lin = MultiPoly.variable(1, 0) - MultiPoly.const(1, self.pole)
+        num = MultiPoly.zero(1)
+        for a in self.coeffs:  # Horner in (z - p)
+            num = num * lin + MultiPoly.const(1, a)
+        return RatFn(num, lin ** self.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -239,9 +238,10 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     center = complex(b.center[0])
     parts = laurent_parts(g)
     principal = [(complex(part.pole), part.as_ratfn()) for part in parts]
-    regular = g
-    for _, h in principal:
-        regular = regular - h
+    # g less its principal parts is its polynomial part, the quotient of num
+    # by den; den is monic, so the pseudo-division multiplies num by 1
+    _, quotient, _ = uni_divmod(g.num, g.den, 0)
+    regular = RatFn.from_any(quotient, 1)
 
     e_i = circle_nodes(cfg.n_theta)
     dtheta = 2.0 * np.pi / cfg.n_theta

@@ -277,13 +277,15 @@ def check_closed(omega: MeroForm) -> Tuple[bool, MeroForm]:
 
 @dataclass
 class SDescriptor:
+    """gamma on Y paired with D_l; `delta` is D_l's test-side form, acting as
+    eta -> sum_a c_a d^a eta/dz_var^a: ((0, 1),) at l = 0, else c_a = beta_a/w^(2l-1)."""
+
     var: int
     component: int
     mu: int                       # the R-term order nu
     l: int                        # test-side transverse order
     gamma: HypersurfaceForm
-    delta: Tuple[Tuple[int, RatFn], ...]  # (alpha, coefficient) acting as
-    #                                        eta -> sum coeff_alpha d^alpha eta
+    delta: Tuple[Tuple[int, RatFn], ...]
 
 
 @dataclass
@@ -341,25 +343,20 @@ def reduced_residue(omega: MeroForm,
             a_rest = HypersurfaceForm(k, factor.rho, var, ld.a).normalize()
             components.append((k, a_rest))
             w = RatFn(factor.rho.partial(var))
+            ops = [transverse_operator(factor.rho, var, s)
+                   for s in range(max(ld.r_terms, default=0))]
             for nu, e_nu in sorted(ld.r_terms.items()):
                 if e_nu.is_zero():
                     continue
                 for l in range(0, nu):
-                    s_gamma = nu - 1 - l
                     coeff = GaussianRational(comb(nu - 1, l)) \
                         / GaussianRational(factorial(nu - 1))
-                    op_gamma = transverse_operator(factor.rho, var, s_gamma)
+                    op_gamma = ops[nu - 1 - l]
                     gamma_rep = e_nu.map_coeffs(
                         lambda f: op_gamma.apply_ratfn(f / w, w) * coeff * sign_p)
                     gamma = HypersurfaceForm(k, factor.rho, var, gamma_rep).normalize()
-                    if l == 0:
-                        delta = ((0, RatFn.one(omega.nvars)),)
-                    else:
-                        op_eta = transverse_operator(factor.rho, var, l)
-                        delta = tuple(
-                            (a, op_eta.betas[a - 1] / w ** (2 * l - 1))
-                            for a in range(1, l + 1))
-                    descriptors.append(SDescriptor(var, k, nu, l, gamma, delta))
+                    descriptors.append(
+                        SDescriptor(var, k, nu, l, gamma, ops[l].test_side))
     return ReducedResidue(p, components, descriptors, dict(charts), leray)
 
 

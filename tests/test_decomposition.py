@@ -22,7 +22,7 @@ from residuum.errors import (
     MultiplePole,
     NonSquarefreeFactor,
 )
-from residuum.polynomials import MultiPoly, divides, gcd
+from residuum.polynomials import MultiPoly, discriminant, divides, gcd
 from residuum.ratfn import RatFn
 from residuum.scalars import GaussianRational
 
@@ -41,6 +41,9 @@ CORPUS = {
     # leading coefficients in both charts are not constant
     "skew_sq": [((ONE + Z2) * Z1 * Z1 - Z2, 2), ((2 * ONE - Z2) * Z1 + Z2 + ONE, 1)],
 }
+# every (input, distinguished variable) for which the corpus has a chart
+CORPUS_CHARTS = [(name, var) for var in (0, 1) for name in sorted(CORPUS)
+                 if (name, var) != ("two_lines", 1)]
 
 
 class TestPrepareDenominator:
@@ -52,6 +55,16 @@ class TestPrepareDenominator:
         fd = prepare_denominator([(Z1, 1), (Z1 - Z2, 1)], 0)
         # root-difference product (0 - z2)^2
         assert fd.discriminant_b == Z2 * Z2
+
+    @pytest.mark.parametrize("name,var", CORPUS_CHARTS)
+    def test_discriminant_b_is_discriminant_of_product(self, name, var):
+        # reference: the discriminant of the reduced product, from its own
+        # Sylvester matrix
+        fd = prepare_denominator(CORPUS[name], var)
+        reduced = ONE
+        for f in fd.factors:
+            reduced = reduced * f.rho
+        assert fd.discriminant_b == discriminant(reduced, var)
 
     def test_duplicate_factor_rejected(self):
         with pytest.raises(CoprimalityViolation):
@@ -217,6 +230,13 @@ def fiber_derivative_oracle(h_eval, rho, var, z0, s, r=5e-2, levels=4):
 
 
 class TestTransverseOperator:
+    def test_order_zero_is_identity(self):
+        op = transverse_operator(PARABOLA, 0, 0)
+        w = RatFn(PARABOLA.partial(0))
+        h = RatFn(Z1 ** 3 + Z2, Z1 - 2 * Z2 + ONE)
+        assert op.apply_ratfn(h, w) == h
+        assert op.test_side == ((0, RatFn.one(2)),)
+
     def test_order_one_is_plain_derivative(self):
         op = transverse_operator(PARABOLA, 0, 1)
         assert op.betas == (RatFn.one(2),)
@@ -253,20 +273,19 @@ class TestTransverseOperator:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_identity_on_bump_data(self, s):
-        # w^-(2s-1) * sum beta_a d^a h  vs  Fourier-extraction oracle
+        # the stored test-side form, sum_a c_a d^a h, vs Fourier-extraction oracle
         rng = np.random.default_rng(42 + s)
         poly = embed_holomorphic(Z1 * Z1 * Z1 + 2 * Z2) + MultiPoly.variable(4, 3) ** 2
         h = BumpFunction.from_poly(2, Fraction(4), poly)
         op = transverse_operator(PARABOLA, 0, s)
         w = PARABOLA.partial(0)
+        derivs = [h]
+        for _ in range(s):
+            derivs.append(derivs[-1].dz(0))
 
         def lhs(z):
-            acc = 0j
-            d = h
-            for a in range(1, s + 1):
-                d = d.dz(0)
-                acc += complex(op.betas[a - 1].eval_numeric(z)) * complex(d.eval_numeric(z))
-            return acc / complex(w.eval_numeric(z)) ** (2 * s - 1)
+            return sum(complex(c.eval_numeric(z)) * complex(derivs[a].eval_numeric(z))
+                       for a, c in op.test_side)
 
         checked = 0
         for _ in range(40):
@@ -284,6 +303,9 @@ class TestTransverseOperator:
         assert checked >= 10
 
 
+IDENTITY = ((0, RatFn.one(2)),)
+
+
 class TestResidueOperatorTable:
     def test_simple_pole_reduction(self):
         fd = prepare_denominator(CORPUS["parabola"], 0)
@@ -291,13 +313,16 @@ class TestResidueOperatorTable:
         entry = rod.entry(0, 1, 0)
         w = RatFn(PARABOLA.partial(0))
         assert entry.g == RatFn.one(2) / w
-        assert entry.op == ()  # identity
+        assert entry.op == IDENTITY
 
     def test_double_pole_keys(self):
         fd = prepare_denominator(CORPUS["parabola_sq"], 0)
         rod = residue_operator_data(partial_fractions(fd), fd)
         assert set(rod.entries) == {(0, 1, 0), (0, 2, 0), (0, 2, 1)}
-        assert rod.entry(0, 2, 1).op == ()  # identity at l = mu-1
+        assert rod.entry(0, 2, 1).op == IDENTITY  # D_0 at l = mu-1
+        # D_1 = w^-1 beta_1 d, beta_1 = 1
+        w = RatFn(PARABOLA.partial(0))
+        assert rod.entry(0, 2, 0).op == ((1, RatFn.one(2) / w),)
 
     def test_double_pole_weights(self):
         fd = prepare_denominator(CORPUS["parabola_sq"], 0)
@@ -319,8 +344,11 @@ class TestResidueOperatorTable:
     def test_signed_operator_coefficients(self):
         fd = prepare_denominator([(PARABOLA, 3)], 0)
         rod = residue_operator_data(partial_fractions(fd), fd)
-        # mu=3, l=0: s=2: signed betas (-1)^1 beta_1^2, (-1)^2 beta_2^2
-        w = PARABOLA.partial(0)
-        ops = dict(rod.entry(0, 3, 0).op)
-        assert ops[1] == RatFn(w.partial(0))      # -(-w') = w'
-        assert ops[2] == RatFn(w)
+        # mu=3, l=0: s=2.  The recursion from beta^(1) = (1,) gives
+        # beta^(2) = (w * 0 - 1 * w' * 1, w * 1) = (-w', w), so D_2 is
+        # w^-3 (-w' d + w d^2)
+        w = RatFn(PARABOLA.partial(0))
+        wp = w.partial(0)
+        assert rod.entry(0, 3, 0).op == ((1, -wp / w ** 3), (2, RatFn.one(2) / w ** 2))
+        assert rod.entry(0, 3, 1).op == ((1, RatFn.one(2) / w),)
+        assert rod.entry(0, 3, 2).op == IDENTITY

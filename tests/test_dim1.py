@@ -170,26 +170,42 @@ class TestRichardsonResidual:
                 assert err <= max(res.residual, cfg.abs_tol)
 
 
+def vp_by_dblquad(g, chi) -> complex:
+    """int g(z) chi dz ^ dzbar over the square |x|, |y| <= 1 by scipy's adaptive
+    dblquad, with dz ^ dzbar = -2i dA; the integrand must be bounded."""
+    from scipy.integrate import dblquad
+
+    def integrand(y, x, piece):
+        z = complex(x, y)
+        if z == 0:
+            return 0.0
+        val = g(z) * complex(chi.eval_numeric(np.array([z]))) * (-2j)
+        return val.real if piece == "re" else val.imag
+
+    re, _ = dblquad(integrand, -1, 1, -1, 1, args=("re",), epsabs=1e-9)
+    im, _ = dblquad(integrand, -1, 1, -1, 1, args=("im",), epsabs=1e-9)
+    return complex(re, im)
+
+
+# zbar * bump dzbar: bounded against 1/z, and not d-bar exact
+ZBAR_CHI = bump_poly(((0, 1), 1, 0), ((1, 1), Fraction(1, 5), 0))
+
+
 class TestVp:
     def test_against_adaptive_2d_quadrature(self):
         # g = 1/z, psi = zbar * bump dzbar: the integrand (zbar/z) chi is bounded
-        from scipy.integrate import dblquad
+        psi = TestForm(1, (0, 1), {((), (0,)): ZBAR_CHI})
+        got = vp_1d(RatFn(ONE, Z), psi).value
+        want = vp_by_dblquad(lambda z: 1.0 / z, ZBAR_CHI)
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
-        chi = bump_poly(((0, 1), 1, 0), ((1, 1), Fraction(1, 5), 0))
-        psi = TestForm(1, (0, 1), {((), (0,)): chi})
-        g = RatFn(ONE, Z)
-        got = vp_1d(g, psi).value
-
-        def integrand(y, x, piece):
-            z = complex(x, y)
-            if z == 0:
-                return 0.0
-            val = (1.0 / z) * complex(chi.eval_numeric(np.array([z]))) * (-2j)
-            return val.real if piece == "re" else val.imag
-
-        re, _ = dblquad(integrand, -1, 1, -1, 1, args=("re",), epsabs=1e-9)
-        im, _ = dblquad(integrand, -1, 1, -1, 1, args=("im",), epsabs=1e-9)
-        assert got == pytest.approx(complex(re, im), rel=1e-6, abs=1e-8)
+    def test_polynomial_part_against_adaptive_2d_quadrature(self):
+        # g = z + 1/z: psi is not d-bar exact, so the polynomial part z
+        # contributes to the integral
+        psi = TestForm(1, (0, 1), {((), (0,)): ZBAR_CHI})
+        got = vp_1d(RatFn(Z * Z + ONE, Z), psi).value
+        want = vp_by_dblquad(lambda z: z + 1.0 / z, ZBAR_CHI)
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
     def test_holomorphic_table_constant(self):
         chi = bump_poly(((0, 1), 1, 0))
