@@ -146,10 +146,12 @@ class BumpFunction:
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at complex points, shape (..., nvars) -> (...).
 
-        Each term's polynomial is evaluated by Horner's rule in z_1, ..., z_n,
-        zbar_1, ..., zbar_n, variable z_1 outermost (`polynomials._horner`),
-        on the columns of the points and their conjugates; log(1 - t) is
-        taken once for all terms.
+        Points outside the support (t >= 1) are not evaluated: their value
+        is written as 0.  On the points inside it, each term's polynomial is
+        evaluated by Horner's rule in z_1, ..., z_n, zbar_1, ..., zbar_n,
+        variable z_1 outermost (`polynomials._horner`), on the columns of the
+        points and their conjugates; log(1 - t) is taken once for all terms.
+        A point's value does not depend on the other points passed with it.
         """
         import numpy as np
 
@@ -159,20 +161,27 @@ class BumpFunction:
                 pts = pts[..., np.newaxis]
             else:
                 raise ValueError("point dimension mismatch")
-        zs = [pts[..., i] for i in range(self.nvars)]
-        cols = zs + [np.conj(z) for z in zs]
+        shape = pts.shape[:-1]
+        pts = pts.reshape(-1, self.nvars)
         ctr = np.array([complex(c) for c in self.center])
         rel = pts - ctr
         t = np.sum((rel * np.conj(rel)).real, axis=-1) / float(self.radius) ** 2
         del rel  # a full-grid array: free it before the terms' arrays are built
         inside = t < 1.0
-        u = np.where(inside, 1.0 - t, 1.0)  # u > 0; masked out anyway when outside
+        out = np.zeros(t.shape, dtype=complex)
+        if not inside.any():
+            return out.reshape(shape)
+        pts = pts[inside]
+        u = 1.0 - t[inside]
+        zs = [pts[:, i] for i in range(self.nvars)]
+        cols = zs + [np.conj(z) for z in zs]
         log_u = np.log(u)
-        acc = np.zeros(t.shape, dtype=complex)
+        acc = 0j
         for p, m, c in self.terms:
             damp = np.exp(-c / u - m * log_u) if m else np.exp(-c / u)
             acc = acc + _horner_numeric(p, cols) * damp
-        return np.where(inside, acc, 0.0)
+        out[inside] = acc
+        return out.reshape(shape)
 
     def translate(self, shift: Tuple[GaussianRational, ...]) -> "BumpFunction":
         """The function z -> value(z - shift): center moves, polynomial shifts."""

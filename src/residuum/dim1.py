@@ -25,6 +25,7 @@ from .quadrature import (
     LimitResult,
     QuadratureConfig,
     circle_nodes,
+    gauss_panel,
     radial_panels,
     richardson,
 )
@@ -220,9 +221,30 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
 def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> LimitResult:
     """Principal value lim_eps int_{|z - pole| >= eps} g dz ^ psi.
 
-    psi is a (0,1) test form psi_0 dzbar; the integral excludes symmetric
+    psi is a (0,1) test form b dzbar; the integral excludes symmetric
     eps-disks around every pole (equivalent to the |f| >= eps family in the
-    limit).  The exact Laurent split localizes each singular piece.
+    limit).  The exact Laurent split g = regular + sum of principal parts h
+    localizes each singular piece, and each region gets the nodes its
+    integrand needs, in polar coordinates (radial Gauss-Legendre panels
+    times the angular trapezoid):
+
+    * regular * b over the support disk, no exclusion.  The disk is
+      concentric with b, whose cutoff is constant on each circle about the
+      centre, so on such a circle the integrand is a trigonometric
+      polynomial in the angle with frequencies from -K to J, where
+      J = deg(regular) + max deg_z P and K = max deg_zbar P over the terms P
+      of b.  The trapezoid rule with N = max(J, K) + 1 nodes is exact for
+      it; the radial panels are `radial_panels`, refined toward the edge.
+    * h * b between eps_{m+1} and eps_m about each pole.  Where the annulus
+      lies inside the support, the integrand is analytic in the radius on
+      it (the pole is outside the annulus, the cutoff's edge too), so one
+      `gauss_panel` is spectrally accurate; an annulus that reaches the
+      support's edge keeps `radial_panels`, as does each pole's outer
+      region from eps_0 to past the support.  The angle takes
+      `cfg.n_theta` nodes: the cutoff is not concentric with the pole.
+
+    The outer regions are fixed and the thin annuli nest, so the eps-table
+    differences carry no re-meshing noise and stay analytic in eps^2.
     """
     import numpy as np
 
@@ -232,7 +254,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     if psi.nvars != 1 or psi.bidegree != (0, 1):
         raise ValueError("psi must be a (0,1) test form in one variable")
     b = psi.coeffs.get(((), (0,)))
-    if b is None:
+    if b is None or b.is_zero():
         return LimitResult(0j, [(0.0, 0j)], 0.0, True, note="zero test form")
     support = float(b.radius)
     center = complex(b.center[0])
@@ -241,50 +263,45 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     # g less its principal parts is its polynomial part, the quotient of num
     # by den; den is monic, so the pseudo-division multiplies num by 1
     _, quotient, _ = uni_divmod(g.num, g.den, 0)
-    regular = RatFn.from_any(quotient, 1)
+    order = cfg.radial_panels_order
 
-    e_i = circle_nodes(cfg.n_theta)
-    dtheta = 2.0 * np.pi / cfg.n_theta
+    def polar_integral(fn, origin, rs, ws, n_theta):
+        # integral of fn * b * (-2i) dA over the polar grid about origin:
+        # sum of w_r * r * dtheta
+        zs = (origin + rs[:, None] * circle_nodes(n_theta)[None, :])[..., None]
+        vals = fn.eval_numeric(zs) * b.eval_numeric(zs)
+        return complex(np.sum(vals * (-2j) * rs[:, None] * ws[:, None])
+                       * (2.0 * np.pi / n_theta))
 
-    def disk_integral(fn_vals, rs, ws):
-        # integral of fn * (-2i) over the polar portion: sum w_r * r * dtheta
-        return complex(np.sum(fn_vals * (-2j) * rs[:, None] * ws[:, None]) * dtheta)
-
-    # smooth part: plain polar integral over the support disk, no exclusion
-    rs, ws = radial_panels(1e-12 * support, support, cfg.radial_panels_order)
-    zs = center + rs[:, None] * e_i[None, :]
-    smooth_vals = regular.eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
-    smooth = disk_integral(smooth_vals, rs, ws)
-
-    eps0 = support / 8.0
-    if parts:
-        min_sep = min(
-            [abs(complex(p.pole) - complex(q.pole))
-             for p in parts for q in parts if p.pole != q.pole] or [support])
-        eps0 = min(eps0, 0.25 * min_sep)
+    smooth = 0j
+    if not quotient.is_zero():
+        freq_j = quotient.degree_in(0) + max(p.degree_in(0) for p, _, _ in b.terms)
+        freq_k = max(p.degree_in(1) for p, _, _ in b.terms)
+        rs, ws = radial_panels(1e-12 * support, support, order)
+        smooth = polar_integral(RatFn.from_any(quotient, 1), center, rs, ws,
+                                max(freq_j, freq_k) + 1)
     if not parts:
         return LimitResult(smooth, [(0.0, smooth)], 0.0, True, note="no poles")
 
-    def annulus(pole, h, a, out):
-        # polar integral of the principal part h over a <= |z - pole| <= out
-        rs, ws = radial_panels(a, out, cfg.radial_panels_order)
+    min_sep = min([abs(complex(p.pole) - complex(q.pole))
+                   for p in parts for q in parts if p.pole != q.pole] or [support])
+    eps0 = min(support / 8.0, 0.25 * min_sep)
+
+    def annulus(pole, h, a, out, analytic):
+        # polar integral of h * b over a <= |z - pole| <= out
+        rs, ws = gauss_panel(a, out, order) if analytic else radial_panels(a, out, order)
         if rs.size == 0:
             return 0j
-        zs = pole + rs[:, None] * e_i[None, :]
-        vals = h.eval_numeric(zs[..., None]) * b.eval_numeric(zs[..., None])
-        return disk_integral(vals, rs, ws)
+        return polar_integral(h, pole, rs, ws, cfg.n_theta)
 
-    # nested decomposition: one fixed outer region per pole plus the thin
-    # annuli between consecutive eps levels, so that the eps-table differences
-    # carry no re-meshing noise and stay analytic in eps^2
     eps_list = cfg.eps_schedule(eps0)
     totals = smooth
     for pole, h in principal:
-        totals += annulus(pole, h, eps_list[0], abs(pole - center) + support)
+        totals += annulus(pole, h, eps_list[0], abs(pole - center) + support, False)
     values = [totals]
     for a, b_prev in zip(eps_list[1:], eps_list[:-1]):
         for pole, h in principal:
-            totals += annulus(pole, h, a, b_prev)
+            totals += annulus(pole, h, a, b_prev, abs(pole - center) + b_prev < support)
         values.append(totals)
     table = list(zip(eps_list, values))
     value, residual = richardson(values)

@@ -241,14 +241,20 @@ class MultiPoly:
         return self.coeffs_in_var(var).get(d, MultiPoly.zero(self.nvars))
 
     def shift_var(self, var: int, a: GaussianRational) -> "MultiPoly":
-        """Substitute z_var -> z_var + a."""
+        """Substitute z_var -> z_var + a, by Horner's rule in z_var:
+        out = out * (z_var + a) + c_k from the top degree k down."""
         a = GaussianRational.from_any(a)
-        if a.is_zero():
+        if a.is_zero() or not self.terms:
             return self
-        out = MultiPoly.zero(self.nvars)
         zv = MultiPoly.variable(self.nvars, var) + MultiPoly.const(self.nvars, a)
-        for k, coeff in self.coeffs_in_var(var).items():
-            out = out + coeff * (zv ** k)
+        coeffs = self.coeffs_in_var(var)
+        top = max(coeffs)
+        out = coeffs[top]
+        for k in range(top - 1, -1, -1):
+            out = out * zv
+            c = coeffs.get(k)
+            if c is not None:
+                out = out + c
         return out
 
     def __eq__(self, other):

@@ -68,10 +68,23 @@ def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def gauss_panel(a: float, b: float, order: int):
+    """Gauss-Legendre nodes and weights of one panel [a, b]; exact for
+    polynomials of degree < 2 * order, and spectrally accurate for an
+    integrand analytic near the panel."""
+    x, w = _gauss_legendre(order)
+    s = 0.5 * (b - a)
+    return 0.5 * (a + b) + s * x, w * s
+
+
 def radial_panels(eps: float, outer: float, order: int):
     """Panels on [eps, outer]: widths double away from eps and halve again,
-    eight times, toward the outer edge (cutoff factors are C-infinity but not
-    analytic there, so wide end panels lose Gauss-Legendre accuracy).
+    eight times, toward the outer edge.
+
+    The end refinement is only for an integrand that is C-infinity but not
+    analytic at `outer`, such as a cutoff whose support ends there: one wide
+    end panel would lose Gauss-Legendre accuracy.  An interval on which the
+    integrand is analytic needs no refinement and takes one `gauss_panel`.
 
     Returns (radii, weights) flattened over panels.
     """
@@ -79,7 +92,6 @@ def radial_panels(eps: float, outer: float, order: int):
 
     if eps >= outer:
         return np.array([]), np.array([])
-    x, w = _gauss_legendre(order)
     mid = 0.5 * (eps + outer)
     left = [eps]
     while left[-1] * 2.0 < mid:
@@ -88,11 +100,7 @@ def radial_panels(eps: float, outer: float, order: int):
     right = [outer - (outer - anchor) * 0.5 ** k for k in range(1, 9)
              if outer - (outer - anchor) * 0.5 ** k > anchor]
     edges = sorted(set(left) | set(right) | {outer})
-    rs, ws = [], []
-    for a, b in zip(edges, edges[1:]):
-        s = 0.5 * (b - a)
-        rs.append(0.5 * (a + b) + s * x)
-        ws.append(w * s)
+    rs, ws = zip(*(gauss_panel(a, b, order) for a, b in zip(edges, edges[1:])))
     return np.concatenate(rs), np.concatenate(ws)
 
 

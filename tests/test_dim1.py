@@ -19,8 +19,8 @@ from residuum.dim1 import (
 from residuum.errors import IrrationalPole
 from residuum.forms import TestForm
 from residuum.polynomials import MultiPoly
-from residuum.quadrature import QuadratureConfig
-from residuum.ratfn import RatFn
+from residuum.quadrature import QuadratureConfig, circle_nodes, radial_panels, richardson
+from residuum.ratfn import RatFn, uni_divmod
 from residuum.scalars import GaussianRational
 
 Z = MultiPoly.variable(1, 0)
@@ -191,6 +191,36 @@ def vp_by_dblquad(g, chi) -> complex:
 ZBAR_CHI = bump_poly(((0, 1), 1, 0), ((1, 1), Fraction(1, 5), 0))
 
 
+def vp_uniform_layout(g, psi, cfg=QuadratureConfig()) -> complex:
+    """vp_1d on the uniform node layout: cfg.n_theta angular nodes on the
+    smooth disk as well, and `radial_panels` on every annulus."""
+    b = psi.coeffs[((), (0,))]
+    support, center = float(b.radius), complex(b.center[0])
+    e_i = circle_nodes(cfg.n_theta)
+
+    def polar(fn, origin, a, out):
+        rs, ws = radial_panels(a, out, cfg.radial_panels_order)
+        if rs.size == 0:
+            return 0j
+        zs = (origin + rs[:, None] * e_i[None, :])[..., None]
+        vals = fn.eval_numeric(zs) * b.eval_numeric(zs) * (-2j) * rs[:, None] * ws[:, None]
+        return complex(np.sum(vals) * (2.0 * np.pi / cfg.n_theta))
+
+    _, quotient, _ = uni_divmod(g.num, g.den, 0)
+    total = polar(RatFn.from_any(quotient, 1), center, 1e-12 * support, support)
+    parts = [(complex(p.pole), p.as_ratfn()) for p in laurent_parts(g)]
+    seps = [abs(p - q) for p, _ in parts for q, _ in parts if p != q]
+    eps = cfg.eps_schedule(min([support / 8.0] + [0.25 * s for s in seps]))
+    for pole, h in parts:
+        total += polar(h, pole, eps[0], abs(pole - center) + support)
+    values = [total]
+    for a, out in zip(eps[1:], eps):
+        for pole, h in parts:
+            total += polar(h, pole, a, out)
+        values.append(total)
+    return richardson(values)[0]
+
+
 class TestVp:
     def test_against_adaptive_2d_quadrature(self):
         # g = 1/z, psi = zbar * bump dzbar: the integrand (zbar/z) chi is bounded
@@ -252,3 +282,31 @@ class TestVp:
         both = vp_1d(g, psi1 + psi2).value
         assert both == pytest.approx(vp_1d(g, psi1).value + vp_1d(g, psi2).value,
                                      rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("g", [
+        RatFn(ONE, Z ** 5),
+        RatFn(Z + 3 * ONE, Z ** 2 * (Z - ONE)),
+        RatFn(Z * Z + ONE, Z),
+        RatFn(Z ** 3 + ONE, Z ** 4 * (Z - Fraction(1, 2) * ONE) ** 2),
+    ], ids=["z^-5", "two-poles", "z+1/z", "quartic-and-double"])
+    @pytest.mark.parametrize("psi", [
+        TestForm.function(GENERIC_BUMP).d_bar(),
+        TestForm.function(GENERIC_BUMP.translate(
+            (GaussianRational(Fraction(1, 2), Fraction(1, 3)),))).d_bar(),
+        TestForm(1, (0, 1), {((), (0,)): ZBAR_CHI}),
+    ], ids=["dbar-bump", "dbar-off-centre-bump", "zbar-chi"])
+    def test_node_layout_matches_uniform_layout(self, g, psi):
+        # the exact trapezoid on the smooth disk and one panel per thin
+        # annulus give the uniform layout's integral up to rounding
+        want = vp_uniform_layout(g, psi)
+        assert vp_1d(g, psi).value == pytest.approx(want, rel=1e-11)
+
+    def test_pole_near_support_edge_matches_uniform_layout(self):
+        # |pole| = 1.900..., and eps_m = 2^-m / 4: the thin annuli out to
+        # eps_0 and eps_1 reach the edge of the radius-2 support and keep
+        # `radial_panels`, the two finer ones lie inside and take one panel
+        pole = MultiPoly.const(1, GaussianRational(Fraction(-19, 10), Fraction(1, 50)))
+        g = RatFn(Z + ONE, Z - pole)
+        psi = TestForm.function(GENERIC_BUMP).d_bar()
+        want = vp_uniform_layout(g, psi)
+        assert vp_1d(g, psi).value == pytest.approx(want, rel=1e-11)

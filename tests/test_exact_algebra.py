@@ -894,6 +894,20 @@ class TestEvalExact:
         assert MultiPoly.zero(2).eval_exact([GaussianRational(1, 2), 3]) == 0
 
 
+class TestShiftVar:
+    @settings(max_examples=80, deadline=None)
+    @given(poly_and_points(gaussian_points, 2), gaussian_points, st.data())
+    def test_substitutes_and_inverts(self, case, a, data):
+        p, pts = case
+        v = data.draw(st.integers(0, p.nvars - 1))
+        shifted = p.shift_var(v, a)
+        for pt in pts:
+            moved = list(pt)
+            moved[v] = moved[v] + a
+            assert shifted.eval_exact(pt) == p.eval_exact(moved)
+        assert shifted.shift_var(v, -a) == p
+
+
 class TestEvalNumeric:
     @staticmethod
     def assert_close(got, want):

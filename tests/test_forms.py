@@ -212,6 +212,30 @@ class TestBump:
                     assert abs(value - complex(want)) <= 1e-12 * scale + 1e-300
             assert np.all(got[len(inside) + len(edge):] == 0)
 
+    @pytest.mark.parametrize("center", [GaussianRational(0),
+                                        GaussianRational(Fraction(1, 2), Fraction(1, 3))])
+    def test_grid_across_the_support_edge(self, center):
+        # a grid straddling the support circle: each point's value is the one
+        # it has on its own, and points outside the support read exactly 0
+        poly = MultiPoly(2, {(2, 1): GaussianRational(1, -2), (0, 2): GaussianRational(3),
+                             (1, 0): GaussianRational(0, 1)})
+        b = BumpFunction.from_poly(1, Fraction(3, 2), poly, center=(center,)).dzbar(0)
+        a = complex(center)
+        xs = np.linspace(-1.8, 1.8, 13)
+        grid = (a + xs[:, None] + 1j * xs[None, :])[..., None]
+        got = b.eval_numeric(grid)
+        assert got.shape == (13, 13)
+        outside = np.abs(grid[..., 0] - a) >= 1.5
+        assert outside.any() and not outside.all()
+        assert np.all(got[outside] == 0)
+        for z, value in zip(grid.reshape(-1), got.reshape(-1)):
+            assert complex(b.eval_numeric(np.array([z]))) == value
+        z = grid[6, 7, 0]
+        assert b.eval_numeric(z).shape == ()
+        assert b.eval_numeric(np.array([z])).shape == ()
+        assert b.eval_numeric(np.array([[z]])).shape == (1,)
+        assert complex(b.eval_numeric(z)) == got[6, 7]
+
 
 def mp_exact(g: GaussianRational):
     """g in the current mpmath precision."""
