@@ -169,8 +169,6 @@ class BumpFunction:
         del rel  # a full-grid array: free it before the terms' arrays are built
         inside = t < 1.0
         out = np.zeros(t.shape, dtype=complex)
-        if not inside.any():
-            return out.reshape(shape)
         pts = pts[inside]
         u = 1.0 - t[inside]
         zs = [pts[:, i] for i in range(self.nvars)]
