@@ -7,10 +7,15 @@ Everything here is exact.  The distinguished variable is written `var`
 leading coefficients that do not vanish at the origin.
 
 Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
-and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Only
-`TransverseOperator.apply_ratfn` applies them.  On the test side, as
-`OperatorEntry.op` and `SDescriptor.delta`, D_s is ((a, c_a), ...) with
-c_a = beta_a^(s)/w^(2s-1), ((0, 1),) at s = 0: eta -> sum_a c_a d^a eta/dz_var^a.
+and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  The operators
+of one factor come as a tower: `transverse_operator(rho, var, S)` returns
+(D_0, ..., D_S) from a single run of the beta recursion.  Only
+`transverse_derivatives` applies them: it differentiates h once per order,
+d^a h/dz_var^a for a <= S, and forms every D_s h from that one chain.  The
+residue-operator table here and `leray.reduced_residue` both build their
+operators this way.  On the test side, as `OperatorEntry.op` and
+`SDescriptor.delta`, D_s is ((a, c_a), ...) with c_a = beta_a^(s)/w^(2s-1),
+((0, 1),) at s = 0: eta -> sum_a c_a d^a eta/dz_var^a.
 """
 
 from __future__ import annotations
@@ -136,10 +141,12 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
     Times P*D, where D is the product of the distinct denominators of the
     nonzero c and pp, the identity is one between polynomials:
 
-        sum c.num * (D/c.den) * (P/rho_k^mu) + pp.num * (D/pp.den) * P == D.
+        sum_k S_k * prod_(i != k) rho_i^(m_i) + pp.num * (D/pp.den) * P == D,
+        S_k = sum_mu c.num * (D/c.den) * rho_k^(m_k - mu),   c = c_(k, mu).
 
-    Each quotient there is a product of the remaining factors, so the check
-    needs no gcd and no division.
+    S_k is formed by Horner's rule in rho_k, from mu = 1 up, and each
+    rho_i^(m_i) is built once.  Each quotient D/den is a product of the
+    remaining denominators, so the check needs no gcd and no division.
     """
     parts = [(c, k, mu) for k, mu, c in pfd.entries]
     parts.append((pfd.polynomial_part, None, 0))
@@ -148,17 +155,30 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
     for c, _, _ in parts:
         if c.den not in dens:
             dens.append(c.den)
-    total = MultiPoly.zero(fd.nvars)
+    zero = MultiPoly.zero(fd.nvars)
+    digits: Dict[Tuple[int | None, int], MultiPoly] = {}  # (k, mu) -> c.num * (D/c.den)
     for c, k, mu in parts:
+        if k is not None and not 1 <= mu <= fd.factors[k].multiplicity:
+            raise ArithmeticError(f"partial fraction entry {(k, mu)} out of range")
         term = c.num
         for den in dens:
             if den != c.den:
                 term = term * den
-        for i, f in enumerate(fd.factors):
-            exponent = f.multiplicity - mu if i == k else f.multiplicity
-            if exponent:
-                term = term * f.rho ** exponent
-        total = total + term
+        digits[(k, mu)] = digits.get((k, mu), zero) + term
+    powers = [f.rho ** f.multiplicity for f in fd.factors]
+    total = zero
+    for k, f in enumerate(fd.factors):
+        s = zero
+        for mu in range(1, f.multiplicity + 1):
+            s = s * f.rho + digits.get((k, mu), zero)
+        for i, p in enumerate(powers):
+            if i != k:
+                s = s * p
+        total = total + s
+    pp = digits.get((None, 0), zero)
+    for p in powers:
+        pp = pp * p
+    total = total + pp
     expect = MultiPoly.const(fd.nvars, 1)
     for den in dens:
         expect = expect * den
@@ -206,47 +226,56 @@ class TransverseOperator:
     betas: Tuple[RatFn, ...]  # betas[a-1] multiplies d^a/dz_var^a
     test_side: Tuple[Tuple[int, RatFn], ...]
 
-    def apply_ratfn(self, h: RatFn, w: RatFn) -> RatFn:
-        """D_order h as a rational function (w = drho/dz_var)."""
-        if self.order == 0:
-            return h
-        acc = RatFn.zero(h.nvars)
-        d = h
-        for a in range(1, self.order + 1):
-            d = d.partial(self.var)
-            acc = acc + self.betas[a - 1] * d
-        return acc / w ** (2 * self.order - 1)
 
-
-def transverse_operator(rho: MultiPoly, var: int, order: int) -> TransverseOperator:
-    """Coefficients beta_a of D_s by the first-order recursion
+def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[TransverseOperator, ...]:
+    """The tower (D_0, ..., D_order), from one run of the first-order recursion
 
         beta_a^(s+1) = w * d(beta_a^s)/dz - (2s-1) * dw/dz * beta_a^s
-                       + w * beta_(a-1)^s,        w = drho/dz_var.
+                       + w * beta_(a-1)^s,        w = drho/dz_var,
 
-    The betas come out polynomial; they are stored as RatFn for uniformity.
+    which starts at beta^(1) = (1,).  The betas come out polynomial; they
+    are stored as RatFn for uniformity.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     w = rho.partial(var)
     if w.is_zero():
         raise FactorFreeOfVariable("factor free of the distinguished variable")
-    if order == 0:
-        return TransverseOperator(var, 0, (), ((0, RatFn.one(rho.nvars)),))
+    nvars = rho.nvars
+    tower = [TransverseOperator(var, 0, (), ((0, RatFn.one(nvars)),))]
     wp = w.partial(var)
-    betas: List[MultiPoly] = [MultiPoly.const(rho.nvars, 1)]  # s = 1: beta_1 = 1
-    for s in range(1, order):
-        nxt: List[MultiPoly] = []
-        for a in range(1, s + 2):
-            cur = betas[a - 1] if a <= s else MultiPoly.zero(rho.nvars)
-            below = betas[a - 2] if a >= 2 else MultiPoly.zero(rho.nvars)
-            term = w * cur.partial(var) - (2 * s - 1) * wp * cur + w * below
-            nxt.append(term)
-        betas = nxt
-    betas_r = tuple(RatFn(b) for b in betas)
-    scale = RatFn(w) ** (2 * order - 1)
-    return TransverseOperator(var, order, betas_r,
-                              tuple((a, b / scale) for a, b in enumerate(betas_r, 1)))
+    w_r = RatFn.from_any(w, nvars)
+    zero = MultiPoly.zero(nvars)
+    betas: List[MultiPoly] = [MultiPoly.const(nvars, 1)]
+    for s in range(1, order + 1):
+        if s > 1:  # betas holds beta^(s-1)
+            nxt: List[MultiPoly] = []
+            for a in range(1, s + 1):
+                cur = betas[a - 1] if a < s else zero
+                below = betas[a - 2] if a >= 2 else zero
+                nxt.append(w * cur.partial(var) - (2 * s - 3) * wp * cur + w * below)
+            betas = nxt
+        betas_r = tuple(RatFn.from_any(b, nvars) for b in betas)
+        scale = w_r ** (2 * s - 1)
+        tower.append(TransverseOperator(var, s, betas_r,
+                                        tuple((a, b / scale) for a, b in enumerate(betas_r, 1))))
+    return tuple(tower)
+
+
+def transverse_derivatives(h: RatFn, tower: Tuple[TransverseOperator, ...],
+                           w: RatFn) -> List[RatFn]:
+    """[D_0 h, ..., D_S h] for a tower (D_0, ..., D_S) of
+    `transverse_operator`, w = drho/dz_var.  One chain of derivatives
+    d^a h/dz_var^a, a <= S, serves every order."""
+    out = [h]
+    chain = [h]
+    for op in tower[1:]:
+        chain.append(chain[-1].partial(op.var))
+        acc = RatFn.zero(h.nvars)
+        for a, beta in enumerate(op.betas, 1):
+            acc = acc + beta * chain[a]
+        out.append(acc / w ** (2 * op.order - 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +304,20 @@ def residue_operator_data(pfd: PartialFractionDecomp,
                           fd: FactoredDenominator) -> ResidueOperatorData:
     """Assemble the full (k, mu, l) table for one distinguished variable:
     with c = c_(k, mu), g = D_l(c/w) at l = mu - 1, else
-    C(mu-1, l) D_l(c/w) / w^(2(mu-l)-3), and op is D_(mu-1-l)."""
+    C(mu-1, l) D_l(c/w) / w^(2(mu-l)-3), and op is D_(mu-1-l).  Each factor
+    takes one tower of operators, each c one derivative chain."""
     if pfd.var != fd.var:
         raise ValueError("partial fractions and denominator use different variables")
     var = fd.var
     entries: Dict[Tuple[int, int, int], OperatorEntry] = {}
     for k, f in enumerate(fd.factors):
-        w = RatFn(f.rho.partial(var))
-        ops = [transverse_operator(f.rho, var, s) for s in range(f.multiplicity)]
+        w = RatFn.from_any(f.rho.partial(var), f.rho.nvars)
+        tower = transverse_operator(f.rho, var, f.multiplicity - 1)
         for mu in range(1, f.multiplicity + 1):
-            target = pfd.coefficient(k, mu) / w
+            derivs = transverse_derivatives(pfd.coefficient(k, mu) / w, tower[:mu], w)
             for l in range(mu):
-                g = ops[l].apply_ratfn(target, w)
+                g = derivs[l]
                 if l < mu - 1:
                     g = g * comb(mu - 1, l) / w ** (2 * (mu - l) - 3)
-                entries[(k, mu, l)] = OperatorEntry(g, ops[mu - 1 - l].test_side)
+                entries[(k, mu, l)] = OperatorEntry(g, tower[mu - 1 - l].test_side)
     return ResidueOperatorData(var, entries)

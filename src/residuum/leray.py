@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .decomposition import (
     FactoredDenominator,
     PartialFractionDecomp,
+    transverse_derivatives,
     transverse_operator,
 )
 from .errors import ChartError, NonClosedForm, NonConstantResidueForm, PoleReductionObstruction
@@ -278,7 +279,12 @@ def check_closed(omega: MeroForm) -> Tuple[bool, MeroForm]:
 @dataclass
 class SDescriptor:
     """gamma on Y paired with D_l; `delta` is D_l's test-side form, acting as
-    eta -> sum_a c_a d^a eta/dz_var^a: ((0, 1),) at l = 0, else c_a = beta_a/w^(2l-1)."""
+    eta -> sum_a c_a d^a eta/dz_var^a: ((0, 1),) at l = 0, else c_a = beta_a/w^(2l-1).
+
+    Pairing with a test function phi: the reduced residue A acts on phi, and
+    the descriptors act on eta = d phi.  In one variable the residue of
+    g phi at a root r of rho is A(r) phi(r) + sum over the descriptors of
+    gamma(r) sum_a c_a(r) eta^(a)(r), eta = phi'."""
 
     var: int
     component: int
@@ -342,21 +348,25 @@ def reduced_residue(omega: MeroForm,
             leray[(var, k)] = ld
             a_rest = HypersurfaceForm(k, factor.rho, var, ld.a).normalize()
             components.append((k, a_rest))
+            if not ld.r_terms:
+                continue
             w = RatFn(factor.rho.partial(var))
-            ops = [transverse_operator(factor.rho, var, s)
-                   for s in range(max(ld.r_terms, default=0))]
+            tower = transverse_operator(factor.rho, var, max(ld.r_terms) - 1)
             for nu, e_nu in sorted(ld.r_terms.items()):
                 if e_nu.is_zero():
                     continue
+                # D_s(f/w) for s < nu, one derivative chain per coefficient f
+                derivs = {key: transverse_derivatives(f / w, tower[:nu], w)
+                          for key, f in e_nu.coeffs.items()}
                 for l in range(0, nu):
                     coeff = GaussianRational(comb(nu - 1, l)) \
                         / GaussianRational(factorial(nu - 1))
-                    op_gamma = ops[nu - 1 - l]
-                    gamma_rep = e_nu.map_coeffs(
-                        lambda f: op_gamma.apply_ratfn(f / w, w) * coeff * sign_p)
+                    gamma_rep = MeroForm(e_nu.nvars, e_nu.degree,
+                                         {key: ds[nu - 1 - l] * coeff * sign_p
+                                          for key, ds in derivs.items()})
                     gamma = HypersurfaceForm(k, factor.rho, var, gamma_rep).normalize()
                     descriptors.append(
-                        SDescriptor(var, k, nu, l, gamma, ops[l].test_side))
+                        SDescriptor(var, k, nu, l, gamma, tower[l].test_side))
     return ReducedResidue(p, components, descriptors, dict(charts), leray)
 
 

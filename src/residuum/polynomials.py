@@ -4,6 +4,12 @@ Terms are stored sparsely as a map from exponent tuples to nonzero
 GaussianRational coefficients.  The canonical term order is graded
 lexicographic (total degree first, ties broken lexicographically with
 variable 0 strongest); normalization and serialization both use it.
+
+A constant operand of `*` or a constant divisor of `exact_divide` is a
+scalar: the result multiplies each coefficient once, and a factor 1 returns
+the other operand itself.  Otherwise a product runs on the Z[i] numerators
+over a common denominator, and `exact_divide` keys its remainder by packed
+monomials, one int per exponent whose order is graded-lex order.
 """
 
 from __future__ import annotations
@@ -140,13 +146,17 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.from_any(other)
-            if c.is_zero():
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return self._scaled(GaussianRational.from_any(other))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
+        # a constant operand makes a scalar multiple, with no Z[i] conversion
+        c = other._constant_term()
+        if c is not None:
+            return self._scaled(c)
+        c = self._constant_term()
+        if c is not None:
+            return other._scaled(c)
         # multiply the Z[i] numerators over the product of the common
         # denominators; each result coefficient is reduced once at the end
         f, df = _to_zi(self)
@@ -169,17 +179,40 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def _constant_term(self) -> GaussianRational | None:
+        """The value of a constant polynomial, zero included; None otherwise."""
+        terms = self.terms
+        if not terms:
+            return GaussianRational(0)
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            if not any(e):
+                return c
+        return None
+
+    def _scaled(self, c: GaussianRational) -> "MultiPoly":
+        """c times self; self itself when c is 1."""
+        if c.is_zero():
+            return MultiPoly.zero(self.nvars)
+        if c.is_one():
+            return self
+        return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
+
     def __pow__(self, n: int) -> "MultiPoly":
+        """Binary powering from the first set bit of n, not from 1."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.nvars, 1)
+        if n == 0:
+            return MultiPoly.const(self.nvars, 1)
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def partial(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.nvars:
@@ -339,26 +372,47 @@ def monic_grlex(p: MultiPoly) -> MultiPoly:
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Return p/q if q divides p exactly, else raise DivisionError."""
+    """Return p/q if q divides p exactly, else raise DivisionError.
+
+    A constant q multiplies p by its inverse.  Otherwise the division runs
+    on packed monomials (Monagan and Pearce, CASC 2007): each exponent is one
+    int, see `_pack`, so the leading term of the remainder is the largest
+    int key, a monomial product is an int sum, and x^lq divides x^lr when no
+    field borrows in lr - lq.  Only the quotient is unpacked.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiPoly.zero(p.nvars)
     p._check(q)
+    c = q._constant_term()
+    if c is not None:
+        return p._scaled(c.inverse())
+    top = max(map(sum, p.terms))
     lq = q.leading_exponent()
+    if sum(lq) > top:
+        raise DivisionError(f"{q!r} does not divide {p!r}")
+    # every remainder monomial has total degree <= top, so a field of
+    # width(top) bits below its guard bit holds each exponent
+    width = top.bit_length() + 1
+    guard = 0
+    for _ in range(p.nvars + 1):
+        guard = guard << width | 1 << (width - 1)
     cq = q.terms[lq]
-    rest = [(e, c) for e, c in q.terms.items() if e != lq]
-    rem = dict(p.terms)
-    quot: Dict[Exponent, GaussianRational] = {}
+    lq_key = _pack(lq, width)
+    rest = [(_pack(e, width), k) for e, k in q.terms.items() if e != lq]
+    rem = {_pack(e, width): k for e, k in p.terms.items()}
+    quot: Dict[int, GaussianRational] = {}
     while rem:
-        lr = max(rem, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lr, lq))
-        if any(d < 0 for d in diff):
+        lr = max(rem)
+        diff = (lr | guard) - lq_key  # a field keeps its guard bit iff it did not borrow
+        if diff & guard != guard:
             raise DivisionError(f"{q!r} does not divide {p!r}")
+        diff ^= guard
         c = rem.pop(lr) / cq
         quot[diff] = c
         for e, k in rest:  # rem -= c * x^diff * (q - lead term)
-            m = tuple(map(add, e, diff))
+            m = e + diff
             s = rem.get(m)
             if s is None:
                 rem[m] = -(c * k)
@@ -368,7 +422,26 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                     del rem[m]
                 else:
                     rem[m] = s
-    return MultiPoly._of(p.nvars, quot)
+    mask = (1 << width) - 1
+    terms: Dict[Exponent, GaussianRational] = {}
+    for key, c in quot.items():
+        exp = []
+        for _ in range(p.nvars):
+            exp.append(key & mask)
+            key >>= width
+        terms[tuple(reversed(exp))] = c
+    return MultiPoly._of(p.nvars, terms)
+
+
+def _pack(exp: Exponent, width: int) -> int:
+    """The monomial x^exp as one int: its total degree, then exp[0], ...,
+    exp[-1], in fields of `width` bits from the most significant down.
+    While every field is below 2^(width-1), the top (guard) bit of each
+    field is 0 and int order is graded-lex order."""
+    key = sum(exp)
+    for e in exp:
+        key = key << width | e
+    return key
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:

@@ -179,10 +179,27 @@ class RatFn:
         return RatFn._of(self.num ** n, self.den ** n)
 
     def partial(self, var: int) -> "RatFn":
-        if self.den.is_constant():
-            return RatFn._of(self.num.partial(var), self.den)
-        num = self.num.partial(var) * self.den - self.num * self.den.partial(var)
-        return RatFn(num, self.den * self.den)
+        """The derivative in z_var, reduced without a gcd of the full result.
+
+        With g = gcd(den, den'), the derivative is T / (den (den/g)),
+        T = num' (den/g) - num (den'/g).  A prime factor p of den with
+        multiplicity e that depends on z_var divides g exactly e - 1 times,
+        so it divides den/g and not den'/g, and it does not divide num:
+        p cannot divide T.  So only var-free factors of den can cancel,
+        and they cancel by c = gcd(T, den).  The denominator stays monic,
+        since den, g and c are.
+        """
+        num, den = self.num, self.den
+        if den.is_constant():
+            return RatFn._of(num.partial(var), den)
+        d_den = den.partial(var)
+        g = gcd(den, d_den)
+        den_g = _divided(den, g)
+        t = num.partial(var) * den_g - num * _divided(d_den, g)
+        if t.is_zero():
+            return RatFn.zero(self.nvars)
+        c = gcd(t, den)
+        return RatFn._of(_divided(t, c), _divided(den * den_g, c))
 
     # -- evaluation ------------------------------------------------------
 

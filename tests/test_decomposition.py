@@ -1,10 +1,12 @@
 """Factored denominators, partial fractions, transverse operators."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from residuum import decomposition
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.decomposition import (
     PartialFractionDecomp,
@@ -13,6 +15,7 @@ from residuum.decomposition import (
     partial_fractions,
     prepare_denominator,
     residue_operator_data,
+    transverse_derivatives,
     transverse_operator,
 )
 from residuum.errors import (
@@ -231,44 +234,55 @@ def fiber_derivative_oracle(h_eval, rho, var, z0, s, r=5e-2, levels=4):
 
 class TestTransverseOperator:
     def test_order_zero_is_identity(self):
-        op = transverse_operator(PARABOLA, 0, 0)
+        tower = transverse_operator(PARABOLA, 0, 0)
         w = RatFn(PARABOLA.partial(0))
         h = RatFn(Z1 ** 3 + Z2, Z1 - 2 * Z2 + ONE)
-        assert op.apply_ratfn(h, w) == h
-        assert op.test_side == ((0, RatFn.one(2)),)
+        assert len(tower) == 1
+        assert transverse_derivatives(h, tower, w) == [h]
+        assert tower[0].test_side == ((0, RatFn.one(2)),)
 
     def test_order_one_is_plain_derivative(self):
-        op = transverse_operator(PARABOLA, 0, 1)
+        op = transverse_operator(PARABOLA, 0, 1)[1]
         assert op.betas == (RatFn.one(2),)
+
+    @pytest.mark.parametrize("rho", [PARABOLA, Z1 * Z1 - Z2 ** 3, (ONE + Z2) * Z1 * Z1 - Z2])
+    def test_tower_is_the_operators_of_each_order(self, rho):
+        tower = transverse_operator(rho, 0, 4)
+        assert [op.order for op in tower] == [0, 1, 2, 3, 4]
+        for s in range(5):
+            assert transverse_operator(rho, 0, s) == tower[:s + 1]
+            assert len(tower[s].betas) == s
 
     def test_order_two_parabola_exact(self):
         # substitution oracle: h = z1^3, z1 = sqrt(rho + z2)
         # d^2 h/drho^2 = (3/2)(1/2) (rho+z2)^(-1/2) = 3/(4 z1)
-        op = transverse_operator(PARABOLA, 0, 2)
+        tower = transverse_operator(PARABOLA, 0, 2)
         w = RatFn(PARABOLA.partial(0))
         h = RatFn(Z1 ** 3)
-        got = op.apply_ratfn(h, w)
-        assert got == RatFn(MultiPoly.const(2, 3), 4 * Z1)
+        got = transverse_derivatives(h, tower, w)
+        assert got == [h, RatFn(3 * Z1, 2 * ONE), RatFn(MultiPoly.const(2, 3), 4 * Z1)]
 
     @pytest.mark.parametrize("a,s", [(5, 2), (4, 3), (7, 3), (3, 2)])
     def test_monomial_substitution_oracle(self, a, s):
         # h = z1^a on rho = z1^2 - z2:  d^s/drho^s (rho+z2)^(a/2)
         #   = prod_{i<s} (a/2 - i) * z1^(a-2s)
-        op = transverse_operator(PARABOLA, 0, s)
+        # every order of the tower, 0..s, from one call
+        tower = transverse_operator(PARABOLA, 0, s)
         w = RatFn(PARABOLA.partial(0))
-        got = op.apply_ratfn(RatFn(Z1 ** a), w)
+        got = transverse_derivatives(RatFn(Z1 ** a), tower, w)
+        assert len(got) == s + 1
         coeff = Fraction(1)
-        for i in range(s):
-            coeff *= Fraction(a, 2) - i
-        if a - 2 * s >= 0:
-            want = RatFn(MultiPoly.const(2, GaussianRational(coeff)) * Z1 ** (a - 2 * s))
-        else:
-            want = RatFn(MultiPoly.const(2, GaussianRational(coeff)), Z1 ** (2 * s - a))
-        assert got == want
+        for t in range(s + 1):
+            if a - 2 * t >= 0:
+                want = RatFn(MultiPoly.const(2, GaussianRational(coeff)) * Z1 ** (a - 2 * t))
+            else:
+                want = RatFn(MultiPoly.const(2, GaussianRational(coeff)), Z1 ** (2 * t - a))
+            assert got[t] == want
+            coeff *= Fraction(a, 2) - t
 
     def test_linear_unit_coefficient(self):
         rho = Z1 - Z2 * Z2
-        op = transverse_operator(rho, 0, 3)
+        op = transverse_operator(rho, 0, 3)[3]
         assert [b for b in op.betas] == [RatFn.zero(2), RatFn.zero(2), RatFn.one(2)]
 
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -277,7 +291,7 @@ class TestTransverseOperator:
         rng = np.random.default_rng(42 + s)
         poly = embed_holomorphic(Z1 * Z1 * Z1 + 2 * Z2) + MultiPoly.variable(4, 3) ** 2
         h = BumpFunction.from_poly(2, Fraction(4), poly)
-        op = transverse_operator(PARABOLA, 0, s)
+        op = transverse_operator(PARABOLA, 0, s)[s]
         w = PARABOLA.partial(0)
         derivs = [h]
         for _ in range(s):
@@ -352,3 +366,133 @@ class TestResidueOperatorTable:
         assert rod.entry(0, 3, 0).op == ((1, -wp / w ** 3), (2, RatFn.one(2) / w ** 2))
         assert rod.entry(0, 3, 1).op == ((1, RatFn.one(2) / w),)
         assert rod.entry(0, 3, 2).op == IDENTITY
+
+
+# ---------------------------------------------------------------------------
+# the operator table against the construction it replaced: each D_s from
+# its own run of the recursion, and one derivative chain per l, with every
+# derivative by the unreduced quotient rule
+# ---------------------------------------------------------------------------
+
+def quotient_rule(h: RatFn, var: int) -> RatFn:
+    return RatFn(h.num.partial(var) * h.den - h.num * h.den.partial(var), h.den * h.den)
+
+
+def reference_operator(rho: MultiPoly, var: int, order: int):
+    """(betas, test side) of D_order alone."""
+    one = RatFn.one(rho.nvars)
+    if order == 0:
+        return (), ((0, one),)
+    w = rho.partial(var)
+    wp = w.partial(var)
+    zero = MultiPoly.zero(rho.nvars)
+    betas = [MultiPoly.const(rho.nvars, 1)]
+    for s in range(1, order):
+        betas = [w * (betas[a - 1] if a <= s else zero).partial(var)
+                 - (2 * s - 1) * wp * (betas[a - 1] if a <= s else zero)
+                 + w * (betas[a - 2] if a >= 2 else zero)
+                 for a in range(1, s + 2)]
+    betas = tuple(RatFn(b) for b in betas)
+    scale = RatFn(w) ** (2 * order - 1)
+    return betas, tuple((a, b / scale) for a, b in enumerate(betas, 1))
+
+
+def reference_apply(betas, order: int, var: int, h: RatFn, w: RatFn) -> RatFn:
+    if order == 0:
+        return h
+    acc, d = RatFn.zero(h.nvars), h
+    for a in range(1, order + 1):
+        d = quotient_rule(d, var)
+        acc = acc + betas[a - 1] * d
+    return acc / w ** (2 * order - 1)
+
+
+def reference_operator_table(pfd, fd):
+    var, out = fd.var, {}
+    for k, f in enumerate(fd.factors):
+        w = RatFn(f.rho.partial(var))
+        ops = [reference_operator(f.rho, var, s) for s in range(f.multiplicity)]
+        for mu in range(1, f.multiplicity + 1):
+            target = pfd.coefficient(k, mu) / w
+            for l in range(mu):
+                g = reference_apply(ops[l][0], l, var, target, w)
+                if l < mu - 1:
+                    g = g * comb(mu - 1, l) / w ** (2 * (mu - l) - 3)
+                out[(k, mu, l)] = (g, ops[mu - 1 - l][1])
+    return out
+
+
+Y1, Y2, Y3 = (MultiPoly.variable(3, i) for i in range(3))
+P3, LINE3 = Y1 * Y1 - Y2, Y1 - Y3 - MultiPoly.const(3, 1)
+TABLE_INPUTS = (
+    [(f"parabola^{r}", [(PARABOLA, r)], (0, 1)) for r in range(1, 5)]
+    + [(f"cusp^{r}", [(Z1 * Z1 - Z2 ** 3, r)], (0, 1)) for r in range(1, 5)]
+    + [("skew_sq", CORPUS["skew_sq"], (0, 1)),
+       ("rho1*rho2^2", [(Z1 - Z2, 1), (Z1 + Z2, 2)], (0, 1)),
+       ("two_lines", CORPUS["two_lines"], (0,)),
+       ("p*l", [(P3, 1), (LINE3, 1)], (0,)),
+       ("p^2*l", [(P3, 2), (LINE3, 1)], (0,)),
+       ("p^3*l^2", [(P3, 3), (LINE3, 2)], (0,))])
+
+
+@pytest.mark.parametrize("factors,charts", [t[1:] for t in TABLE_INPUTS],
+                         ids=[t[0] for t in TABLE_INPUTS])
+def test_operator_table_matches_one_order_at_a_time(factors, charts):
+    for var in charts:
+        fd = prepare_denominator(factors, var)
+        pfd = partial_fractions(fd)
+        rod = residue_operator_data(pfd, fd)
+        want = reference_operator_table(pfd, fd)
+        assert list(rod.entries) == list(want)
+        for key, (g, op) in want.items():
+            assert rod.entry(*key).g == g, (var, key)
+            assert rod.entry(*key).op == op, (var, key)
+
+
+# ---------------------------------------------------------------------------
+# the recombination check on non-monic and two-factor inputs
+# ---------------------------------------------------------------------------
+
+RECOMBINATION_INPUTS = [("skew_sq", 0), ("skew_sq", 1), ("cross", 0), ("cross", 1),
+                        ("rho1*rho2^2", 0)]
+
+
+def _corpus_factors(name):
+    return [(Z1 - Z2, 1), (Z1 + Z2, 2)] if name == "rho1*rho2^2" else CORPUS[name]
+
+
+@pytest.mark.parametrize("name,var", RECOMBINATION_INPUTS)
+def test_recombination_rejects_a_perturbed_coefficient(name, var):
+    fd = prepare_denominator(_corpus_factors(name), var)
+    pfd = partial_fractions(fd)
+    unit = RatFn.const(2, GaussianRational(1, 1))
+    for j, (k, mu, c) in enumerate(pfd.entries):
+        for bad in (c * unit, c + RatFn(Z2, c.den)):
+            entries = pfd.entries[:j] + ((k, mu, bad),) + pfd.entries[j + 1:]
+            with pytest.raises(ArithmeticError):
+                _verify_recombination(PartialFractionDecomp(var, entries, pfd.polynomial_part), fd)
+
+
+@pytest.mark.parametrize("var", [0, 1])
+def test_recombination_rejects_a_dropped_pseudo_division_multiplier(monkeypatch, var):
+    # skew_sq's factors have non-constant leading coefficients in both charts,
+    # so a kernel that forgets the multiplier l of l p = quot q + rem must fail
+    fd = prepare_denominator(CORPUS["skew_sq"], var)
+    assert not all(f.rho.leading_coefficient_in(var).is_constant() for f in fd.factors)
+    kernel = decomposition.uni_divmod
+
+    def without_multiplier(p, q, v):
+        _, quot, rem = kernel(p, q, v)
+        return MultiPoly.const(p.nvars, 1), quot, rem
+
+    monkeypatch.setattr(decomposition, "uni_divmod", without_multiplier)
+    with pytest.raises(ArithmeticError, match="recombination"):
+        partial_fractions(fd)
+
+
+def test_recombination_rejects_an_entry_out_of_range():
+    fd = prepare_denominator(CORPUS["parabola_sq"], 0)
+    pfd = partial_fractions(fd)
+    with pytest.raises(ArithmeticError):
+        _verify_recombination(PartialFractionDecomp(0, pfd.entries + ((0, 3, RatFn.one(2)),),
+                                                    pfd.polynomial_part), fd)

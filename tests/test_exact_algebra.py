@@ -546,6 +546,128 @@ class TestExactDivide:
             with pytest.raises(DivisionError):
                 exact_divide(p * q + MultiPoly.const(p.nvars, 1), q)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda n: st.tuples(polys(n, 6), polys(n, 5), st.integers(0, 9))))
+    def test_matches_term_by_term_division(self, pqk):
+        # packed keys against tuple keys: same quotient, same term order
+        p, q, k = pqk
+        if q.is_constant():
+            q = q + MultiPoly.variable(q.nvars, k % q.nvars) ** (k + 1)
+        prod = p * q
+        got, expect = exact_divide(prod, q), reference_divide(prod, q)
+        assert got == expect == p
+        assert list(got.terms) == list(expect.terms)
+        # a non-multiple fails where the reference fails
+        other = prod + MultiPoly.variable(p.nvars, 0) ** k
+        try:
+            expect = reference_divide(other, q)
+        except DivisionError:
+            with pytest.raises(DivisionError):
+                exact_divide(other, q)
+        else:
+            assert list(exact_divide(other, q).terms) == list(expect.terms)
+
+    def test_high_degrees_fill_their_fields(self):
+        # total degree 15 takes 4 bits a field and 16 would take 5
+        for q in (Z1 ** 7 * Z2 ** 8 + Z2 + ONE2, Z1 ** 15 + ONE2, Z2 ** 15 - Z1):
+            for p in (Z1 + Z2, ONE2, Z1 ** 8 - 3 * Z2):
+                got = exact_divide(p * q, q)
+                assert got == p
+                assert list(got.terms) == list(reference_divide(p * q, q).terms)
+
+    @pytest.mark.parametrize("p,q", [
+        (Z1, Z1 * Z2),                      # larger total degree
+        (Z1 ** 3, Z2 ** 4),
+        (Z1 ** 3, Z2),                      # larger exponent, smaller total degree
+        (Z1 ** 2 * Z2, Z2 ** 2),
+        (Z1 ** 9 + Z2, Z2 ** 2 + Z1),       # the leading term divides, a later one not
+        (W1 ** 4 * W3, W2 * W3 + ONE3),
+    ])
+    def test_non_divisor_raises(self, p, q):
+        with pytest.raises(DivisionError):
+            exact_divide(p, q)
+        assert not divides(q, p)
+
+
+def reference_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Term-by-term division by graded-lex leading terms on exponent tuples
+    (oracle); the quotient keeps its terms in the order they are found."""
+    def grlex(e):
+        return sum(e), e
+
+    lq = max(q.terms, key=grlex)
+    rem, quot = dict(p.terms), {}
+    while rem:
+        lr = max(rem, key=grlex)
+        diff = tuple(a - b for a, b in zip(lr, lq))
+        if min(diff) < 0:
+            raise DivisionError("not a divisor")
+        c = rem.pop(lr) / q.terms[lq]
+        quot[diff] = c
+        for e, k in q.terms.items():
+            if e == lq:
+                continue
+            m = tuple(a + b for a, b in zip(e, diff))
+            s = rem.get(m, GaussianRational(0)) - c * k
+            if s.is_zero():
+                rem.pop(m, None)
+            else:
+                rem[m] = s
+    out = MultiPoly.zero(p.nvars)
+    out.terms = quot
+    return out
+
+
+class TestTrivialOperands:
+    """Constant, unit and zero operands take scalar paths; each must give
+    the general product's value and term order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(polys(n, 6), gaussian_coeffs)))
+    def test_constant_operand(self, pc):
+        p, c = pc
+        cp = MultiPoly.const(p.nvars, c)
+        for got, expect in ((p * cp, reference_mul(p, cp)), (cp * p, reference_mul(cp, p))):
+            assert got == expect == p * c
+            assert list(got.terms) == list(expect.terms)
+            for v in got.terms.values():
+                assert_canonical(v)
+        one = MultiPoly.const(p.nvars, 1)
+        assert p * one == one * p == p * 1 == p
+        if not p.is_constant():  # a product by 1 is the other operand itself
+            assert p * one is p and one * p is p and p * 1 is p
+        zero = MultiPoly.zero(p.nvars)
+        for got in (p * zero, zero * p, p * 0, p * GaussianRational(0)):
+            assert got.is_zero() and got.nvars == p.nvars
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: polys(n, 4)), st.integers(0, 5))
+    def test_powers(self, p, n):
+        assert p ** 0 == MultiPoly.const(p.nvars, 1)
+        assert p ** 1 == p
+        expect = MultiPoly.const(p.nvars, 1)
+        for _ in range(n):
+            expect = reference_mul(expect, p)
+        assert p ** n == expect
+
+    def test_power_of_zero(self):
+        zero = MultiPoly.zero(2)
+        assert zero ** 0 == ONE2
+        assert (zero ** 3).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(polys(n, 6), gaussian_coeffs)))
+    def test_exact_divide_by_a_constant(self, pc):
+        p, c = pc
+        got = exact_divide(p, MultiPoly.const(p.nvars, c))
+        assert got == reference_divide(p, MultiPoly.const(p.nvars, c))
+        assert got == MultiPoly(p.nvars, {e: v / c for e, v in p.terms.items()})
+        assert list(got.terms) == list(p.terms)
+        assert exact_divide(p, MultiPoly.const(p.nvars, 1)) is p
+        with pytest.raises(ZeroDivisionError):
+            exact_divide(p, MultiPoly.zero(p.nvars))
+
 
 def _random_poly(rng, max_deg=2):
     terms = {}
@@ -783,6 +905,53 @@ class TestRatFnArithmetic:
         # the cross sum of z1/h and (h - z1)/h is h itself
         assert_same(RatFn(Z1, h) + RatFn(h - Z1, h), RatFn.one(2))
         assert_same(RatFn(Z1, h) - RatFn(Z1, h), RatFn.zero(2))
+
+
+@st.composite
+def repeated_factor_ratfns(draw):
+    """(f, var): f = num / (u a^i b^j c) with a depending on z_var, b free of
+    it, c random and u a non-monic unit; num sometimes shares b or a."""
+    nvars = draw(st.sampled_from([2, 3]))
+    var = draw(st.integers(0, nvars - 1))
+    x = MultiPoly.variable(nvars, var)
+    a = draw(polys(nvars, 3)) + x ** draw(st.integers(1, 2))
+    b = MultiPoly(nvars, {e[:var] + (0,) + e[var + 1:]: c
+                          for e, c in draw(polys(nvars, 3)).terms.items()})
+    if b.is_constant():
+        b = b + MultiPoly.variable(nvars, (var + 1) % nvars)
+    c = draw(polys(nvars, 2))
+    i, j = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    shared = draw(st.sampled_from(["none", "a", "b"]))
+    num = draw(polys(nvars, 3)) * {"a": a, "b": b}.get(shared, MultiPoly.const(nvars, 1))
+    den = a ** i * b ** j * c * draw(gaussian_coeffs)
+    return RatFn(num, den), var
+
+
+class TestRatFnPartial:
+    """`RatFn.partial` cancels only gcd(T, den), see its docstring; it must
+    give the canonical form of the unreduced quotient rule."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(repeated_factor_ratfns())
+    def test_matches_unreduced_quotient_rule(self, fv):
+        f, var = fv
+        for v in sorted({var, (var + 1) % f.nvars}):
+            assert_same(f.partial(v), RatFn(f.num.partial(v) * f.den - f.num * f.den.partial(v),
+                                            f.den * f.den))
+
+    def test_var_free_factor_cancels(self):
+        # (z1 + z2)/(z1 z2) = 1/z2 + 1/z1
+        f = RatFn(Z1 + Z2, Z1 * Z2)
+        assert_same(f.partial(0), RatFn(-ONE2, Z1 * Z1))
+        assert_same(f.partial(1), RatFn(-ONE2, Z2 * Z2))
+
+    def test_repeated_factor_and_var_free_numerator(self):
+        # d/dz1 of z2/(z1 - z2)^3 = -3 z2/(z1 - z2)^4; z2/z1 has no z2 pole
+        assert_same(RatFn(Z2, (Z1 - Z2) ** 3).partial(0),
+                    RatFn(-3 * Z2, (Z1 - Z2) ** 4))
+        assert_same(RatFn(Z2, Z1).partial(1), RatFn(ONE2, Z1))
+        assert RatFn(Z1, Z2 * Z2).partial(1) == RatFn(-2 * Z1, Z2 ** 3)
+        assert RatFn(ONE2, Z2 + ONE2).partial(0).is_zero()
 
 
 # ---------------------------------------------------------------------------
