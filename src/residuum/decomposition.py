@@ -33,7 +33,7 @@ from .errors import (
     ZeroInputError,
 )
 from .polynomials import MultiPoly, discriminant, resultant
-from .ratfn import RatFn, uni_divmod, uni_mod_inverse
+from .ratfn import RatFn, uni_digits
 
 
 @dataclass(frozen=True)
@@ -111,25 +111,21 @@ class PartialFractionDecomp:
 
 def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
     """Exact partial fractions of 1/product over the function field in the
-    remaining variables.  Verifies the recombination identity."""
+    remaining variables: c_(k, mu) is the mu-th rho_k-adic digit of the
+    inverse of the other factors modulo rho_k^(m_k).  Verifies the
+    recombination identity."""
     nvars = fd.nvars
     var = fd.var
+    one = MultiPoly.const(nvars, 1)
     powers = [f.rho ** f.multiplicity for f in fd.factors]
     entries: List[Tuple[int, int, RatFn]] = []
     for k, f in enumerate(fd.factors):
-        others = MultiPoly.const(nvars, 1)
+        others = one
         for i, p in enumerate(powers):
             if i != k:
                 others = others * p
-        # n_k = rest/den, the inverse of the other factors modulo rho^r, has
-        # rho-adic digits n_k = sum_mu c_mu * rho^(r-mu) with deg c_mu < deg rho
-        rest, den = uni_mod_inverse(others, powers[k], var)
-        for mu in range(f.multiplicity, 0, -1):
-            l, rest, digit = uni_divmod(rest, f.rho, var)
-            den = den * l
-            if not digit.is_zero():
-                entries.append((k, mu, RatFn(digit, den)))
-    entries.sort(key=lambda e: (e[0], e[1]))
+        digits = uni_digits(one, others, f.rho, f.multiplicity, var)
+        entries += [(k, mu, c) for mu, c in enumerate(digits, 1) if not c.is_zero()]
     pfd = PartialFractionDecomp(var, tuple(entries), RatFn.zero(nvars))
     _verify_recombination(pfd, fd)
     return pfd

@@ -1,7 +1,8 @@
 """Residue currents of meromorphic 1-forms in one variable.
 
 A form g(z) dz with Gaussian-rational poles decomposes into exact Laurent
-principal parts; the residue current at a pole of multiplicity k is the
+principal parts, the (z - p)-adic digits of g times (z - p)^k at a pole p
+of multiplicity k; the residue current at a pole of multiplicity k is the
 delta-operator current sum_j b_j d^j/dz^j delta with b_j = (2 pi i / j!)
 times the Laurent coefficient a_{-(j+1)}.  The constants are pinned by the
 contour oracle `contour_residue_numeric`, which is also exposed directly.
@@ -29,7 +30,7 @@ from .quadrature import (
     radial_panels,
     richardson,
 )
-from .ratfn import RatFn, uni_divmod
+from .ratfn import RatFn, uni_digits, uni_divmod
 from .scalars import GaussianRational, TaggedScalar
 
 
@@ -57,13 +58,6 @@ class DeltaOperatorCurrent:
     coeffs: Tuple[TaggedScalar, ...]  # b_0, ..., b_{k-1}
 
 
-def _univar_coeff_list(p: MultiPoly) -> List[GaussianRational]:
-    out = [GaussianRational(0)] * (p.degree_in(0) + 1)
-    for exp, c in p.terms.items():
-        out[exp[0]] = c
-    return out
-
-
 def _rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
@@ -78,8 +72,7 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     deg = den.degree_in(0)
     if deg <= 0:
         return []
-    coeffs = _univar_coeff_list(den)
-    numeric = np.roots([complex(c) for c in reversed(coeffs)])
+    numeric = np.roots([complex(den.terms.get((e,), 0)) for e in range(deg, -1, -1)])
     z = MultiPoly.variable(1, 0)
     remaining = den
     roots: List[Tuple[GaussianRational, int]] = []
@@ -103,21 +96,10 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     return roots
 
 
-def _series_inverse(coeffs: List[GaussianRational], order: int) -> List[GaussianRational]:
-    """Power series inverse mod t^order; coeffs[0] must be nonzero."""
-    inv0 = coeffs[0].inverse()
-    out = [inv0] + [GaussianRational(0)] * (order - 1)
-    for n in range(1, order):
-        s = GaussianRational(0)
-        for k in range(1, n + 1):
-            ck = coeffs[k] if k < len(coeffs) else GaussianRational(0)
-            s = s + ck * out[n - k]
-        out[n] = -inv0 * s
-    return out
-
-
 def laurent_parts(g: RatFn) -> List[LaurentPart]:
-    """Exact Laurent principal parts of a one-variable rational function."""
+    """Exact Laurent principal parts of a one-variable rational function.
+    At a pole p of multiplicity k, g = num / ((z - p)^k q), and a_{-l} is the
+    l-th (z - p)-adic digit of num/q modulo (z - p)^k (`uni_digits`)."""
     if g.nvars != 1:
         raise ValueError("laurent_parts expects one variable")
     if g.is_zero() or g.is_polynomial():
@@ -126,21 +108,9 @@ def laurent_parts(g: RatFn) -> List[LaurentPart]:
     z = MultiPoly.variable(1, 0)
     parts: List[LaurentPart] = []
     for pole, k in sorted(roots, key=lambda t: (t[0].re, t[0].im)):
-        q = exact_divide(g.den, (z - MultiPoly.const(1, pole)) ** k)
-        num_t = g.num.shift_var(0, pole)
-        q_t = q.shift_var(0, pole)
-        num_c = _univar_coeff_list(num_t)[:k] or [GaussianRational(0)]
-        q_c = _univar_coeff_list(q_t)
-        inv = _series_inverse(q_c, k)
-        series = [GaussianRational(0)] * k
-        for n in range(k):
-            s = GaussianRational(0)
-            for i in range(n + 1):
-                a = num_c[i] if i < len(num_c) else GaussianRational(0)
-                s = s + a * inv[n - i]
-            series[n] = s
-        coeffs = tuple(series[k - l] for l in range(1, k + 1))
-        parts.append(LaurentPart(pole, coeffs))
+        lin = z - MultiPoly.const(1, pole)
+        digits = uni_digits(g.num, exact_divide(g.den, lin ** k), lin, k, 0)
+        parts.append(LaurentPart(pole, tuple(c.constant_value() for c in digits)))
     return parts
 
 

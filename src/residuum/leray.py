@@ -26,10 +26,16 @@ from .decomposition import (
     transverse_derivatives,
     transverse_operator,
 )
-from .errors import ChartError, NonClosedForm, NonConstantResidueForm, PoleReductionObstruction
+from .errors import (
+    ChartError,
+    DivisionError,
+    NonClosedForm,
+    NonConstantResidueForm,
+    PoleReductionObstruction,
+)
 from .forms import Index, MeroForm
-from .polynomials import MultiPoly, exact_divide, divides
-from .ratfn import RatFn, uni_divmod, uni_mod_inverse
+from .polynomials import MultiPoly, exact_divide
+from .ratfn import RatFn, uni_digits
 from .scalars import GaussianRational
 
 FrameKey = Tuple[bool, Index]  # (carries drho?, increasing non-chart dz indices)
@@ -77,10 +83,12 @@ def rho_order(c: RatFn, rho: MultiPoly) -> int:
     """Exact multiplicity of rho in the (gcd-normalized) denominator."""
     den = c.den
     m = 0
-    while divides(rho, den):
-        den = exact_divide(den, rho)
+    while True:
+        try:
+            den = exact_divide(den, rho)
+        except DivisionError:
+            return m
         m += 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +198,12 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
     da_frame = to_frame(a_form.exterior_d(), rho, var)
     prime_coeffs = {rest: c for (has, rest), c in da_frame.items() if has}
     rest_coeffs = {rest: c for (has, rest), c in da_frame.items() if not has}
-    divisible = all(divides(rho, c.num) or c.is_zero() for c in rest_coeffs.values())
-    if divisible:
-        a_prime = MeroForm(n, p - 1, prime_coeffs)
+    try:
         c_cert = MeroForm(n, p, {k: RatFn(exact_divide(c.num, rho), c.den)
                                  for k, c in rest_coeffs.items() if not c.is_zero()})
+        a_prime = MeroForm(n, p - 1, prime_coeffs)
+    except DivisionError:  # rho does not divide da off drho: no certificate
+        pass
     return LerayData(rho, var, a_form, beta, r_terms, a_prime, c_cert, beta_polar)
 
 
@@ -247,20 +256,18 @@ class HypersurfaceForm:
 
 
 def normal_form_on_hypersurface(rep: MeroForm, rho: MultiPoly, var: int) -> MeroForm:
-    """Drop drho-components, reduce coefficients mod rho (var-degree < deg rho),
-    invert denominators modulo rho."""
+    """Drop drho-components and reduce each coefficient to its m = 1 rho-adic
+    digit (`uni_digits`): var-degree < deg rho, var-free denominator.  Any
+    common factor of a coefficient's denominator and rho raises ChartError."""
     frame = to_frame(rep, rho, var)
     nvars = rep.nvars
 
     def reduced(c: RatFn) -> RatFn:
-        # l1*den == d (mod rho), s*d == dd (mod rho), l2*num*s == v (mod rho),
-        # so num/den == v*l1 / (dd*l2) on Y
-        l1, _, d = uni_divmod(c.den, rho, var)
-        if d.is_zero():
-            raise ChartError("coefficient denominator vanishes on the component")
-        s, dd = uni_mod_inverse(d, rho, var)
-        l2, _, v = uni_divmod(c.num * s, rho, var)
-        return RatFn(v * l1, dd * l2)
+        try:
+            return uni_digits(c.num, c.den, rho, 1, var)[0]
+        except DivisionError as exc:
+            raise ChartError("coefficient denominator is not prime to rho "
+                             "on the component") from exc
 
     # drho restricts to zero on Y
     return MeroForm(nvars, rep.degree,

@@ -18,7 +18,7 @@ gcd(t, d) of the cross sum t = a.num (b.den/d) + b.num (a.den/d) can cancel.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import DivisionError
 from .polynomials import MultiPoly, _pseudo_divide, content_in_var, exact_divide, gcd
@@ -256,7 +256,9 @@ def _divided(p: MultiPoly, g: MultiPoly | None) -> MultiPoly:
 # coefficients in `var`, which keeps the coefficients from growing
 # exponentially.  Results come back as a numerator and a var-free
 # denominator, so a caller forms one RatFn per result instead of one per
-# coefficient operation.
+# coefficient operation.  `uni_digits` is the one routine that expands a
+# quotient in powers of a factor rho: the partial fractions, the Laurent
+# parts in one variable and the normal forms on Y = Z(rho) are its digits.
 # ---------------------------------------------------------------------------
 
 def uni_divmod(p: MultiPoly, q: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -291,3 +293,23 @@ def uni_mod_inverse(a: MultiPoly, m: MultiPoly, var: int) -> Tuple[MultiPoly, Mu
     modulo m.  The PRS cofactor already has that degree bound: it is
     deg m - deg r for the last remainder r of positive degree."""
     return uni_ext_euclid(a, m, var)
+
+
+def uni_digits(num: MultiPoly, den: MultiPoly, rho: MultiPoly, m: int, var: int) -> List[RatFn]:
+    """The rho-adic digits [c_1, ..., c_m] of num/den modulo rho^m:
+    num/den == sum_mu c_mu rho^(m - mu), deg_var c_mu < deg_var rho, each c_mu
+    with a var-free denominator.  With l0 den == d and s d == D (mod rho^m),
+    num/den == num s l0 / D; the remainder of num s l0 by rho^m splits into
+    digits by pseudo-division by rho, lowest first, each multiplier joining
+    the denominator.  Raises DivisionError when den is not prime to rho."""
+    mod = rho ** m
+    l0, _, d = uni_divmod(den, mod, var)
+    s, dd = uni_mod_inverse(d, mod, var)
+    l, _, rest = uni_divmod(num * s * l0, mod, var)
+    dd = dd * l
+    digits: List[RatFn] = []
+    for _ in range(m):
+        l, rest, digit = uni_divmod(rest, rho, var)
+        dd = dd * l
+        digits.append(RatFn(digit, dd))
+    return digits[::-1]

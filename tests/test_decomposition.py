@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from residuum import decomposition
+from residuum import ratfn
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.decomposition import (
     PartialFractionDecomp,
@@ -476,16 +476,17 @@ def test_recombination_rejects_a_perturbed_coefficient(name, var):
 @pytest.mark.parametrize("var", [0, 1])
 def test_recombination_rejects_a_dropped_pseudo_division_multiplier(monkeypatch, var):
     # skew_sq's factors have non-constant leading coefficients in both charts,
-    # so a kernel that forgets the multiplier l of l p = quot q + rem must fail
+    # so a kernel that forgets the multiplier l of l p = quot q + rem must
+    # fail; the digits come from uni_digits, which reads ratfn.uni_divmod
     fd = prepare_denominator(CORPUS["skew_sq"], var)
     assert not all(f.rho.leading_coefficient_in(var).is_constant() for f in fd.factors)
-    kernel = decomposition.uni_divmod
+    kernel = ratfn.uni_divmod
 
     def without_multiplier(p, q, v):
         _, quot, rem = kernel(p, q, v)
         return MultiPoly.const(p.nvars, 1), quot, rem
 
-    monkeypatch.setattr(decomposition, "uni_divmod", without_multiplier)
+    monkeypatch.setattr(ratfn, "uni_divmod", without_multiplier)
     with pytest.raises(ArithmeticError, match="recombination"):
         partial_fractions(fd)
 

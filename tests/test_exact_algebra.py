@@ -13,8 +13,8 @@ from math import gcd as igcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from sympy import QQ, QQ_I
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ, QQ_I, Add, I, Poly, Rational, apart, expand, symbols
 from sympy.polys.rings import ring
 
 from residuum import polynomials
@@ -32,7 +32,7 @@ from residuum.polynomials import (
     resultant,
     squarefree_decompose,
 )
-from residuum.ratfn import RatFn, uni_divmod, uni_mod_inverse
+from residuum.ratfn import RatFn, uni_digits, uni_divmod, uni_mod_inverse
 from residuum.scalars import GaussianRational
 
 
@@ -914,7 +914,9 @@ def repeated_factor_ratfns(draw):
     nvars = draw(st.sampled_from([2, 3]))
     var = draw(st.integers(0, nvars - 1))
     x = MultiPoly.variable(nvars, var)
+    # the draw may cancel x^k, leaving a zero or var-free a
     a = draw(polys(nvars, 3)) + x ** draw(st.integers(1, 2))
+    assume(a.depends_on(var))
     b = MultiPoly(nvars, {e[:var] + (0,) + e[var + 1:]: c
                           for e, c in draw(polys(nvars, 3)).terms.items()})
     if b.is_constant():
@@ -1008,6 +1010,107 @@ class TestUnivariateKernel:
             return
         with pytest.raises(DivisionError):
             uni_mod_inverse(a * h, m * h, var)
+
+
+@st.composite
+def digit_cases(draw):
+    """(var, num, den, rho, m): rho = (y + c) x^d + lower terms in x = z_var,
+    so its leading coefficient in `var` is not constant, as skew_sq's are."""
+    nvars = draw(st.sampled_from([2, 3]))
+    var = draw(st.integers(0, nvars - 1))
+    x = MultiPoly.variable(nvars, var)
+    y = MultiPoly.variable(nvars, (var + 1) % nvars)
+    d = draw(st.integers(1, 2))
+    low = MultiPoly(nvars, {e: c for e, c in draw(polys(nvars, 3)).terms.items()
+                            if e[var] < d})
+    rho = (y + MultiPoly.const(nvars, draw(gaussian_coeffs))) * x ** d + low
+    num, den = draw(polys(nvars, 3)), draw(polys(nvars, 3))
+    return var, num, den, rho, draw(st.integers(1, 3))
+
+
+SZ = symbols("z")
+
+
+def to_sympy_number(c: GaussianRational):
+    return Rational(c.re.numerator, c.re.denominator) \
+        + I * Rational(c.im.numerator, c.im.denominator)
+
+
+def sympy_principal_part(num, den, p, k):
+    """[a_-1, ..., a_-k] of num/den at z = p, read off sympy's partial
+    fractions: the term c/(u z - u p)^mu gives a_-mu = c/u^mu.  apart's
+    default method splits these denominators over Q or Q(i); full=True
+    took 16 s and more for one k = 5 input on a 2-vCPU VM."""
+    out = [0] * k
+    for term in Add.make_args(apart(num / den, SZ)):
+        n, d = term.as_numer_denom()
+        if d.subs(SZ, p) != 0:
+            continue
+        dp = Poly(d, SZ)
+        mu = dp.degree()
+        assert not n.has(SZ) and dp == Poly(dp.LC() * (SZ - p) ** mu, SZ)
+        out[mu - 1] += n / dp.LC()
+    return out
+
+
+# (pole, numerator, denominator without the pole), coefficients low degree first
+APART_INPUTS = [
+    (GaussianRational(Fraction(1, 3)), [1], [1, 0, 1]),
+    (GaussianRational(Fraction(-5, 2)), [Fraction(1, 2), -3, 0, 0, 1], [-2, -5, 3]),
+    (GaussianRational(Fraction(2, 7), Fraction(1, 5)), [5, GaussianRational(0, -2), 0, 1],
+     [GaussianRational(0, -6), GaussianRational(-4, 3), 2]),
+]
+
+
+class TestUniDigits:
+    """`uni_digits` against the definition of the rho-adic expansion, and in
+    one variable against sympy's partial fractions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(digit_cases())
+    def test_expansion(self, case):
+        var, num, den, rho, m = case
+        if gcd_in_var(den, rho, var).depends_on(var):
+            with pytest.raises(DivisionError):
+                uni_digits(num, den, rho, m, var)
+            return
+        digits = uni_digits(num, den, rho, m, var)
+        assert len(digits) == m
+        total = RatFn.zero(num.nvars)
+        for mu, c in enumerate(digits, 1):
+            assert c.num.degree_in(var) < rho.degree_in(var)
+            assert not c.den.depends_on(var)
+            total = total + c * RatFn(rho ** (m - mu))
+        # den * total - num == 0 (mod rho^m), times total's var-free denominator
+        assert uni_divmod(den * total.num - num * total.den, rho ** m, var)[2].is_zero()
+
+    @settings(max_examples=30, deadline=None)
+    @given(digit_cases(), st.data())
+    def test_common_factor_raises(self, case, data):
+        var, num, den, rho, m = case
+        nvars = num.nvars
+        h = MultiPoly.variable(nvars, var) + MultiPoly(nvars, {
+            e: c for e, c in data.draw(polys(nvars, 2)).terms.items() if e[var] == 0})
+        with pytest.raises(DivisionError):
+            uni_digits(num, den * h, rho * h, m, var)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("pole,num,rest", APART_INPUTS)
+    def test_laurent_digits_match_sympy_apart(self, pole, num, rest, k):
+        # multiplicities above 2 are out of find_rational_roots' reach, so the
+        # (z - p)-adic digits are checked here, below laurent_parts
+        z = MultiPoly.variable(1, 0)
+        lin = z - MultiPoly.const(1, pole)
+        num_p, rest_p = (MultiPoly(1, {(i,): GaussianRational.from_any(c)
+                                       for i, c in enumerate(cs)}) for cs in (num, rest))
+        digits = uni_digits(num_p, rest_p, lin, k, 0)
+        assert all(c.is_constant() for c in digits)
+        p = to_sympy_number(pole)
+        num_s, rest_s = (sum(to_sympy_number(GaussianRational.from_any(c)) * SZ ** i
+                             for i, c in enumerate(cs)) for cs in (num, rest))
+        want = sympy_principal_part(num_s, rest_s * (SZ - p) ** k, p, k)
+        assert [to_sympy_number(c.constant_value()) for c in digits] == \
+            [expand(w) for w in want]
 
 
 # ---------------------------------------------------------------------------
