@@ -32,7 +32,7 @@ from .errors import (
     NonSquarefreeFactor,
     ZeroInputError,
 )
-from .polynomials import MultiPoly, discriminant, resultant
+from .polynomials import MultiPoly, discriminant, divides, exact_divide, resultant
 from .ratfn import RatFn, uni_digits
 
 
@@ -134,32 +134,37 @@ def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
 def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
     """Check 1/P = sum c/rho_k^mu + pp exactly, with P = prod rho_k^(m_k).
 
-    Times P*D, where D is the product of the distinct denominators of the
+    Times P*D, where D is a common multiple of the denominators of the
     nonzero c and pp, the identity is one between polynomials:
 
         sum_k S_k * prod_(i != k) rho_i^(m_i) + pp.num * (D/pp.den) * P == D,
         S_k = sum_mu c.num * (D/c.den) * rho_k^(m_k - mu),   c = c_(k, mu).
 
-    S_k is formed by Horner's rule in rho_k, from mu = 1 up, and each
-    rho_i^(m_i) is built once.  Each quotient D/den is a product of the
-    remaining denominators, so the check needs no gcd and no division.
+    D (`common`) is built from the largest denominators down, and one joins
+    it as a factor only when a trial division shows it does not divide D
+    already.  The digits of one factor often have denominators B^j, powers
+    of one B, and then D is the largest of them, not their product.  Besides
+    those trial divisions the check divides only D by each den, exactly, and
+    takes no gcd.  Multiplying an identity of rational functions by the
+    nonzero D is an equivalence, so the check is as strong as with any other
+    common multiple.  S_k is formed by Horner's rule in rho_k, from mu = 1
+    up, and each rho_i^(m_i) is built once.
     """
     parts = [(c, k, mu) for k, mu, c in pfd.entries]
     parts.append((pfd.polynomial_part, None, 0))
     parts = [part for part in parts if not part[0].is_zero()]
-    dens: List[MultiPoly] = []
-    for c, _, _ in parts:
-        if c.den not in dens:
-            dens.append(c.den)
+    common = MultiPoly.const(fd.nvars, 1)
+    # a proper divisor of a monic den has lower total degree, so it comes later
+    for den in sorted(dict.fromkeys(c.den for c, _, _ in parts), reverse=True,
+                      key=lambda p: sum(p.leading_exponent())):
+        if not divides(den, common):
+            common = common * den
     zero = MultiPoly.zero(fd.nvars)
     digits: Dict[Tuple[int | None, int], MultiPoly] = {}  # (k, mu) -> c.num * (D/c.den)
     for c, k, mu in parts:
         if k is not None and not 1 <= mu <= fd.factors[k].multiplicity:
             raise ArithmeticError(f"partial fraction entry {(k, mu)} out of range")
-        term = c.num
-        for den in dens:
-            if den != c.den:
-                term = term * den
+        term = c.num * exact_divide(common, c.den)
         digits[(k, mu)] = digits.get((k, mu), zero) + term
     powers = [f.rho ** f.multiplicity for f in fd.factors]
     total = zero
@@ -175,10 +180,7 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
     for p in powers:
         pp = pp * p
     total = total + pp
-    expect = MultiPoly.const(fd.nvars, 1)
-    for den in dens:
-        expect = expect * den
-    if total != expect:
+    if total != common:
         raise ArithmeticError("partial fraction recombination failed")
 
 

@@ -259,6 +259,9 @@ def _divided(p: MultiPoly, g: MultiPoly | None) -> MultiPoly:
 # coefficient operation.  `uni_digits` is the one routine that expands a
 # quotient in powers of a factor rho: the partial fractions, the Laurent
 # parts in one variable and the normal forms on Y = Z(rho) are its digits.
+# It inverts the denominator modulo rho only, never modulo rho^m, and takes
+# the digits one at a time by a recurrence whose exact divisions by rho
+# certify them.
 # ---------------------------------------------------------------------------
 
 def uni_divmod(p: MultiPoly, q: MultiPoly, var: int) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -298,18 +301,35 @@ def uni_mod_inverse(a: MultiPoly, m: MultiPoly, var: int) -> Tuple[MultiPoly, Mu
 def uni_digits(num: MultiPoly, den: MultiPoly, rho: MultiPoly, m: int, var: int) -> List[RatFn]:
     """The rho-adic digits [c_1, ..., c_m] of num/den modulo rho^m:
     num/den == sum_mu c_mu rho^(m - mu), deg_var c_mu < deg_var rho, each c_mu
-    with a var-free denominator.  With l0 den == d and s d == D (mod rho^m),
-    num/den == num s l0 / D; the remainder of num s l0 by rho^m splits into
-    digits by pseudo-division by rho, lowest first, each multiplier joining
-    the denominator.  Raises DivisionError when den is not prime to rho."""
-    mod = rho ** m
-    l0, _, d = uni_divmod(den, mod, var)
-    s, dd = uni_mod_inverse(d, mod, var)
-    l, _, rest = uni_divmod(num * s * l0, mod, var)
-    dd = dd * l
+    with a var-free denominator.  Raises DivisionError when den is not prime
+    to rho.
+
+    den is inverted once, modulo rho alone (Horowitz, SYMSAM 1971; von zur
+    Gathen-Gerhard, Modern Computer Algebra, 5.11): with l0 den == d and
+    s d == dd (mod rho), dd free of var, 1/den == s l0 / dd (mod rho), so the
+    PRS runs on degree deg_var rho, not m deg_var rho.  The quotient still
+    to expand is rest / (scale den), scale free of var, from num / den.  Its
+    lowest digit is r / (l dd scale), where l rest s l0 == r (mod rho) is a
+    pseudo-division.  Then rest l dd - den r is divisible by rho, since
+    den r == l dd rest there, and its pseudo-quotient by rho, with
+    multiplier l2, is the rest of the next quotient, over l2 l dd scale den.
+    That division is exact for every rho over the function field, so a
+    nonzero remainder raises ArithmeticError: it certifies each digit but
+    the last, after which no quotient is needed.  For rho = z - p, d and the
+    inverse are constants and no PRS step runs."""
+    l0, _, d = uni_divmod(den, rho, var)
+    s, dd = uni_mod_inverse(d, rho, var)
+    inv = s * l0
+    rest, scale = num, MultiPoly.const(num.nvars, 1)
     digits: List[RatFn] = []
-    for _ in range(m):
-        l, rest, digit = uni_divmod(rest, rho, var)
-        dd = dd * l
-        digits.append(RatFn(digit, dd))
+    for j in range(m):
+        if j:  # the next quotient: divide rest l dd - den r by rho
+            l2, rest, rem = uni_divmod(rest * ld - den * r, rho, var)
+            if not rem.is_zero():
+                raise ArithmeticError("rho-adic digit certificate failed: rho "
+                                      "does not divide the rest of the quotient")
+            scale = scale * l2 * ld
+        l, _, r = uni_divmod(rest * inv, rho, var)
+        ld = l * dd
+        digits.append(RatFn(r, ld * scale))
     return digits[::-1]

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from residuum import ratfn
+from residuum import decomposition, ratfn
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.decomposition import (
     PartialFractionDecomp,
@@ -458,7 +458,9 @@ RECOMBINATION_INPUTS = [("skew_sq", 0), ("skew_sq", 1), ("cross", 0), ("cross", 
 
 
 def _corpus_factors(name):
-    return [(Z1 - Z2, 1), (Z1 + Z2, 2)] if name == "rho1*rho2^2" else CORPUS[name]
+    more = {"rho1*rho2^2": [(Z1 - Z2, 1), (Z1 + Z2, 2)], "p^2*l": [(P3, 2), (LINE3, 1)],
+            "p^3*l^2": [(P3, 3), (LINE3, 2)]}
+    return more[name] if name in more else CORPUS[name]
 
 
 @pytest.mark.parametrize("name,var", RECOMBINATION_INPUTS)
@@ -473,13 +475,9 @@ def test_recombination_rejects_a_perturbed_coefficient(name, var):
                 _verify_recombination(PartialFractionDecomp(var, entries, pfd.polynomial_part), fd)
 
 
-@pytest.mark.parametrize("var", [0, 1])
-def test_recombination_rejects_a_dropped_pseudo_division_multiplier(monkeypatch, var):
-    # skew_sq's factors have non-constant leading coefficients in both charts,
-    # so a kernel that forgets the multiplier l of l p = quot q + rem must
-    # fail; the digits come from uni_digits, which reads ratfn.uni_divmod
-    fd = prepare_denominator(CORPUS["skew_sq"], var)
-    assert not all(f.rho.leading_coefficient_in(var).is_constant() for f in fd.factors)
+def _drop_pseudo_division_multiplier(monkeypatch):
+    """Make ratfn.uni_divmod, which uni_digits reads, forget the multiplier
+    l of l p = quot q + rem."""
     kernel = ratfn.uni_divmod
 
     def without_multiplier(p, q, v):
@@ -487,8 +485,88 @@ def test_recombination_rejects_a_dropped_pseudo_division_multiplier(monkeypatch,
         return MultiPoly.const(p.nvars, 1), quot, rem
 
     monkeypatch.setattr(ratfn, "uni_divmod", without_multiplier)
-    with pytest.raises(ArithmeticError, match="recombination"):
+
+
+@pytest.mark.parametrize("var", [0, 1])
+def test_recombination_rejects_a_dropped_pseudo_division_multiplier(monkeypatch, var):
+    # skew_sq's factors have non-constant leading coefficients in both charts,
+    # so a kernel that forgets the multiplier must fail: in the digit
+    # recurrence's own exact division or in the recombination check
+    fd = prepare_denominator(CORPUS["skew_sq"], var)
+    assert not all(f.rho.leading_coefficient_in(var).is_constant() for f in fd.factors)
+    _drop_pseudo_division_multiplier(monkeypatch)
+    with pytest.raises(ArithmeticError, match="recombination|certificate"):
         partial_fractions(fd)
+
+
+def test_digit_certificate_rejects_a_dropped_pseudo_division_multiplier(monkeypatch):
+    # skew_sq's squared factor in z2: rho = (z1^2 - 1) z2 + z1^2, not monic
+    (rho, m), (other, _) = CORPUS["skew_sq"]
+    assert not rho.leading_coefficient_in(1).is_constant()
+    assert len(ratfn.uni_digits(ONE, other, rho, m, 1)) == m
+    _drop_pseudo_division_multiplier(monkeypatch)
+    with pytest.raises(ArithmeticError, match="certificate"):
+        ratfn.uni_digits(ONE, other, rho, m, 1)
+
+
+@pytest.mark.parametrize("name,var", RECOMBINATION_INPUTS + [("p^3*l^2", 0)])
+def test_partial_fractions_inverts_modulo_each_factor_not_its_power(monkeypatch, name, var):
+    moduli = []
+    kernel = ratfn.uni_mod_inverse
+
+    def recording(a, m, v):
+        moduli.append(m)
+        return kernel(a, m, v)
+
+    monkeypatch.setattr(ratfn, "uni_mod_inverse", recording)
+    fd = prepare_denominator(_corpus_factors(name), var)
+    partial_fractions(fd)
+    assert moduli == [f.rho for f in fd.factors]
+
+
+def _with_a_coprime_denominator(pfd):
+    """pfd with the entry c of lowest denominator degree split into c - h/C
+    and h/C, where C is prime to every denominator of pfd: the same sum, and
+    no denominator is a multiple of all the others."""
+    nvars = pfd.polynomial_part.nvars
+    y2, y3 = MultiPoly.variable(nvars, 1), MultiPoly.variable(nvars, 2)
+    part = RatFn(y2, y3 + MultiPoly.const(nvars, 2))
+    j = min(range(len(pfd.entries)), key=lambda i: sum(pfd.entries[i][2].den.leading_exponent()))
+    k, mu, c = pfd.entries[j]
+    return PartialFractionDecomp(
+        pfd.var, pfd.entries[:j] + ((k, mu, c - part), (k, mu, part)) + pfd.entries[j + 1:],
+        pfd.polynomial_part)
+
+
+# p^3*l^2 in z1: the digit denominators are B^4, B^3 and B^2 for one B
+@pytest.mark.parametrize("name", ["p^3*l^2", "p^2*l"])
+def test_recombination_over_a_common_multiple(monkeypatch, name):
+    var = 0
+    fd = prepare_denominator(_corpus_factors(name), var)
+    pfd = partial_fractions(fd)
+    dens = {c.den for _, _, c in pfd.entries}
+    top = max(dens, key=lambda p: sum(p.leading_exponent()))
+    assert len(dens) > 1 and all(divides(d, top) for d in dens)
+    # the check clears denominators by the largest one, not by their product
+    dividends = []
+    kernel = decomposition.exact_divide
+    monkeypatch.setattr(decomposition, "exact_divide",
+                        lambda p, q: dividends.append(p) or kernel(p, q))
+    _verify_recombination(pfd, fd)
+    assert dividends[-1] == top
+    monkeypatch.undo()
+    split = _with_a_coprime_denominator(pfd)
+    unit = RatFn.const(fd.nvars, GaussianRational(1, 1))
+    y2 = MultiPoly.variable(fd.nvars, 1)
+    for good in (pfd, split, PartialFractionDecomp(var, split.entries[::-1],
+                                                   split.polynomial_part)):
+        _verify_recombination(good, fd)
+        for j, (k, mu, c) in enumerate(good.entries):
+            for bad in (c * unit, c + RatFn(y2, c.den)):
+                entries = good.entries[:j] + ((k, mu, bad),) + good.entries[j + 1:]
+                with pytest.raises(ArithmeticError):
+                    _verify_recombination(PartialFractionDecomp(var, entries,
+                                                                good.polynomial_part), fd)
 
 
 def test_recombination_rejects_an_entry_out_of_range():

@@ -1,0 +1,139 @@
+"""Alternating parent/change runs of the benchmark, summarised as a
+BENCH_*.json.
+
+    python3 tools/bench_pairs.py PARENT CHANGE [--workloads pipeline forms dim1]
+        [--pairs 10] [--seed S] [--seconds 25] [--claim WORKLOAD.METRIC]
+        [--description TEXT] [--host TEXT] [--extra NOTES.json] --out BENCH_<n>.json
+
+PARENT and CHANGE are roots of two checkouts.  For each workload, pair i
+runs `python3 bench/run.py --workload W --seed S --seconds T` once in each
+checkout, one process at a time, the parent first in odd pairs (1, 3, ...)
+and the change first in even ones, so a slow spell of the host does not
+fall on one side only.  Each run's last line of output is its JSON report.
+
+For every end-to-end metric of the change's BENCHMARK.json the output
+holds, per workload, the median and the inclusive quartiles of each side,
+all runs in pair order, change_over_parent (ratio of medians) and
+change_lower_in_pairs (pairs where the change read lower); and whether
+every run was correct.  A metric whose change median is worse than the
+parent's by more than its bound is listed under beyond_bound and printed;
+the exit status is then 1.  --claim names the metric a change claims to
+improve; its block gives the pairs won, the gap of the medians and the
+parent's interquartile range.  --extra copies the keys of a JSON object
+(trace counts, output checks) into the output unchanged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
+                          timeout=4 * seconds + 600)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(parent: list, change: list) -> dict:
+    def quartiles(xs):
+        q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        return [round(q1, 4), round(q3, 4)]
+
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return {
+        "parent_median": round(p_med, 4),
+        "parent_q1_q3": quartiles(parent),
+        "change_median": round(c_med, 4),
+        "change_q1_q3": quartiles(change),
+        "change_over_parent": round(c_med / p_med, 4),
+        "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
+        "parent_runs": [round(x, 4) for x in parent],
+        "change_runs": [round(x, 4) for x in change],
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workloads", nargs="+", default=["pipeline", "forms", "dim1"])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--claim", help="WORKLOAD.METRIC the change claims to improve")
+    ap.add_argument("--description", default="", help="one line on what the change does")
+    ap.add_argument("--host", default="", help="the machine the runs took place on")
+    ap.add_argument("--extra", type=Path, help="JSON object whose keys are copied")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"]
+
+    out = {
+        "change": args.description,
+        "command": "python3 bench/run.py --workload W --seed S --seconds "
+                   f"{args.seconds:g}",
+        "host": args.host,
+        "design": f"{args.pairs} pairs per workload, parent and change alternating which "
+                  "runs first (parent first in odd pairs), one process at a time; "
+                  f"seed {args.seed}",
+        "run_seconds": args.seconds,
+        "pairs": args.pairs,
+        "seeds": [args.seed],
+        "claim": None,
+        "workloads": {},
+    }
+    beyond = []
+    for wl in args.workloads:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                report = run_once(sides[side], wl, args.seed, args.seconds)
+                runs[side].append(report)
+                print(f"{wl} pair {i + 1} {side}: " + ", ".join(
+                    f"{m['name']} {report['metrics'][m['name']]['value']:.4f}"
+                    for m in metrics), file=sys.stderr, flush=True)
+        block = {}
+        for m in metrics:
+            name = m["name"]
+            block[name] = summary(*([r["metrics"][name]["value"] for r in runs[side]]
+                                    for side in ("parent", "change")))
+            ratio = block[name]["change_over_parent"]
+            worse = ratio - 1 if m["better"] == "lower" else 1 - ratio
+            if worse > m["bound"]:
+                beyond.append(f"{wl} {name}: change/parent {ratio} beyond bound {m['bound']}")
+        block["all_runs_correct"] = all(r["correct"] for side in runs.values() for r in side)
+        block["failed"] = sum(r["failed"] for side in runs.values() for r in side)
+        out["workloads"][wl] = block
+    if args.claim:
+        wl, _, name = args.claim.partition(".")
+        s = out["workloads"][wl][name]
+        q1, q3 = s["parent_q1_q3"]
+        out["claim"] = {
+            "workload": wl,
+            "metric": name,
+            "parent_over_change": round(s["parent_median"] / s["change_median"], 4),
+            "change_lower_in_pairs": s["change_lower_in_pairs"],
+            "median_gap": round(abs(s["parent_median"] - s["change_median"]), 4),
+            "parent_iqr": round(q3 - q1, 4),
+        }
+    out["beyond_bound"] = beyond
+    if args.extra:
+        out.update(json.loads(args.extra.read_text()))
+    args.out.write_text(json.dumps(out, indent=2) + "\n")
+    for line in beyond:
+        print("BEYOND BOUND " + line, file=sys.stderr)
+    return 1 if beyond else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
