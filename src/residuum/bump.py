@@ -50,10 +50,6 @@ class BumpFunction:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int, radius) -> "BumpFunction":
-        return BumpFunction(nvars, radius, [])
-
-    @staticmethod
     def radial(nvars: int, radius, center=None) -> "BumpFunction":
         """The plain cutoff exp(-1/(1-t))."""
         return BumpFunction(nvars, radius, [(MultiPoly.const(2 * nvars, 1), 0, 1)],
@@ -86,9 +82,6 @@ class BumpFunction:
 
     def __neg__(self) -> "BumpFunction":
         return self._with_terms([(-p, m, c) for p, m, c in self.terms])
-
-    def __sub__(self, other: "BumpFunction") -> "BumpFunction":
-        return self + (-other)
 
     def __mul__(self, other) -> "BumpFunction":
         if isinstance(other, BumpFunction):

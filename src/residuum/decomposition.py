@@ -7,15 +7,16 @@ Everything here is exact.  The distinguished variable is written `var`
 leading coefficients that do not vanish at the origin.
 
 Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
-and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  The operators
-of one factor come as a tower: `transverse_operator(rho, var, S)` returns
-(D_0, ..., D_S) from a single run of the beta recursion.  Only
+and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Each D_s is
+stored in one form only, ((a, c_a), ...) with c_a = beta_a^(s)/w^(2s-1), and
+((0, 1),) at s = 0; it acts as eta -> sum_a c_a d^a eta/dz_var^a.  The
+operators of one factor come as a tower: `transverse_operator(rho, var, S)`
+returns (D_0, ..., D_S) from a single run of the beta recursion.  Only
 `transverse_derivatives` applies them: it differentiates h once per order,
 d^a h/dz_var^a for a <= S, and forms every D_s h from that one chain.  The
 residue-operator table here and `leray.reduced_residue` both build their
-operators this way.  On the test side, as `OperatorEntry.op` and
-`SDescriptor.delta`, D_s is ((a, c_a), ...) with c_a = beta_a^(s)/w^(2s-1),
-((0, 1),) at s = 0: eta -> sum_a c_a d^a eta/dz_var^a.
+operators this way and store them as they come, as `OperatorEntry.op` and
+`SDescriptor.delta`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     CoprimalityViolation,
     FactorFreeOfVariable,
     LeadingCoefficientVanishesAtOrigin,
-    MultiplePole,
     NonSquarefreeFactor,
     ZeroInputError,
 )
@@ -184,55 +184,22 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
         raise ArithmeticError("partial fraction recombination failed")
 
 
-@dataclass(frozen=True)
-class HolomorphyReport:
-    factor_index: int
-    holomorphic_at_origin: bool
-    reduced_denominator: MultiPoly
-
-
-def check_simple_pole_holomorphy(pfd: PartialFractionDecomp,
-                                 fd: FactoredDenominator) -> List[HolomorphyReport]:
-    """Origin test of the simple-pole coefficients c_1^k.
-
-    Only meaningful when every multiplicity is 1; reports whether each
-    reduced denominator is nonvanishing at the origin.
-    """
-    if any(f.multiplicity != 1 for f in fd.factors):
-        raise MultiplePole("holomorphy check requires all multiplicities equal to 1")
-    out = []
-    origin = [0] * fd.nvars
-    for k, _ in enumerate(fd.factors):
-        c = pfd.coefficient(k, 1)
-        ok = not c.den.eval_exact(origin).is_zero()
-        out.append(HolomorphyReport(k, ok, c.den))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # transverse derivatives:  D_0 = 1,  D_s = w^-(2s-1) * sum_a beta_a^s d^a/dz_var^a
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransverseOperator:
-    """D_s: the identity at s = 0, else w^-(2s-1) sum_a beta_a d^a/dz_var^a.
-    `test_side` is ((a, c_a), ...), c_a = beta_a/w^(2s-1), or ((0, 1),) at
-    s = 0, acting as eta -> sum_a c_a d^a eta/dz_var^a."""
-
-    var: int
-    order: int
-    betas: Tuple[RatFn, ...]  # betas[a-1] multiplies d^a/dz_var^a
-    test_side: Tuple[Tuple[int, RatFn], ...]
+Operator = Tuple[Tuple[int, RatFn], ...]  # ((a, c_a), ...): eta -> sum_a c_a d^a eta/dz_var^a
 
 
-def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[TransverseOperator, ...]:
-    """The tower (D_0, ..., D_order), from one run of the first-order recursion
+def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[Operator, ...]:
+    """The tower (D_0, ..., D_order), each D_s as ((a, c_a), ...) with
+    c_a = beta_a^(s)/w^(2s-1), and D_0 = ((0, 1),).  The betas come from one
+    run of the first-order recursion
 
         beta_a^(s+1) = w * d(beta_a^s)/dz - (2s-1) * dw/dz * beta_a^s
                        + w * beta_(a-1)^s,        w = drho/dz_var,
 
-    which starts at beta^(1) = (1,).  The betas come out polynomial; they
-    are stored as RatFn for uniformity.
+    which starts at beta^(1) = (1,).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -240,7 +207,7 @@ def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[Transvers
     if w.is_zero():
         raise FactorFreeOfVariable("factor free of the distinguished variable")
     nvars = rho.nvars
-    tower = [TransverseOperator(var, 0, (), ((0, RatFn.one(nvars)),))]
+    tower: List[Operator] = [((0, RatFn.one(nvars)),)]
     wp = w.partial(var)
     w_r = RatFn.from_any(w, nvars)
     zero = MultiPoly.zero(nvars)
@@ -253,26 +220,24 @@ def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[Transvers
                 below = betas[a - 2] if a >= 2 else zero
                 nxt.append(w * cur.partial(var) - (2 * s - 3) * wp * cur + w * below)
             betas = nxt
-        betas_r = tuple(RatFn.from_any(b, nvars) for b in betas)
         scale = w_r ** (2 * s - 1)
-        tower.append(TransverseOperator(var, s, betas_r,
-                                        tuple((a, b / scale) for a, b in enumerate(betas_r, 1))))
+        tower.append(tuple((a, RatFn.from_any(b, nvars) / scale)
+                           for a, b in enumerate(betas, 1)))
     return tuple(tower)
 
 
-def transverse_derivatives(h: RatFn, tower: Tuple[TransverseOperator, ...],
-                           w: RatFn) -> List[RatFn]:
+def transverse_derivatives(h: RatFn, tower: Tuple[Operator, ...], var: int) -> List[RatFn]:
     """[D_0 h, ..., D_S h] for a tower (D_0, ..., D_S) of
-    `transverse_operator`, w = drho/dz_var.  One chain of derivatives
-    d^a h/dz_var^a, a <= S, serves every order."""
+    `transverse_operator` in z_var: D_s h = sum_a c_a d^a h/dz_var^a.  One
+    chain of derivatives d^a h/dz_var^a, a <= S, serves every order."""
     out = [h]
     chain = [h]
     for op in tower[1:]:
-        chain.append(chain[-1].partial(op.var))
+        chain.append(chain[-1].partial(var))
         acc = RatFn.zero(h.nvars)
-        for a, beta in enumerate(op.betas, 1):
-            acc = acc + beta * chain[a]
-        out.append(acc / w ** (2 * op.order - 1))
+        for a, c in op:
+            acc = acc + c * chain[a]
+        out.append(acc)
     return out
 
 
@@ -282,11 +247,11 @@ def transverse_derivatives(h: RatFn, tower: Tuple[TransverseOperator, ...],
 
 @dataclass(frozen=True)
 class OperatorEntry:
-    """One (k, mu, l) cell: the weight g and `op`, the test-side form of
-    D_(mu-1-l), acting as eta -> sum_a c_a d^a eta/dz_var^a; D_0 is ((0, 1),)."""
+    """One (k, mu, l) cell: the weight g and `op`, the operator D_(mu-1-l)
+    as `transverse_operator` gives it."""
 
     g: RatFn
-    op: Tuple[Tuple[int, RatFn], ...]
+    op: Operator
 
 
 @dataclass(frozen=True)
@@ -312,10 +277,10 @@ def residue_operator_data(pfd: PartialFractionDecomp,
         w = RatFn.from_any(f.rho.partial(var), f.rho.nvars)
         tower = transverse_operator(f.rho, var, f.multiplicity - 1)
         for mu in range(1, f.multiplicity + 1):
-            derivs = transverse_derivatives(pfd.coefficient(k, mu) / w, tower[:mu], w)
+            derivs = transverse_derivatives(pfd.coefficient(k, mu) / w, tower[:mu], var)
             for l in range(mu):
                 g = derivs[l]
                 if l < mu - 1:
                     g = g * comb(mu - 1, l) / w ** (2 * (mu - l) - 3)
-                entries[(k, mu, l)] = OperatorEntry(g, tower[mu - 1 - l].test_side)
+                entries[(k, mu, l)] = OperatorEntry(g, tower[mu - 1 - l])
     return ResidueOperatorData(var, entries)

@@ -4,7 +4,9 @@ A form g(z) dz with Gaussian-rational poles decomposes into exact Laurent
 principal parts, the (z - p)-adic digits of g times (z - p)^k at a pole p
 of multiplicity k; the residue current at a pole of multiplicity k is the
 delta-operator current sum_j b_j d^j/dz^j delta with b_j = (2 pi i / j!)
-times the Laurent coefficient a_{-(j+1)}.  The constants are pinned by the
+times the Laurent coefficient a_{-(j+1)}.  A current stores each b_j once,
+as its Gaussian-rational factor a_{-(j+1)}/j! of 2 pi i; the float 2 pi i
+joins only when a test function is paired.  The constants are pinned by the
 contour oracle `contour_residue_numeric`, which is also exposed directly.
 
 Convention: (d^j delta_a)(phi) := (d^j phi/dz^j)(a), without the
@@ -31,7 +33,7 @@ from .quadrature import (
     richardson,
 )
 from .ratfn import RatFn, uni_digits, uni_divmod
-from .scalars import GaussianRational, TaggedScalar
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,19 @@ class LaurentPart:
 
 @dataclass(frozen=True)
 class DeltaOperatorCurrent:
+    """sum_j b_j d^j/dz^j delta at `pole`.  `coeffs` holds b_j / (2 pi i),
+    the Gaussian-rational factor of each b_j: 2 pi i itself is applied only
+    in the float evaluation, `apply_delta_current`."""
+
     pole: GaussianRational
-    coeffs: Tuple[TaggedScalar, ...]  # b_0, ..., b_{k-1}
+    coeffs: Tuple[GaussianRational, ...]  # b_0, ..., b_{k-1}, each over 2 pi i
 
 
-def _rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
+RATIONALIZE_MAX_DEN = 10 ** 6  # largest denominator a numeric root may rationalize to
+
+
+def _rationalize(x: float) -> Fraction:
+    return Fraction(x).limit_denominator(RATIONALIZE_MAX_DEN)
 
 
 def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
@@ -83,7 +92,7 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
         if not remaining.eval_exact([cand]).is_zero():
             raise IrrationalPole(
                 f"root near {r:.6g} is not Gaussian rational "
-                "(or exceeds the rationalization bound)", numeric_roots=list(numeric))
+                "(or exceeds the rationalization bound)")
         lin = z - MultiPoly.const(1, cand)
         mult = 0
         while remaining.eval_exact([cand]).is_zero():
@@ -91,8 +100,7 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
             mult += 1
         roots.append((cand, mult))
     if remaining.degree_in(0) != 0:
-        raise IrrationalPole("numeric root finding missed a factor",
-                             numeric_roots=list(numeric))
+        raise IrrationalPole("numeric root finding missed a factor")
     return roots
 
 
@@ -115,15 +123,10 @@ def laurent_parts(g: RatFn) -> List[LaurentPart]:
 
 
 def residue_current_1d(parts: List[LaurentPart]) -> List[DeltaOperatorCurrent]:
-    """b_j = (2 pi i / j!) a_{-(j+1)} for each pole."""
-    out = []
-    for part in parts:
-        bs = []
-        for j in range(part.multiplicity):
-            a = part.coeffs[j]
-            bs.append(TaggedScalar(a / GaussianRational(math.factorial(j)), two_pi_i=True))
-        out.append(DeltaOperatorCurrent(part.pole, tuple(bs)))
-    return out
+    """b_j = (2 pi i / j!) a_{-(j+1)} for each pole, stored over 2 pi i."""
+    return [DeltaOperatorCurrent(part.pole, tuple(a / GaussianRational(math.factorial(j))
+                                                  for j, a in enumerate(part.coeffs)))
+            for part in parts]
 
 
 def apply_delta_current(cur: DeltaOperatorCurrent, phi: BumpFunction) -> complex:
@@ -139,7 +142,7 @@ def apply_delta_current(cur: DeltaOperatorCurrent, phi: BumpFunction) -> complex
         if j > 0:
             d = d.dz(0)
         if not b.is_zero():
-            total += complex(b) * complex(d.eval_numeric(z0))
+            total += complex(b) * (2j * math.pi) * complex(d.eval_numeric(z0))
     return total
 
 

@@ -50,10 +50,6 @@ class MultiplePole(DenominatorError):
 class IrrationalPole(ResiduumError):
     """The denominator admits no exact linear split over the Gaussian rationals."""
 
-    def __init__(self, message, numeric_roots=None):
-        super().__init__(message)
-        self.numeric_roots = numeric_roots
-
 
 # --- Leray reduction ---
 

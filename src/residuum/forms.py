@@ -238,10 +238,6 @@ class TestForm(_Form):
         return {(k[:q], tuple(g - n for g in k[q:])): b for k, b in self.terms.items()}
 
     @staticmethod
-    def zero(nvars: int, bidegree=(0, 0)) -> "TestForm":
-        return TestForm(nvars, bidegree, {})
-
-    @staticmethod
     def function(b: BumpFunction) -> "TestForm":
         return TestForm(b.nvars, (0, 0), {((), ()): b})
 
@@ -260,10 +256,6 @@ class TestForm(_Form):
     def exterior_d(self) -> List["TestForm"]:
         """Full d = d' + d''; returned as the bidegree components."""
         return [self.d_holo(), self.d_bar()]
-
-    def contract(self, j: int) -> "TestForm":
-        q, r = self.bidegree
-        return self._contract(j, (q - 1, r))
 
     def split_by_missing_conjugate(self) -> List[Tuple[int, "TestForm"]]:
         """Split a (q, n-1) form into the pieces that omit dzbar_j, per j.

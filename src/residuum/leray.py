@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .decomposition import (
     FactoredDenominator,
+    Operator,
     PartialFractionDecomp,
     transverse_derivatives,
     transverse_operator,
@@ -285,8 +286,9 @@ def check_closed(omega: MeroForm) -> Tuple[bool, MeroForm]:
 
 @dataclass
 class SDescriptor:
-    """gamma on Y paired with D_l; `delta` is D_l's test-side form, acting as
-    eta -> sum_a c_a d^a eta/dz_var^a: ((0, 1),) at l = 0, else c_a = beta_a/w^(2l-1).
+    """gamma on Y paired with D_l; `delta` is D_l as `transverse_operator`
+    stores it, acting as eta -> sum_a c_a d^a eta/dz_var^a: ((0, 1),) at
+    l = 0, else c_a = beta_a/w^(2l-1).
 
     Pairing with a test function phi: the reduced residue A acts on phi, and
     the descriptors act on eta = d phi.  In one variable the residue of
@@ -298,7 +300,7 @@ class SDescriptor:
     mu: int                       # the R-term order nu
     l: int                        # test-side transverse order
     gamma: HypersurfaceForm
-    delta: Tuple[Tuple[int, RatFn], ...]
+    delta: Operator
 
 
 @dataclass
@@ -363,7 +365,7 @@ def reduced_residue(omega: MeroForm,
                 if e_nu.is_zero():
                     continue
                 # D_s(f/w) for s < nu, one derivative chain per coefficient f
-                derivs = {key: transverse_derivatives(f / w, tower[:nu], w)
+                derivs = {key: transverse_derivatives(f / w, tower[:nu], var)
                           for key, f in e_nu.coeffs.items()}
                 for l in range(0, nu):
                     coeff = GaussianRational(comb(nu - 1, l)) \
@@ -373,7 +375,7 @@ def reduced_residue(omega: MeroForm,
                                           for key, ds in derivs.items()})
                     gamma = HypersurfaceForm(k, factor.rho, var, gamma_rep).normalize()
                     descriptors.append(
-                        SDescriptor(var, k, nu, l, gamma, tower[l].test_side))
+                        SDescriptor(var, k, nu, l, gamma, tower[l]))
     return ReducedResidue(p, components, descriptors, dict(charts), leray)
 
 

@@ -203,12 +203,6 @@ class RatFn:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval_exact(self, point) -> GaussianRational:
-        d = self.den.eval_exact(point)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.eval_exact(point) / d
-
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
         """Values at complex points (last axis the variables); a constant
         numerator or denominator is one scalar, not a filled array."""

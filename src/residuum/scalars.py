@@ -8,8 +8,9 @@ never rounds; each operation ends with at most one three-way integer gcd
 4.5.1, carried over to Q(i)).  `_over_common_denominator` and `_reduced`
 hand the integers to and from the polynomial kernel, which multiplies
 whole polynomials on them.  The transcendental factor 2*pi*i is *not* a
-scalar here; values that carry it keep an explicit tag (see
-:class:`TaggedScalar`).
+scalar here: a value that carries it is stored as its Gaussian-rational
+factor, and the code that holds it says so (as
+`dim1.DeltaOperatorCurrent` does).
 """
 
 from __future__ import annotations
@@ -222,42 +223,3 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     if g != 1:
         return _canonical(a // g, b // g, d // g)
     return _canonical(a, b, d)
-
-
-class TaggedScalar:
-    """A Gaussian rational times an optional explicit 2*pi*i unit.
-
-    Symbolic outputs never multiply 2*pi*i into floats; the flag stays
-    attached until a numeric evaluation asks for a complex value.
-    """
-
-    __slots__ = ("rational", "two_pi_i")
-
-    def __init__(self, rational: GaussianRational, two_pi_i: bool = False):
-        self.rational = GaussianRational.from_any(rational)
-        self.two_pi_i = bool(two_pi_i)
-
-    def is_zero(self) -> bool:
-        return self.rational.is_zero()
-
-    def __complex__(self):
-        import math
-
-        v = complex(self.rational)
-        if self.two_pi_i:
-            v *= 2j * math.pi
-        return v
-
-    def __eq__(self, other):
-        if not isinstance(other, TaggedScalar):
-            return NotImplemented
-        if self.rational.is_zero() and other.rational.is_zero():
-            return True
-        return self.rational == other.rational and self.two_pi_i == other.two_pi_i
-
-    def __hash__(self):
-        return hash((self.rational, self.two_pi_i and not self.rational.is_zero()))
-
-    def __repr__(self):
-        tag = " * 2*pi*i" if self.two_pi_i else ""
-        return f"TaggedScalar({self.rational}{tag})"

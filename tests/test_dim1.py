@@ -88,8 +88,8 @@ class TestLaurentParts:
 class TestDeltaCurrents:
     def test_simple_residue_tag(self):
         (cur,) = residue_current_1d(laurent_parts(RatFn(ONE, Z)))
-        assert cur.coeffs[0].rational == GaussianRational(1)
-        assert cur.coeffs[0].two_pi_i
+        # b_0 = 2 pi i, stored as its Gaussian-rational factor of 2 pi i
+        assert cur.coeffs[0] == GaussianRational(1)
 
     def test_constants_from_contour_oracle(self):
         # b_{l-1} = 2 pi i / (l-1)!  for g = 1/z^l, pinned numerically

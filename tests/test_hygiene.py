@@ -5,7 +5,9 @@ A name defined in `src/residuum` must occur, as a whole word, in the text
 of `src/`, `tests/` and `bench/` more often than it is defined; otherwise
 nothing calls it and it is dead code.  Dunder names are exempt, since the
 language calls them.  The rule cannot see a chain of definitions that only
-call each other, nor a name shared by a live and a dead definition.
+call each other, nor a name shared by a live and a dead definition.  For
+static and class methods, which share names such as `zero` across classes,
+a second rule asks for the qualified `Class.name` (or `cls.name`).
 
 Inside each function, a parameter (other than `self`) or an assigned name
 (other than one starting with `_`) that neither the function nor a function
@@ -49,6 +51,29 @@ def test_every_definition_is_referenced():
     unused = sorted(name for name, count in _definitions().items()
                     if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def _unqualified_class_level_methods():
+    """Class.name for every staticmethod and classmethod of the package that
+    the corpus never reads as `Class.name` or `cls.name`."""
+    text, out = _corpus(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                        for d in fn.decorator_list):
+                    pattern = rf"\b(?:{re.escape(cls.name)}|cls)\.{re.escape(fn.name)}\b"
+                    if not re.search(pattern, text):
+                        out.append(f"{cls.name}.{fn.name}")
+    return out
+
+
+def test_every_static_and_class_method_is_called_by_class():
+    unused = _unqualified_class_level_methods()
+    assert not unused, f"static or class methods never called as Class.name: {unused}"
 
 
 def _unread_names():
