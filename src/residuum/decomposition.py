@@ -8,21 +8,33 @@ leading coefficients that do not vanish at the origin.
 
 Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
 and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Each D_s is
-stored in one form only, ((a, c_a), ...) with c_a = beta_a^(s)/w^(2s-1), and
-((0, 1),) at s = 0; it acts as eta -> sum_a c_a d^a eta/dz_var^a.  The
-operators of one factor come as a tower: `transverse_operator(rho, var, S)`
-returns (D_0, ..., D_S) from a single run of the beta recursion.  Only
-`transverse_derivatives` applies them: it differentiates h once per order,
-d^a h/dz_var^a for a <= S, and forms every D_s h from that one chain.  The
-residue-operator table here and `leray.reduced_residue` both build their
-operators this way and store them as they come, as `OperatorEntry.op` and
-`SDescriptor.delta`.
+stored in one form only, ((a, c_a), ...) with c_a = RatFn(beta_a^(s),
+w^(2s-1)), and ((0, 1),) at s = 0; it acts as eta -> sum_a c_a
+d^a eta/dz_var^a.  The operators of one factor come as a tower:
+`transverse_operator(rho, var, S)` returns the betas and (D_0, ..., D_S)
+from a single run of the beta recursion.
+
+`transverse_derivatives(f, w, betas, var)` applies the same betas to
+h = f/w, and it is the one construction of D_s h: the residue-operator
+table here and `leray.reduced_residue` both call it.  Every denominator on
+its path is known in advance, f.den times a power of w, so it never forms
+an intermediate RatFn.  It keeps f.den, which is free of z_var for every
+partial-fraction digit, out of the chain; the derivatives d^a h/dz_var^a are
+then polynomial numerators N_a over powers of w, one chain for all orders,
+and D_s h is sum_a beta_a N_a w^(s-a) over f.den w^(3s).  The caller turns
+each (numerator, denominator) pair into one canonical RatFn, after any
+factor of its own (the table's weight adds a power of w), so each output is
+normalised once and outputs are byte-identical to term-by-term RatFn
+arithmetic.  The table stores the tower's operators as they come, as
+`OperatorEntry.op`, and `leray.reduced_residue` as `SDescriptor.delta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import (
@@ -118,21 +130,24 @@ def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
     var = fd.var
     one = MultiPoly.const(nvars, 1)
     powers = [f.rho ** f.multiplicity for f in fd.factors]
+    # prod_(i != k) rho_i^(m_i) = prefix[k] * suffix[k], the products over
+    # i < k and over i > k
+    prefix = list(accumulate(powers[:-1], mul, initial=one))
+    suffix = list(accumulate(powers[:0:-1], mul, initial=one))[::-1]
     entries: List[Tuple[int, int, RatFn]] = []
     for k, f in enumerate(fd.factors):
-        others = one
-        for i, p in enumerate(powers):
-            if i != k:
-                others = others * p
+        others = prefix[k] * suffix[k]
         digits = uni_digits(one, others, f.rho, f.multiplicity, var)
         entries += [(k, mu, c) for mu, c in enumerate(digits, 1) if not c.is_zero()]
     pfd = PartialFractionDecomp(var, tuple(entries), RatFn.zero(nvars))
-    _verify_recombination(pfd, fd)
+    _verify_recombination(pfd, fd, powers)
     return pfd
 
 
-def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
-    """Check 1/P = sum c/rho_k^mu + pp exactly, with P = prod rho_k^(m_k).
+def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator,
+                          powers: List[MultiPoly]):
+    """Check 1/P = sum c/rho_k^mu + pp exactly, with P = prod rho_k^(m_k) and
+    powers[k] = rho_k^(m_k), as `partial_fractions` built them.
 
     Times P*D, where D is a common multiple of the denominators of the
     nonzero c and pp, the identity is one between polynomials:
@@ -148,7 +163,8 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
     takes no gcd.  Multiplying an identity of rational functions by the
     nonzero D is an equivalence, so the check is as strong as with any other
     common multiple.  S_k is formed by Horner's rule in rho_k, from mu = 1
-    up, and each rho_i^(m_i) is built once.
+    up, and the sum over k by the same rule in the powers: after factor k
+    it is sum_(j <= k) S_j prod_(i <= k, i != j) rho_i^(m_i).
     """
     parts = [(c, k, mu) for k, mu, c in pfd.entries]
     parts.append((pfd.polynomial_part, None, 0))
@@ -166,20 +182,15 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
             raise ArithmeticError(f"partial fraction entry {(k, mu)} out of range")
         term = c.num * exact_divide(common, c.den)
         digits[(k, mu)] = digits.get((k, mu), zero) + term
-    powers = [f.rho ** f.multiplicity for f in fd.factors]
     total = zero
-    for k, f in enumerate(fd.factors):
+    below = MultiPoly.const(fd.nvars, 1)  # prod_(i < k) rho_i^(m_i)
+    for k, (f, p) in enumerate(zip(fd.factors, powers)):
         s = zero
         for mu in range(1, f.multiplicity + 1):
             s = s * f.rho + digits.get((k, mu), zero)
-        for i, p in enumerate(powers):
-            if i != k:
-                s = s * p
-        total = total + s
-    pp = digits.get((None, 0), zero)
-    for p in powers:
-        pp = pp * p
-    total = total + pp
+        total = total * p + s * below
+        below = below * p
+    total = total + digits.get((None, 0), zero) * below
     if total != common:
         raise ArithmeticError("partial fraction recombination failed")
 
@@ -189,10 +200,13 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator):
 # ---------------------------------------------------------------------------
 
 Operator = Tuple[Tuple[int, RatFn], ...]  # ((a, c_a), ...): eta -> sum_a c_a d^a eta/dz_var^a
+Betas = Tuple[Tuple[MultiPoly, ...], ...]  # betas[s] = (beta_1^(s), ..., beta_s^(s))
 
 
-def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[Operator, ...]:
-    """The tower (D_0, ..., D_order), each D_s as ((a, c_a), ...) with
+def transverse_operator(rho: MultiPoly, var: int,
+                        order: int) -> Tuple[Betas, Tuple[Operator, ...]]:
+    """(betas, tower) for D_0, ..., D_order: betas[s] = (beta_1^(s), ...,
+    beta_s^(s)), betas[0] = (), and tower[s] = D_s as ((a, c_a), ...) with
     c_a = beta_a^(s)/w^(2s-1), and D_0 = ((0, 1),).  The betas come from one
     run of the first-order recursion
 
@@ -207,38 +221,55 @@ def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[Operator,
     if w.is_zero():
         raise FactorFreeOfVariable("factor free of the distinguished variable")
     nvars = rho.nvars
-    tower: List[Operator] = [((0, RatFn.one(nvars)),)]
     wp = w.partial(var)
-    w_r = RatFn.from_any(w, nvars)
     zero = MultiPoly.zero(nvars)
-    betas: List[MultiPoly] = [MultiPoly.const(nvars, 1)]
-    for s in range(1, order + 1):
-        if s > 1:  # betas holds beta^(s-1)
-            nxt: List[MultiPoly] = []
-            for a in range(1, s + 1):
-                cur = betas[a - 1] if a < s else zero
-                below = betas[a - 2] if a >= 2 else zero
-                nxt.append(w * cur.partial(var) - (2 * s - 3) * wp * cur + w * below)
-            betas = nxt
-        scale = w_r ** (2 * s - 1)
-        tower.append(tuple((a, RatFn.from_any(b, nvars) / scale)
-                           for a, b in enumerate(betas, 1)))
-    return tuple(tower)
+    betas: List[Tuple[MultiPoly, ...]] = [(), (MultiPoly.const(nvars, 1),)][:order + 1]
+    for s in range(2, order + 1):
+        prev = betas[-1] + (zero,)  # beta^(s-1), with beta_s^(s-1) = 0
+        k_wp = (2 * s - 3) * wp
+        betas.append(tuple(w * b.partial(var) - k_wp * b + (w * prev[i - 1] if i else zero)
+                           for i, b in enumerate(prev)))
+    tower = [((0, RatFn.one(nvars)),)]
+    for s, bs in enumerate(betas[1:], 1):
+        scale = w if s == 1 else scale * w * w  # w^(2s-1)
+        tower.append(tuple((a, RatFn(b, scale)) for a, b in enumerate(bs, 1)))
+    return tuple(betas), tuple(tower)
 
 
-def transverse_derivatives(h: RatFn, tower: Tuple[Operator, ...], var: int) -> List[RatFn]:
-    """[D_0 h, ..., D_S h] for a tower (D_0, ..., D_S) of
-    `transverse_operator` in z_var: D_s h = sum_a c_a d^a h/dz_var^a.  One
-    chain of derivatives d^a h/dz_var^a, a <= S, serves every order."""
-    out = [h]
-    chain = [h]
-    for op in tower[1:]:
-        chain.append(chain[-1].partial(var))
-        acc = RatFn.zero(h.nvars)
-        for a, c in op:
-            acc = acc + c * chain[a]
-        out.append(acc)
-    return out
+def transverse_derivatives(f: RatFn, w: MultiPoly, betas: Betas,
+                           var: int) -> List[Tuple[MultiPoly, MultiPoly]]:
+    """D_s(f/w) = num_s/den_s for s = 0, ..., len(betas) - 1, with w =
+    drho/dz_var and betas from `transverse_operator`, as unreduced pairs
+    (num_s, den_s): the caller forms one RatFn per output, after any factor
+    of its own, and that is the only normalisation.
+
+    With f/w = f.num/(out * D), where D = w and out = f.den when f.den is free
+    of z_var (every digit of `partial_fractions` is), else D = f.den * w and
+    out = 1, the derivatives are polynomial numerators over powers of D:
+
+        d^a(f/w)/dz_var^a = N_a / (out * D^(a+1)),
+        N_0 = f.num,   N_(a+1) = D dN_a/dz_var - (a+1) dD/dz_var N_a,
+
+    so D_s(f/w) = sum_a beta_a^(s) N_a D^(s-a) / (out * w^(2s-1) * D^(s+1)),
+    whose numerator is formed by Horner's rule in D; with D = w the
+    denominator is out * w^(3s).  No gcd runs here.
+    """
+    if f.den.depends_on(var):
+        out, d = MultiPoly.const(f.nvars, 1), f.den * w
+    else:
+        out, d = f.den, w
+    dp = d.partial(var)
+    chain = [f.num]
+    den = out * d
+    pairs = [(f.num, den)]
+    for s in range(1, len(betas)):
+        chain.append(d * chain[-1].partial(var) - dp * chain[-1] * s)
+        num = MultiPoly.zero(f.nvars)
+        for b, n_a in zip(betas[s], chain[1:]):  # Horner's rule in D
+            num = num * d + b * n_a
+        den = den * (w * d if s == 1 else w * w * d)  # out * w^(2s-1) * D^(s+1)
+        pairs.append((num, den))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +299,24 @@ def residue_operator_data(pfd: PartialFractionDecomp,
     """Assemble the full (k, mu, l) table for one distinguished variable:
     with c = c_(k, mu), g = D_l(c/w) at l = mu - 1, else
     C(mu-1, l) D_l(c/w) / w^(2(mu-l)-3), and op is D_(mu-1-l).  Each factor
-    takes one tower of operators, each c one derivative chain."""
+    takes one tower of operators, each c one derivative chain, and each
+    cell is one RatFn formed from the chain's numerator and denominator."""
     if pfd.var != fd.var:
         raise ValueError("partial fractions and denominator use different variables")
     var = fd.var
     entries: Dict[Tuple[int, int, int], OperatorEntry] = {}
     for k, f in enumerate(fd.factors):
-        w = RatFn.from_any(f.rho.partial(var), f.rho.nvars)
-        tower = transverse_operator(f.rho, var, f.multiplicity - 1)
+        w = f.rho.partial(var)
+        betas, tower = transverse_operator(f.rho, var, f.multiplicity - 1)
         for mu in range(1, f.multiplicity + 1):
-            derivs = transverse_derivatives(pfd.coefficient(k, mu) / w, tower[:mu], var)
-            for l in range(mu):
-                g = derivs[l]
+            c = pfd.coefficient(k, mu)
+            if c.is_zero():  # every D_l of 0 is 0
+                entries.update(((k, mu, l), OperatorEntry(c, tower[mu - 1 - l]))
+                               for l in range(mu))
+                continue
+            chain = transverse_derivatives(c, w, betas[:mu], var)
+            for l, (num, den) in enumerate(chain):
                 if l < mu - 1:
-                    g = g * comb(mu - 1, l) / w ** (2 * (mu - l) - 3)
-                entries[(k, mu, l)] = OperatorEntry(g, tower[mu - 1 - l])
+                    num, den = num * comb(mu - 1, l), den * w ** (2 * (mu - l) - 3)
+                entries[(k, mu, l)] = OperatorEntry(RatFn(num, den), tower[mu - 1 - l])
     return ResidueOperatorData(var, entries)

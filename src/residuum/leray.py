@@ -359,19 +359,20 @@ def reduced_residue(omega: MeroForm,
             components.append((k, a_rest))
             if not ld.r_terms:
                 continue
-            w = RatFn(factor.rho.partial(var))
-            tower = transverse_operator(factor.rho, var, max(ld.r_terms) - 1)
+            w = factor.rho.partial(var)
+            betas, tower = transverse_operator(factor.rho, var, max(ld.r_terms) - 1)
             for nu, e_nu in sorted(ld.r_terms.items()):
                 if e_nu.is_zero():
                     continue
-                # D_s(f/w) for s < nu, one derivative chain per coefficient f
-                derivs = {key: transverse_derivatives(f / w, tower[:nu], var)
+                # D_s(f/w) for s < nu, one derivative chain per coefficient f,
+                # each output normalised once
+                derivs = {key: transverse_derivatives(f, w, betas[:nu], var)
                           for key, f in e_nu.coeffs.items()}
                 for l in range(0, nu):
                     coeff = GaussianRational(comb(nu - 1, l)) \
                         / GaussianRational(factorial(nu - 1))
                     gamma_rep = MeroForm(e_nu.nvars, e_nu.degree,
-                                         {key: ds[nu - 1 - l] * coeff * sign_p
+                                         {key: RatFn(*ds[nu - 1 - l]) * coeff * sign_p
                                           for key, ds in derivs.items()})
                     gamma = HypersurfaceForm(k, factor.rho, var, gamma_rep).normalize()
                     descriptors.append(

@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from residuum import decomposition, ratfn
 from residuum.bump import BumpFunction, embed_holomorphic
@@ -135,6 +136,10 @@ class TestPartialFractions:
             assert divides(c.den, b_pow)
 
 
+def verify_recombination(pfd, fd):
+    _verify_recombination(pfd, fd, [f.rho ** f.multiplicity for f in fd.factors])
+
+
 class TestRecombinationCheck:
     """The polynomial recombination check rejects every wrong decomposition
     of 1/(p^3 l^2), p = y1^2 - y2, l = y1 - y3 - 1, in y1."""
@@ -152,7 +157,7 @@ class TestRecombinationCheck:
     @pytest.mark.parametrize("perturb", ["scale_by_1+i", "add_1/den"])
     def test_each_perturbed_entry_is_rejected(self, decomposition, perturb):
         fd, pfd = decomposition
-        _verify_recombination(pfd, fd)
+        verify_recombination(pfd, fd)
         unit = RatFn.const(3, GaussianRational(1, 1))
         for j, (k, mu, c) in enumerate(pfd.entries):
             if perturb == "scale_by_1+i":
@@ -161,14 +166,14 @@ class TestRecombinationCheck:
                 bad = c + RatFn(MultiPoly.const(3, 1), c.den)
             entries = pfd.entries[:j] + ((k, mu, bad),) + pfd.entries[j + 1:]
             with pytest.raises(ArithmeticError):
-                _verify_recombination(PartialFractionDecomp(pfd.var, entries,
-                                                            pfd.polynomial_part), fd)
+                verify_recombination(PartialFractionDecomp(pfd.var, entries,
+                                                           pfd.polynomial_part), fd)
 
     def test_nonzero_polynomial_part_is_rejected(self, decomposition):
         fd, pfd = decomposition
         with pytest.raises(ArithmeticError):
-            _verify_recombination(PartialFractionDecomp(pfd.var, pfd.entries,
-                                                        RatFn.one(3)), fd)
+            verify_recombination(PartialFractionDecomp(pfd.var, pfd.entries,
+                                                       RatFn.one(3)), fd)
 
 
 # ---------------------------------------------------------------------------
@@ -211,36 +216,50 @@ def fiber_derivative_oracle(h_eval, rho, var, z0, s, r=5e-2, levels=4):
     return vals[0]
 
 
+def derivatives_of(h: RatFn, rho: MultiPoly, order: int, var: int = 0):
+    """[D_0 h, ..., D_order h] through `transverse_derivatives`, which takes
+    f = h w and returns unreduced (num, den) pairs."""
+    w = rho.partial(var)
+    betas, _ = transverse_operator(rho, var, order)
+    return [RatFn(num, den) for num, den in
+            transverse_derivatives(h * RatFn(w), w, betas, var)]
+
+
 class TestTransverseOperator:
     def test_order_zero_is_identity(self):
-        tower = transverse_operator(PARABOLA, 0, 0)
+        betas, tower = transverse_operator(PARABOLA, 0, 0)
         h = RatFn(Z1 ** 3 + Z2, Z1 - 2 * Z2 + ONE)
-        assert len(tower) == 1
-        assert transverse_derivatives(h, tower, 0) == [h]
+        assert betas == ((),) and len(tower) == 1
+        assert derivatives_of(h, PARABOLA, 0) == [h]
         assert tower[0] == ((0, RatFn.one(2)),)
 
     def test_order_one_is_plain_derivative(self):
-        op = transverse_operator(PARABOLA, 0, 1)[1]
+        betas, tower = transverse_operator(PARABOLA, 0, 1)
+        assert betas[1] == (ONE,)
+        op = tower[1]
         w = RatFn(PARABOLA.partial(0))
         # beta_a = c_a w^(2s-1), s = 1
         assert tuple(c * w for _, c in op) == (RatFn.one(2),)
 
     @pytest.mark.parametrize("rho", [PARABOLA, Z1 * Z1 - Z2 ** 3, (ONE + Z2) * Z1 * Z1 - Z2])
     def test_tower_is_the_operators_of_each_order(self, rho):
-        tower = transverse_operator(rho, 0, 4)
+        betas, tower = transverse_operator(rho, 0, 4)
         # the order of D_s is its highest derivative, 0 for D_0 = ((0, 1),)
         assert [op[-1][0] for op in tower] == [0, 1, 2, 3, 4]
+        w = RatFn(rho.partial(0))
         for s in range(5):
-            assert transverse_operator(rho, 0, s) == tower[:s + 1]
-            # one beta_a per a = 1..s
-            assert len([a for a, _ in tower[s] if a >= 1]) == s
+            assert transverse_operator(rho, 0, s) == (betas[:s + 1], tower[:s + 1])
+            # one beta_a per a = 1..s, and c_a = beta_a/w^(2s-1)
+            assert len(betas[s]) == len([a for a, _ in tower[s] if a >= 1]) == s
+            if s:
+                assert [c for _, c in tower[s]] == [RatFn(b) / w ** (2 * s - 1)
+                                                    for b in betas[s]]
 
     def test_order_two_parabola_exact(self):
         # substitution oracle: h = z1^3, z1 = sqrt(rho + z2)
         # d^2 h/drho^2 = (3/2)(1/2) (rho+z2)^(-1/2) = 3/(4 z1)
-        tower = transverse_operator(PARABOLA, 0, 2)
         h = RatFn(Z1 ** 3)
-        got = transverse_derivatives(h, tower, 0)
+        got = derivatives_of(h, PARABOLA, 2)
         assert got == [h, RatFn(3 * Z1, 2 * ONE), RatFn(MultiPoly.const(2, 3), 4 * Z1)]
 
     @pytest.mark.parametrize("a,s", [(5, 2), (4, 3), (7, 3), (3, 2)])
@@ -248,8 +267,7 @@ class TestTransverseOperator:
         # h = z1^a on rho = z1^2 - z2:  d^s/drho^s (rho+z2)^(a/2)
         #   = prod_{i<s} (a/2 - i) * z1^(a-2s)
         # every order of the tower, 0..s, from one call
-        tower = transverse_operator(PARABOLA, 0, s)
-        got = transverse_derivatives(RatFn(Z1 ** a), tower, 0)
+        got = derivatives_of(RatFn(Z1 ** a), PARABOLA, s)
         assert len(got) == s + 1
         coeff = Fraction(1)
         for t in range(s + 1):
@@ -262,7 +280,7 @@ class TestTransverseOperator:
 
     def test_linear_unit_coefficient(self):
         rho = Z1 - Z2 * Z2
-        op = transverse_operator(rho, 0, 3)[3]
+        op = transverse_operator(rho, 0, 3)[1][3]
         w = RatFn(rho.partial(0))
         # beta_a = c_a w^(2s-1), s = 3
         assert [c * w ** 5 for _, c in op] == [RatFn.zero(2), RatFn.zero(2), RatFn.one(2)]
@@ -273,7 +291,7 @@ class TestTransverseOperator:
         rng = np.random.default_rng(42 + s)
         poly = embed_holomorphic(Z1 * Z1 * Z1 + 2 * Z2) + MultiPoly.variable(4, 3) ** 2
         h = BumpFunction.from_poly(2, Fraction(4), poly)
-        op = transverse_operator(PARABOLA, 0, s)[s]
+        op = transverse_operator(PARABOLA, 0, s)[1][s]
         w = PARABOLA.partial(0)
         derivs = [h]
         for _ in range(s):
@@ -414,7 +432,12 @@ TABLE_INPUTS = (
        ("two_lines", CORPUS["two_lines"], (0,)),
        ("p*l", [(P3, 1), (LINE3, 1)], (0,)),
        ("p^2*l", [(P3, 2), (LINE3, 1)], (0,)),
-       ("p^3*l^2", [(P3, 3), (LINE3, 2)], (0,))])
+       ("p^3*l^2", [(P3, 3), (LINE3, 2)], (0,)),
+       # w = 1 + z2 is free of z1 (z1 z2 - 1 itself has a leading coefficient
+       # that vanishes at the origin, which prepare_denominator rejects)
+       ("((1+z2)z1-1)^3", [((ONE + Z2) * Z1 - ONE, 3)], (0,)),
+       # w = 1 is constant in chart 0, w = -2 z2 in chart 1
+       ("(z1-z2^2)^3", [(Z1 - Z2 ** 2, 3)], (0, 1))])
 
 
 @pytest.mark.parametrize("factors,charts", [t[1:] for t in TABLE_INPUTS],
@@ -429,6 +452,61 @@ def test_operator_table_matches_one_order_at_a_time(factors, charts):
         for key, (g, op) in want.items():
             assert rod.entry(*key).g == g, (var, key)
             assert rod.entry(*key).op == op, (var, key)
+
+
+# ---------------------------------------------------------------------------
+# transverse_derivatives against a plain quotient-rule chain: the fibre
+# derivative D_(s+1) h = w^-1 d(D_s h)/dz_var, and the stored operators
+# sum_a c_a d^a h/dz_var^a, both by RatFn.partial
+# ---------------------------------------------------------------------------
+
+small = st.integers(-3, 3)
+
+
+def _term(var, i, j):
+    """The exponent of z_var^i z_other^j."""
+    return (i, j) if var == 0 else (j, i)
+
+
+@st.composite
+def chain_inputs(draw):
+    """(rho, var, f, order): rho of total degree <= 3 and degree d >= 1 in
+    z_var, whose leading coefficient a + b z_other may be non-constant;
+    f = num/den with den free of z_var or linear in it."""
+    var = draw(st.sampled_from([0, 1]))
+    d = draw(st.integers(1, 3))
+    a, b = draw(small), draw(small) if d < 3 else 0
+    assume(a or b)
+    terms = {_term(var, d, 0): a, _term(var, d, 1): b}
+    for i in range(d):
+        for j in range(4 - i):
+            terms[_term(var, i, j)] = draw(small)
+    rho = MultiPoly(2, {e: GaussianRational(c) for e, c in terms.items() if c})
+    other = MultiPoly.variable(2, 1 - var)
+    num = MultiPoly(2, {_term(var, i, j): GaussianRational(draw(small))
+                        for i in range(3) for j in range(3 - i)})
+    assume(not num.is_zero())
+    den = ONE * draw(small.filter(bool)) + other * draw(small)
+    if draw(st.booleans()):  # a denominator that depends on z_var
+        den = den + MultiPoly.variable(2, var) * draw(small.filter(bool))
+    return rho, var, RatFn(num, den), draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_inputs())
+def test_transverse_derivatives_match_the_quotient_rule_chain(inputs):
+    rho, var, f, order = inputs
+    w = rho.partial(var)
+    betas, tower = transverse_operator(rho, var, order)
+    got = [RatFn(num, den) for num, den in transverse_derivatives(f, w, betas, var)]
+    h = f / RatFn(w)
+    fibre, plain = [h], [h]
+    for _ in range(order):
+        fibre.append(fibre[-1].partial(var) / RatFn(w))
+        plain.append(plain[-1].partial(var))
+    assert got == fibre
+    for s, op in enumerate(tower):
+        assert got[s] == sum((c * plain[a] for a, c in op), RatFn.zero(2))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +532,7 @@ def test_recombination_rejects_a_perturbed_coefficient(name, var):
         for bad in (c * unit, c + RatFn(Z2, c.den)):
             entries = pfd.entries[:j] + ((k, mu, bad),) + pfd.entries[j + 1:]
             with pytest.raises(ArithmeticError):
-                _verify_recombination(PartialFractionDecomp(var, entries, pfd.polynomial_part), fd)
+                verify_recombination(PartialFractionDecomp(var, entries, pfd.polynomial_part), fd)
 
 
 def _drop_pseudo_division_multiplier(monkeypatch):
@@ -534,7 +612,7 @@ def test_recombination_over_a_common_multiple(monkeypatch, name):
     kernel = decomposition.exact_divide
     monkeypatch.setattr(decomposition, "exact_divide",
                         lambda p, q: dividends.append(p) or kernel(p, q))
-    _verify_recombination(pfd, fd)
+    verify_recombination(pfd, fd)
     assert dividends[-1] == top
     monkeypatch.undo()
     split = _with_a_coprime_denominator(pfd)
@@ -542,18 +620,18 @@ def test_recombination_over_a_common_multiple(monkeypatch, name):
     y2 = MultiPoly.variable(fd.nvars, 1)
     for good in (pfd, split, PartialFractionDecomp(var, split.entries[::-1],
                                                    split.polynomial_part)):
-        _verify_recombination(good, fd)
+        verify_recombination(good, fd)
         for j, (k, mu, c) in enumerate(good.entries):
             for bad in (c * unit, c + RatFn(y2, c.den)):
                 entries = good.entries[:j] + ((k, mu, bad),) + good.entries[j + 1:]
                 with pytest.raises(ArithmeticError):
-                    _verify_recombination(PartialFractionDecomp(var, entries,
-                                                                good.polynomial_part), fd)
+                    verify_recombination(PartialFractionDecomp(var, entries,
+                                                               good.polynomial_part), fd)
 
 
 def test_recombination_rejects_an_entry_out_of_range():
     fd = prepare_denominator(CORPUS["parabola_sq"], 0)
     pfd = partial_fractions(fd)
     with pytest.raises(ArithmeticError):
-        _verify_recombination(PartialFractionDecomp(0, pfd.entries + ((0, 3, RatFn.one(2)),),
-                                                    pfd.polynomial_part), fd)
+        verify_recombination(PartialFractionDecomp(0, pfd.entries + ((0, 3, RatFn.one(2)),),
+                                                   pfd.polynomial_part), fd)

@@ -1,8 +1,11 @@
 """The evidence tools: `tools/bench_pairs.summary`, which turns paired runs
-into the medians, quartiles and pair counts of a BENCH_*.json, and
-`tools/stage_digests.run_digest`, which hashes a workload's outputs."""
+into the medians, quartiles and pair counts of a BENCH_*.json;
+`tools/bench_pairs.timed_passes`, which reads each run's number of timed
+passes; and `tools/stage_digests.run_digest`, which hashes a workload's
+outputs."""
 
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -49,6 +52,43 @@ class TestSummary:
         assert s["parent_q1_q3"] == [0.175, 0.325]
         assert s["change_runs"][0] == 0.1235
         assert s["change_lower_in_pairs"] == 0
+
+
+class TestTimedPasses:
+    STDOUT = ("workload pipeline seed 5: 14 timed cases, 13 probes, inputs 0123abcd\n"
+              "stage charts: 0.0123 s in timed passes (14/14 calls succeeded)\n"
+              "passes 36, raw: 0.0410 0.0402 s; rescaled: 0.0400 0.0399 s; 72 reference "
+              "loops, 1.000 to 1.100 ms, median 1.050 ms\n"
+              "set-up samples, rescaled: 0.1000 0.1100 s\n"
+              '{"correct": true, "attempted": 14, "failed": 0, "metrics": {}}\n')
+
+    def test_parsed_from_the_passes_line(self):
+        assert bench_pairs.timed_passes(self.STDOUT) == 36
+
+    def test_none_without_a_passes_line(self):
+        # a traced run (--trace 1) prints no passes line
+        assert bench_pairs.timed_passes(self.STDOUT.replace("passes 36", "spans 36")) is None
+
+    def test_recorded_per_run_and_workload(self, tmp_path, monkeypatch):
+        sides = {"parent": 10, "change": 20}
+        for side in sides:
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+                {"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.25}]}))
+
+        def fake_run(cmd, cwd, **kwargs):
+            n = sides[Path(cwd).name]
+            report = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 1 / n}}}
+            return types.SimpleNamespace(stdout=f"passes {n}, raw: 0.1 s\n" + json.dumps(report))
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        out = tmp_path / "BENCH.json"
+        assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                                 "--workloads", "w", "--pairs", "3", "--seed", "1",
+                                 "--out", str(out)]) == 0
+        block = json.loads(out.read_text())["workloads"]["w"]
+        assert block["parent_passes"] == [10, 10, 10]
+        assert block["change_passes"] == [20, 20, 20]
 
 
 def _fake_workloads(outputs):

@@ -9,12 +9,15 @@ PARENT and CHANGE are roots of two checkouts.  For each workload, pair i
 runs `python3 bench/run.py --workload W --seed S --seconds T` once in each
 checkout, one process at a time, the parent first in odd pairs (1, 3, ...)
 and the change first in even ones, so a slow spell of the host does not
-fall on one side only.  Each run's last line of output is its JSON report.
+fall on one side only.  Each run's last line of output is its JSON report,
+and its `passes N,` line gives the number of timed passes.
 
 For every end-to-end metric of the change's BENCHMARK.json the output
 holds, per workload, the median and the inclusive quartiles of each side,
 all runs in pair order, change_over_parent (ratio of medians) and
-change_lower_in_pairs (pairs where the change read lower); and whether
+change_lower_in_pairs (pairs where the change read lower); each run's
+number of timed passes (parent_passes, change_passes), against which to
+read peak_rss_mb, since run.py keeps every pass's case runs; and whether
 every run was correct.  A metric whose change median is worse than the
 parent's by more than its bound is listed under beyond_bound and printed;
 the exit status is then 1.  --claim names the metric a change claims to
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -38,7 +42,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
                           timeout=4 * seconds + 600)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    report["passes"] = timed_passes(proc.stdout)
+    return report
+
+
+def timed_passes(stdout: str) -> int | None:
+    """N from run.py's `passes N, raw: ...` line; None when there is none."""
+    m = re.search(r"^passes (\d+),", stdout, re.MULTILINE)
+    return int(m.group(1)) if m else None
 
 
 def summary(parent: list, change: list) -> dict:
@@ -101,7 +113,8 @@ def main(argv=None) -> int:
                 runs[side].append(report)
                 print(f"{wl} pair {i + 1} {side}: " + ", ".join(
                     f"{m['name']} {report['metrics'][m['name']]['value']:.4f}"
-                    for m in metrics), file=sys.stderr, flush=True)
+                    for m in metrics) + f", passes {report['passes']}",
+                    file=sys.stderr, flush=True)
         block = {}
         for m in metrics:
             name = m["name"]
@@ -111,6 +124,8 @@ def main(argv=None) -> int:
             worse = ratio - 1 if m["better"] == "lower" else 1 - ratio
             if worse > m["bound"]:
                 beyond.append(f"{wl} {name}: change/parent {ratio} beyond bound {m['bound']}")
+        for side in ("parent", "change"):
+            block[f"{side}_passes"] = [r["passes"] for r in runs[side]]
         block["all_runs_correct"] = all(r["correct"] for side in runs.values() for r in side)
         block["failed"] = sum(r["failed"] for side in runs.values() for r in side)
         out["workloads"][wl] = block
