@@ -39,12 +39,13 @@ from typing import Dict, List, Tuple
 
 from .errors import (
     CoprimalityViolation,
+    DivisionError,
     FactorFreeOfVariable,
     LeadingCoefficientVanishesAtOrigin,
     NonSquarefreeFactor,
     ZeroInputError,
 )
-from .polynomials import MultiPoly, discriminant, divides, exact_divide, resultant
+from .polynomials import MultiPoly, discriminant, exact_divide, resultant
 from .ratfn import RatFn, uni_digits
 
 
@@ -157,30 +158,35 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator,
 
     D (`common`) is built from the largest denominators down, and one joins
     it as a factor only when a trial division shows it does not divide D
-    already.  The digits of one factor often have denominators B^j, powers
-    of one B, and then D is the largest of them, not their product.  Besides
-    those trial divisions the check divides only D by each den, exactly, and
-    takes no gcd.  Multiplying an identity of rational functions by the
-    nonzero D is an equivalence, so the check is as strong as with any other
-    common multiple.  S_k is formed by Horner's rule in rho_k, from mu = 1
-    up, and the sum over k by the same rule in the powers: after factor k
-    it is sum_(j <= k) S_j prod_(i <= k, i != j) rho_i^(m_i).
+    already; a division that succeeds is kept as D/den, and the kept
+    quotients are multiplied by den when D grows, so the check takes no gcd.
+    The digits of one factor often have denominators B^j, powers of one B,
+    and then D is the largest of them, not their product.  Times the
+    nonzero D, an identity of rational functions is an equivalent one, so
+    the check is as strong as with any other common multiple.  S_k is formed
+    by Horner's rule in rho_k, from mu = 1 up, and the sum over k by the
+    same rule in the powers: after factor k it is
+    sum_(j <= k) S_j prod_(i <= k, i != j) rho_i^(m_i).
     """
     parts = [(c, k, mu) for k, mu, c in pfd.entries]
     parts.append((pfd.polynomial_part, None, 0))
     parts = [part for part in parts if not part[0].is_zero()]
     common = MultiPoly.const(fd.nvars, 1)
+    cofactors: Dict[MultiPoly, MultiPoly] = {}  # den -> D/den
     # a proper divisor of a monic den has lower total degree, so it comes later
     for den in sorted(dict.fromkeys(c.den for c, _, _ in parts), reverse=True,
                       key=lambda p: sum(p.leading_exponent())):
-        if not divides(den, common):
-            common = common * den
+        try:
+            cofactors[den] = exact_divide(common, den)
+        except DivisionError:  # D grows to D den
+            cofactors = {d: q * den for d, q in cofactors.items()}
+            cofactors[den], common = common, common * den
     zero = MultiPoly.zero(fd.nvars)
     digits: Dict[Tuple[int | None, int], MultiPoly] = {}  # (k, mu) -> c.num * (D/c.den)
     for c, k, mu in parts:
         if k is not None and not 1 <= mu <= fd.factors[k].multiplicity:
             raise ArithmeticError(f"partial fraction entry {(k, mu)} out of range")
-        term = c.num * exact_divide(common, c.den)
+        term = c.num * cofactors[c.den]
         digits[(k, mu)] = digits.get((k, mu), zero) + term
     total = zero
     below = MultiPoly.const(fd.nvars, 1)  # prod_(i < k) rho_i^(m_i)

@@ -793,60 +793,47 @@ def gcd_in_var(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# resultant / discriminant (fraction-free Bareiss on the Sylvester matrix)
+# resultant / discriminant (subresultant PRS, certified by exact division)
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(m: List[List[MultiPoly]], nvars: int) -> MultiPoly:
-    n = len(m)
-    if n == 0:
-        return MultiPoly.const(nvars, 1)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = MultiPoly.const(nvars, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return MultiPoly.zero(nvars)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = MultiPoly.zero(nvars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def resultant(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
-    """Sylvester-determinant resultant in `var`."""
-    dp, dq = p.degree_in(var), q.degree_in(var)
+    """Resultant in `var` by the subresultant PRS (Collins, J. ACM 14, 1967;
+    Brown-Traub, J. ACM 18, 1971; Cohen, GTM 138, Algorithm 3.3.7).  Each
+    pseudo-remainder prem(a, b) is divided by g h^delta, g = lc_var(a),
+    delta = deg a - deg b and h the scale of the previous step.  The
+    subresultant theorem makes each such division exact, and `exact_divide`
+    raises on one that is not, so the exact divisions certify the result.
+    """
+    da, db = p.degree_in(var), q.degree_in(var)
     if p.is_zero() or q.is_zero():
         raise ZeroInputError("resultant of a zero polynomial")
-    if dp == 0 and dq == 0:
-        return MultiPoly.const(p.nvars, 1)
-    if dp == 0:
-        return p ** dq
-    if dq == 0:
-        return q ** dp
-    pc = p.coeffs_in_var(var)
-    qc = q.coeffs_in_var(var)
-    zero = MultiPoly.zero(p.nvars)
-    n = dp + dq
-    rows: List[List[MultiPoly]] = []
-    for i in range(dq):
-        row = [zero] * n
-        for k in range(dp + 1):
-            row[i + k] = pc.get(dp - k, zero)
-        rows.append(row)
-    for i in range(dp):
-        row = [zero] * n
-        for k in range(dq + 1):
-            row[i + k] = qc.get(dq - k, zero)
-        rows.append(row)
-    return _bareiss_det(rows, p.nvars)
+    if da == 0:
+        return p ** db
+    if db == 0:
+        return q ** da
+    a, b, sign = p, q, 1
+    if da < db:  # Res(q, p) = (-1)^(da db) Res(p, q)
+        a, b, da, db, sign = q, p, db, da, (-1) ** (da & db & 1)
+    g = h = MultiPoly.const(p.nvars, 1)
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = pseudo_remainder(a, b, var)
+        if r.is_zero():
+            return r
+        a, b = b, exact_divide(r, g * h ** delta)
+        da, db = db, b.degree_in(var)
+        g = a.leading_coefficient_in(var)
+        h = _subresultant_scale(g, h, delta)
+    return _subresultant_scale(b, h, da) * sign
+
+
+def _subresultant_scale(g: MultiPoly, h: MultiPoly, delta: int) -> MultiPoly:
+    """h^(1 - delta) g^delta, exactly."""
+    if delta <= 1:
+        return h if delta == 0 else g
+    return exact_divide(g ** delta, h ** (delta - 1))
 
 
 def discriminant(p: MultiPoly, var: int) -> MultiPoly:

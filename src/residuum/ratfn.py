@@ -310,20 +310,47 @@ def uni_digits(num: MultiPoly, den: MultiPoly, rho: MultiPoly, m: int, var: int)
     That division is exact for every rho over the function field, so a
     nonzero remainder raises ArithmeticError: it certifies each digit but
     the last, after which no quotient is needed.  For rho = z - p, d and the
-    inverse are constants and no PRS step runs."""
+    inverse are constants and no PRS step runs.  Every l and l2 is a power
+    of lc_var(rho), so digit j (from 0) is r over lc_var(rho)^a dd^(j+1), a
+    the sum of their exponents, reduced over the bases {lc_var(rho), dd}."""
     l0, _, d = uni_divmod(den, rho, var)
     s, dd = uni_mod_inverse(d, rho, var)
     inv = s * l0
-    rest, scale = num, MultiPoly.const(num.nvars, 1)
+    lc, drho = rho.leading_coefficient_in(var), rho.degree_in(var)
+    rest, a = num, 0
     digits: List[RatFn] = []
     for j in range(m):
         if j:  # the next quotient: divide rest l dd - den r by rho
-            l2, rest, rem = uni_divmod(rest * ld - den * r, rho, var)
+            p = rest * ld - den * r
+            _, rest, rem = uni_divmod(p, rho, var)
             if not rem.is_zero():
                 raise ArithmeticError("rho-adic digit certificate failed: rho "
                                       "does not divide the rest of the quotient")
-            scale = scale * l2 * ld
-        l, _, r = uni_divmod(rest * inv, rho, var)
+            a += max(p.degree_in(var) - drho + 1, 0)
+        p = rest * inv
+        l, _, r = uni_divmod(p, rho, var)
         ld = l * dd
-        digits.append(RatFn(r, ld * scale))
+        a += max(p.degree_in(var) - drho + 1, 0)
+        digits.append(_over_powers(r, [(lc, a), (dd, j + 1)]))
     return digits[::-1]
+
+
+def _over_powers(num: MultiPoly, powers: List[Tuple[MultiPoly, int]]) -> RatFn:
+    """num / prod B^e, canonical, by gcds against the bases B only: num is
+    prime to B^e iff it is prime to B.  When g = gcd(num, B) is not
+    constant, B^e = g^e (B/g)^e, so g leaves num and the bases g^(e-1) and
+    (B/g)^e go on.  num only loses factors, so a base prime to it stays so."""
+    if num.is_zero():
+        return RatFn.zero(num.nvars)
+    den = MultiPoly.const(num.nvars, 1)
+    while powers:
+        b, e = powers.pop()
+        g = None if num.is_constant() or b.is_constant() or not e else gcd(num, b)
+        if g is None or g.is_constant():
+            c = b._constant_term()  # a constant base is a scalar power
+            den = den * (b ** e if c is None else c ** e)
+            continue
+        num = exact_divide(num, g)
+        powers += [(g, e - 1), (_divided(b, g), e)]
+    inv = den.leading_coefficient().inverse()
+    return RatFn._of(num * inv, den * inv)

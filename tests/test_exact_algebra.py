@@ -380,20 +380,37 @@ class TestGcd:
 # full multivariate gcd: heuristic against the PRS and against sympy (QQ_I)
 # ---------------------------------------------------------------------------
 
+def qq_i_ring(nvars: int):
+    return ring(",".join(f"x{i}" for i in range(nvars)), QQ_I)[0]
+
+
+def to_qq_i(R, f: MultiPoly, order=None):
+    """f in sympy's ring R over QQ_I, its variables taken in `order`
+    (generator j of R is variable order[j] of f)."""
+    order = range(f.nvars) if order is None else order
+    return R({tuple(e[i] for i in order): QQ_I(QQ(c.re.numerator, c.re.denominator),
+                                               QQ(c.im.numerator, c.im.denominator))
+              for e, c in f.terms.items()})
+
+
+def from_qq_i(g, nvars: int, order=None) -> MultiPoly:
+    """Inverse of `to_qq_i`."""
+    order = range(nvars) if order is None else order
+    terms = {}
+    for e, c in g.terms():
+        exp = [0] * nvars
+        for j, i in enumerate(order):
+            exp[i] = e[j]
+        terms[tuple(exp)] = GaussianRational(
+            Fraction(int(c.x.numerator), int(c.x.denominator)),
+            Fraction(int(c.y.numerator), int(c.y.denominator)))
+    return MultiPoly(nvars, terms)
+
+
 def sympy_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """gcd over Q(i) computed by sympy, in the graded-lex monic form."""
-    R = ring(",".join(f"x{i}" for i in range(p.nvars)), QQ_I)[0]
-
-    def to_sympy(f):
-        return R({e: QQ_I(QQ(c.re.numerator, c.re.denominator),
-                          QQ(c.im.numerator, c.im.denominator))
-                  for e, c in f.terms.items()})
-
-    g = to_sympy(p).gcd(to_sympy(q))
-    return monic_grlex(MultiPoly(p.nvars, {
-        e: GaussianRational(Fraction(int(c.x.numerator), int(c.x.denominator)),
-                            Fraction(int(c.y.numerator), int(c.y.denominator)))
-        for e, c in g.terms()}))
+    R = qq_i_ring(p.nvars)
+    return monic_grlex(from_qq_i(to_qq_i(R, p).gcd(to_qq_i(R, q)), p.nvars))
 
 
 def assert_gcd_agrees(p, q):
@@ -685,6 +702,36 @@ def _random_poly(rng, max_deg=2):
 # resultant / discriminant
 # ---------------------------------------------------------------------------
 
+@st.composite
+def resultant_pairs(draw):
+    """(var, p, q), deg_var p >= deg_var q >= 2, each with leading coefficient a + b z_o
+    in var (z_o another variable).  p = q s + t with deg_var t <= deg_var q - 2,
+    so the remainder sequence of (p, q) drops by 2 or more after q; t may be
+    free of var or zero.  Some pairs share a factor h of positive degree in
+    var, and then the resultant is 0."""
+    nvars = draw(st.sampled_from([2, 3]))
+    var = draw(st.integers(0, nvars - 1))
+    other = draw(st.sampled_from([i for i in range(nvars) if i != var]))
+    x, zo = MultiPoly.variable(nvars, var), MultiPoly.variable(nvars, other)
+
+    def below(d):  # a polynomial of degree < d in var
+        return MultiPoly(nvars, {e: c for e, c in draw(polys(nvars, 2)).terms.items()
+                                 if e[var] < d})
+
+    def lead(d):
+        a = MultiPoly.const(nvars, draw(gaussian_coeffs))
+        b = draw(st.sampled_from([0, 1]))
+        return (a + b * draw(gaussian_coeffs) * zo) * x ** d
+
+    dq = draw(st.integers(2, 3))
+    q = lead(dq) + below(dq)
+    s = lead(draw(st.integers(0, 1))) + below(1)
+    p = q * s + below(dq - 1)
+    if draw(st.booleans()):
+        h = x + below(1)
+        p, q = p * h, q * h
+    return var, p, q
+
 class TestResultant:
     def test_linear_pair(self):
         assert resultant(Z1, Z1 - Z2, 0) == -Z2
@@ -717,6 +764,28 @@ class TestResultant:
                 expect = sylvester_det(pc, qc)
                 got = r.eval_exact([GaussianRational(0), GaussianRational(*y[1])])
                 assert (got.re, got.im) == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(resultant_pairs())
+    def test_matches_sympy(self, case):
+        var, p, q = case
+        # sympy eliminates the first generator and returns a polynomial in
+        # the others.  Its subresultant PRS (sympy 1.14,
+        # dup_inner_subresultants) swaps operands of rising degree without
+        # the sign (-1)^(deg p deg q), so it is asked only with deg p >= deg q
+        # and the other order is checked by that sign
+        rest = [i for i in range(p.nvars) if i != var]
+        R = qq_i_ring(p.nvars)
+        sp, sq = to_qq_i(R, p, [var] + rest), to_qq_i(R, q, [var] + rest)
+        want = from_qq_i(sp.resultant(sq), p.nvars, rest)
+        assert resultant(p, q, var) == want
+        sign = (-1) ** (p.degree_in(var) * q.degree_in(var))
+        assert resultant(q, p, var) == want * sign
+        # disc q = (-1)^(d(d-1)/2) Res(q, q') / lc_var(q).  q, not p: on p
+        # (up to 24 terms, degree 5) sympy took up to 100 s for one draw
+        d, dq = q.degree_in(var), to_qq_i(R, q.partial(var), [var] + rest)
+        want = from_qq_i(sq.resultant(dq), q.nvars, rest) * (-1) ** (d * (d - 1) // 2)
+        assert discriminant(q, var) * q.leading_coefficient_in(var) == want
 
     def test_resultant_vanishes_iff_gcd_nontrivial(self):
         rng = random.Random(13)
@@ -1028,6 +1097,33 @@ def digit_cases(draw):
     return var, num, den, rho, draw(st.integers(1, 3))
 
 
+@st.composite
+def non_monic_digit_cases(draw):
+    """(var, num, den, rho, m): lc_var(rho) = a + b z_o depends on another
+    variable z_o, den = f1^e1 f2^e2 for two other factors, m <= 4.  The
+    coefficient of var^0 in rho and the f is a nonzero constant, so each
+    is primitive in var and rho^m divides, in the polynomial ring, whatever
+    it divides over the function field (Gauss's lemma)."""
+    nvars = draw(st.sampled_from([2, 3]))
+    var = draw(st.integers(0, nvars - 1))
+    other = draw(st.sampled_from([i for i in range(nvars) if i != var]))
+    x, zo = MultiPoly.variable(nvars, var), MultiPoly.variable(nvars, other)
+
+    def factor(d, lead):
+        mid = MultiPoly(nvars, {e: c for e, c in draw(polys(nvars, 2)).terms.items()
+                                if 0 < e[var] < d})
+        return lead * x ** d + mid + MultiPoly.const(nvars, draw(gaussian_coeffs))
+
+    lc = MultiPoly.const(nvars, draw(gaussian_coeffs)) + draw(gaussian_coeffs) * zo
+    d = draw(st.integers(1, 2))
+    rho = factor(d, lc)
+    f1 = factor(1, MultiPoly.const(nvars, 1))
+    f2 = factor(draw(st.integers(1, 2)), zo + MultiPoly.const(nvars, draw(gaussian_coeffs)))
+    den = f1 ** draw(st.integers(1, 2)) * f2 ** draw(st.integers(1, 2))
+    # m = 4 with deg_var rho = 2 in three variables takes seconds per draw
+    return var, draw(polys(nvars, 3)), den, rho, draw(st.integers(1, 4 if d == 1 else 3))
+
+
 SZ = symbols("z")
 
 
@@ -1083,6 +1179,25 @@ class TestUniDigits:
             total = total + c * RatFn(rho ** (m - mu))
         # den * total - num == 0 (mod rho^m), times total's var-free denominator
         assert uni_divmod(den * total.num - num * total.den, rho ** m, var)[2].is_zero()
+
+    @settings(max_examples=30, deadline=None)
+    @given(non_monic_digit_cases())
+    def test_non_monic_digits_canonical_and_exact(self, case):
+        # with a non-constant lc_var(rho), every pseudo-division multiplier
+        # is a power of it; an exponent off by one changes the digits' value
+        # by a factor that pseudo-remainders would hide, so the check
+        # divides exactly
+        var, num, den, rho, m = case
+        assume(not gcd_in_var(den, rho, var).depends_on(var))
+        digits = uni_digits(num, den, rho, m, var)
+        common = MultiPoly.const(num.nvars, 1)
+        for c in digits:
+            assert c == RatFn(c.num, c.den)
+            common = common * c.den
+        total = MultiPoly.zero(num.nvars)
+        for c in digits:  # Horner's rule: sum_mu c_mu rho^(m - mu), times common
+            total = total * rho + c.num * exact_divide(common, c.den)
+        exact_divide(num * common - den * total, rho ** m)  # DivisionError unless exact
 
     @settings(max_examples=30, deadline=None)
     @given(digit_cases(), st.data())

@@ -1,7 +1,8 @@
 """The evidence tools: `tools/bench_pairs.summary`, which turns paired runs
 into the medians, quartiles and pair counts of a BENCH_*.json;
 `tools/bench_pairs.timed_passes`, which reads each run's number of timed
-passes; and `tools/stage_digests.run_digest`, which hashes a workload's
+passes; `tools/bench_pairs.main`, which records both checkouts' stage
+digests; and `tools/stage_digests.run_digest`, which hashes a workload's
 outputs."""
 
 import importlib.util
@@ -70,25 +71,62 @@ class TestTimedPasses:
         assert bench_pairs.timed_passes(self.STDOUT.replace("passes 36", "spans 36")) is None
 
     def test_recorded_per_run_and_workload(self, tmp_path, monkeypatch):
-        sides = {"parent": 10, "change": 20}
-        for side in sides:
-            (tmp_path / side).mkdir()
-            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
-                {"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.25}]}))
-
-        def fake_run(cmd, cwd, **kwargs):
-            n = sides[Path(cwd).name]
-            report = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 1 / n}}}
-            return types.SimpleNamespace(stdout=f"passes {n}, raw: 0.1 s\n" + json.dumps(report))
-
-        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-        out = tmp_path / "BENCH.json"
-        assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                                 "--workloads", "w", "--pairs", "3", "--seed", "1",
-                                 "--out", str(out)]) == 0
-        block = json.loads(out.read_text())["workloads"]["w"]
+        out = _fake_main(tmp_path, monkeypatch, {"parent": "d", "change": "d"})
+        block = out["workloads"]["w"]
         assert block["parent_passes"] == [10, 10, 10]
         assert block["change_passes"] == [20, 20, 20]
+
+
+def _fake_main(tmp_path, monkeypatch, digests):
+    """Run `bench_pairs.main` on checkouts `parent` and `change` under
+    tmp_path, with `subprocess.run` faked: bench/run.py reports 10 passes in
+    the parent and 20 in the change, and tools/stage_digests.py prints one
+    line per (workload, seed) ending in digests[side].  Returns the written
+    JSON and the commands run."""
+    passes = {"parent": 10, "change": 20}
+    for side in passes:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "pass_s", "better": "lower", "bound": 0.25}]}))
+    commands = []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        commands.append(cmd)
+        if cmd[1].endswith("stage_digests.py"):
+            side = Path(cmd[2]).name
+            seeds = cmd[cmd.index("--seeds") + 1:cmd.index("--workloads")]
+            return types.SimpleNamespace(stdout="".join(
+                f"w seed {s} {digests[side]}\n" for s in seeds))
+        n = passes[Path(cwd).name]
+        report = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 1 / n}}}
+        return types.SimpleNamespace(stdout=f"passes {n}, raw: 0.1 s\n" + json.dumps(report))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    path = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workloads", "w", "--pairs", "3", "--seed", "1",
+                             "--out", str(path)]) == 0
+    out = json.loads(path.read_text())
+    out["commands"] = commands
+    return out
+
+
+class TestStageDigestsInBench:
+    def test_identical_outputs(self, tmp_path, monkeypatch):
+        out = _fake_main(tmp_path, monkeypatch, {"parent": "abc", "change": "abc"})
+        block = out["stage_digests"]
+        assert block["seeds"] == [5, 7]
+        assert block["parent"] == block["change"] == ["w seed 5 abc", "w seed 7 abc"]
+        assert block["outputs_identical"] is True
+        # both checkouts are hashed by the change's tool, once each
+        runs = [c for c in out["commands"] if c[1].endswith("stage_digests.py")]
+        assert [Path(c[2]).name for c in runs] == ["parent", "change"]
+        assert {Path(c[1]).parent.parent.name for c in runs} == {"change"}
+
+    def test_differing_outputs(self, tmp_path, monkeypatch, capsys):
+        out = _fake_main(tmp_path, monkeypatch, {"parent": "abc", "change": "abd"})
+        assert out["stage_digests"]["outputs_identical"] is False
+        assert "OUTPUTS DIFFER" in capsys.readouterr().err
 
 
 def _fake_workloads(outputs):

@@ -23,7 +23,12 @@ parent's by more than its bound is listed under beyond_bound and printed;
 the exit status is then 1.  --claim names the metric a change claims to
 improve; its block gives the pairs won, the gap of the medians and the
 parent's interquartile range.  --extra copies the keys of a JSON object
-(trace counts, output checks) into the output unchanged.
+(trace counts, say) into the output unchanged.
+
+Before the timed runs, the change's `tools/stage_digests.py` hashes the
+outputs of both checkouts at seeds 5 and 7, for the same workloads;
+its lines for each side and `outputs_identical`, whether they agree, go
+under `stage_digests`, and a difference is printed.
 """
 
 from __future__ import annotations
@@ -45,6 +50,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     report["passes"] = timed_passes(proc.stdout)
     return report
+
+
+DIGEST_SEEDS = [5, 7]  # the seeds tools/stage_digests.py defaults to
+
+
+def stage_digests(tool: Path, checkout: Path, seeds: list, workloads: list) -> list:
+    """The lines `tool` (tools/stage_digests.py) prints for `checkout`."""
+    cmd = [sys.executable, str(tool), str(checkout), "--seeds", *map(str, seeds),
+           "--workloads", *workloads]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=3600)
+    return proc.stdout.strip().splitlines()
 
 
 def timed_passes(stdout: str) -> int | None:
@@ -103,6 +119,14 @@ def main(argv=None) -> int:
         "claim": None,
         "workloads": {},
     }
+    tool = sides["change"] / "tools" / "stage_digests.py"
+    digests = {side: stage_digests(tool, root, DIGEST_SEEDS, args.workloads)
+               for side, root in sides.items()}
+    identical = digests["parent"] == digests["change"]
+    out["stage_digests"] = {"seeds": DIGEST_SEEDS, **digests,
+                            "outputs_identical": identical}
+    if not identical:
+        print("OUTPUTS DIFFER: stage digests of parent and change disagree", file=sys.stderr)
     beyond = []
     for wl in args.workloads:
         runs = {"parent": [], "change": []}
