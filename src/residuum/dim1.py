@@ -156,20 +156,30 @@ def residue_pairing_1d(g: RatFn, phi: BumpFunction) -> complex:
 # numeric oracles
 # ---------------------------------------------------------------------------
 
+VP_PANEL_ORDER = 8            # Gauss-Legendre order of every radial panel of vp_1d
+VP_ANNULUS_ANGLES = 32        # trapezoid nodes on each thin annulus of vp_1d
+VP_OUTSIDE_POLE_ANGLES = 512  # angles when a pole lies on or outside the edge
+
+
 def contour_residue_numeric(g: RatFn, phi: BumpFunction,
                             cfg: QuadratureConfig | None = None,
                             center: complex = 0j) -> LimitResult:
     """lim_eps contour integral of g phi dz over |z - center| = eps.
 
     Trapezoid in the angle (spectrally accurate), Richardson in eps^2.
-    This is the oracle that pins the delta-operator constants.
+    This is the oracle that pins the delta-operator constants.  The largest
+    circle, eps_0, is at most R/4 for phi's support radius R, half the
+    distance to the nearest other pole and, when the centre lies inside the
+    support, half its distance to the support's edge: every circle then
+    stays where the cutoff is analytic, and the table is a series in eps^2.
     """
     import numpy as np
 
     cfg = cfg or QuadratureConfig()
     if g.nvars != 1 or phi.nvars != 1:
         raise ValueError("one-variable data expected")
-    eps0 = float(phi.radius) / 4.0
+    gap = float(phi.radius) - abs(center - complex(phi.center[0]))
+    eps0 = float(phi.radius) / 4.0 if gap <= 0 else min(float(phi.radius) / 4.0, 0.5 * gap)
     # keep all circles clear of the other poles
     other = [complex(p) for p, _ in find_rational_roots(g.den)
              if abs(complex(p) - center) > 1e-12]
@@ -194,27 +204,32 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
 def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> LimitResult:
     """Principal value lim_eps int_{|z - pole| >= eps} g dz ^ psi.
 
-    psi is a (0,1) test form b dzbar; the integral excludes symmetric
-    eps-disks around every pole (equivalent to the |f| >= eps family in the
-    limit).  The exact Laurent split g = regular + sum of principal parts h
-    localizes each singular piece, and each region gets the nodes its
-    integrand needs, in polar coordinates (radial Gauss-Legendre panels
-    times the angular trapezoid):
+    psi is a (0,1) test form b dzbar, b supported on |z - c| <= R; the
+    integral excludes symmetric eps-disks around every pole (equivalent to
+    the |f| >= eps family in the limit).  The exact Laurent split
+    g = regular + sum of principal parts h localizes each singular piece.
+    Each region is a polar grid whose rays all end at the support's edge:
+    order-VP_PANEL_ORDER Gauss-Legendre panels along each ray
+    (`radial_panels`) times the angular trapezoid.
 
-    * regular * b over the support disk, no exclusion.  The disk is
-      concentric with b, whose cutoff is constant on each circle about the
-      centre, so on such a circle the integrand is a trigonometric
-      polynomial in the angle with frequencies from -K to J, where
-      J = deg(regular) + max deg_z P and K = max deg_zbar P over the terms P
-      of b.  The trapezoid rule with N = max(J, K) + 1 nodes is exact for
-      it; the radial panels are `radial_panels`, refined toward the edge.
-    * h * b between eps_{m+1} and eps_m about each pole.  Where the annulus
-      lies inside the support, the integrand is analytic in the radius on
-      it (the pole is outside the annulus, the cutoff's edge too), so one
-      `gauss_panel` is spectrally accurate; an annulus that reaches the
-      support's edge keeps `radial_panels`, as does each pole's outer
-      region from eps_0 to past the support.  The angle takes
-      `cfg.n_theta` nodes: the cutoff is not concentric with the pole.
+    * The regular part over the support disk about c: there the cutoff is
+      constant on each circle, and the integrand a trigonometric polynomial
+      with frequencies from -K to J, J = deg(regular) + max deg_z P and
+      K = max deg_zbar P over the terms P of b, so max(J, K) + 1 nodes are
+      exact.  The principal part of a pole on or outside the edge joins it,
+      unexcluded (b vanishes to infinite order there); with N =
+      VP_OUTSIDE_POLE_ANGLES nodes the error is about exp(-sqrt(2 N)).
+    * h * b over |z - p| >= eps_0 about a pole p inside.  Ray theta ends at
+      r_edge = -beta + sqrt(beta^2 - |p - c|^2 + R^2), beta = Re((p - c)
+      e^{-i theta}), so the radial integral is smooth and periodic in theta
+      and the trapezoid converges exponentially (Trefethen and Weideman,
+      SIAM Review 56, 2014).  Its sharpest feature is about sqrt(gap / R)
+      wide, gap = R - |p - c|: 64 angles, doubled while
+      gap < (R / 8) (64 / N)^2, up to 1024 (b < e^-1000 at p beyond that).
+    * h * b between eps_{m+1} and eps_m about each pole inside.  eps_0 is at
+      most R/8, a quarter of the pole separation and half the smallest
+      pole-to-edge gap, so each annulus lies where the integrand is
+      analytic: one `gauss_panel` and VP_ANNULUS_ANGLES angles.
 
     The outer regions are fixed and the thin annuli nest, so the eps-table
     differences carry no re-meshing noise and stay analytic in eps^2.
@@ -236,46 +251,45 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     # g less its principal parts is its polynomial part, the quotient of num
     # by den; den is monic, so the pseudo-division multiplies num by 1
     _, quotient, _ = uni_divmod(g.num, g.den, 0)
-    order = cfg.radial_panels_order
-
-    def polar_integral(fn, origin, rs, ws, n_theta):
-        # integral of fn * b * (-2i) dA over the polar grid about origin:
-        # sum of w_r * r * dtheta
-        zs = (origin + rs[:, None] * circle_nodes(n_theta)[None, :])[..., None]
-        vals = fn.eval_numeric(zs) * b.eval_numeric(zs)
-        return complex(np.sum(vals * (-2j) * rs[:, None] * ws[:, None])
-                       * (2.0 * np.pi / n_theta))
-
-    smooth = 0j
+    inside = [(p, h) for p, h in principal if abs(p - center) < support]
+    outside = [h for p, h in principal if abs(p - center) >= support]
+    smooth = sum(outside, RatFn.from_any(quotient, 1))
+    n_smooth = VP_OUTSIDE_POLE_ANGLES if outside else 1
     if not quotient.is_zero():
         freq_j = quotient.degree_in(0) + max(p.degree_in(0) for p, _, _ in b.terms)
         freq_k = max(p.degree_in(1) for p, _, _ in b.terms)
-        rs, ws = radial_panels(1e-12 * support, support, order)
-        smooth = polar_integral(RatFn.from_any(quotient, 1), center, rs, ws,
-                                max(freq_j, freq_k) + 1)
+        n_smooth = max(n_smooth, freq_j + 1, freq_k + 1)
+
+    def polar_integral(fn, origin, rs, ws, n_theta):
+        # integral of fn * b * (-2i) dA over the polar grid about origin: rs
+        # and ws hold each ray's radii and weights, or one row for all rays
+        zs = (origin + rs * circle_nodes(n_theta)[:, None])[..., None]
+        vals = fn.eval_numeric(zs) * b.eval_numeric(zs)
+        return complex(np.sum(vals * rs * ws) * (-4j * np.pi / n_theta))
+
+    total = 0j
+    if not smooth.is_zero():
+        rs, ws = radial_panels(0.0, support, VP_PANEL_ORDER)
+        total = polar_integral(smooth, center, rs, ws, n_smooth)
     if not parts:
-        return LimitResult(smooth, [(0.0, smooth)], 0.0, True, note="no poles")
+        return LimitResult(total, [(0.0, total)], 0.0, True, note="no poles")
 
-    min_sep = min([abs(complex(p.pole) - complex(q.pole))
-                   for p in parts for q in parts if p.pole != q.pole] or [support])
-    eps0 = min(support / 8.0, 0.25 * min_sep)
-
-    def annulus(pole, h, a, out, analytic):
-        # polar integral of h * b over a <= |z - pole| <= out
-        rs, ws = gauss_panel(a, out, order) if analytic else radial_panels(a, out, order)
-        if rs.size == 0:
-            return 0j
-        return polar_integral(h, pole, rs, ws, cfg.n_theta)
-
+    seps = [abs(p - q) for p, _ in principal for q, _ in principal if p != q]
+    gaps = [support - abs(p - center) for p, _ in inside]
+    eps0 = min([support / 8.0] + [0.25 * s for s in seps] + [0.5 * gap for gap in gaps])
+    for (p, h), gap in zip(inside, gaps):
+        n_theta = 64 * 2 ** min(4, max(0, math.ceil(0.5 * math.log2(support / (8.0 * gap)))))
+        beta = ((p - center) * np.conj(circle_nodes(n_theta))).real
+        r_edge = -beta + np.sqrt(beta * beta + gap * (2.0 * support - gap))
+        rs, ws = radial_panels(eps0, r_edge, VP_PANEL_ORDER)
+        total += polar_integral(h, p, rs, ws, n_theta)
     eps_list = cfg.eps_schedule(eps0)
-    totals = smooth
-    for pole, h in principal:
-        totals += annulus(pole, h, eps_list[0], abs(pole - center) + support, False)
-    values = [totals]
-    for a, b_prev in zip(eps_list[1:], eps_list[:-1]):
-        for pole, h in principal:
-            totals += annulus(pole, h, a, b_prev, abs(pole - center) + b_prev < support)
-        values.append(totals)
+    values = [total]
+    for a, out in zip(eps_list[1:], eps_list[:-1]):
+        rs, ws = gauss_panel(a, out, VP_PANEL_ORDER)
+        for p, h in inside:
+            total += polar_integral(h, p, rs, ws, VP_ANNULUS_ANGLES)
+        values.append(total)
     table = list(zip(eps_list, values))
     value, residual = richardson(values)
     scale = max(1.0, abs(value))

@@ -6,6 +6,7 @@ order, no adaptive branching on floating-point noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Tuple
@@ -18,7 +19,6 @@ if TYPE_CHECKING:
 class QuadratureConfig:
     n_theta: int = 128                  # circle nodes (trapezoid, spectral)
     eps_levels: int = 5                 # eps_m = eps0 * 2^-m, m = 0..eps_levels-1
-    radial_panels_order: int = 16       # Gauss-Legendre order per radial panel
     rel_tol: float = 1e-6               # convergence verdict for extrapolations
     abs_tol: float = 1e-9
 
@@ -77,31 +77,29 @@ def gauss_panel(a: float, b: float, order: int):
     return 0.5 * (a + b) + s * x, w * s
 
 
-def radial_panels(eps: float, outer: float, order: int):
-    """Panels on [eps, outer]: widths double away from eps and halve again,
-    eight times, toward the outer edge.
-
-    The end refinement is only for an integrand that is C-infinity but not
-    analytic at `outer`, such as a cutoff whose support ends there: one wide
-    end panel would lose Gauss-Legendre accuracy.  An interval on which the
-    integrand is analytic needs no refinement and takes one `gauss_panel`.
-
-    Returns (radii, weights) flattened over panels.
-    """
+def radial_panels(inner: float, outer, order: int):
+    """Gauss-Legendre panels on [inner, outer_k] along each ray k; `outer`
+    holds one end radius per ray.  Up to the ray's midpoint the panel ends
+    grow by a ratio of at most 2, so a singularity at radius 0 stays a panel
+    width away (one panel from inner = 0).  Then the panels halve five times
+    toward outer_k, where the integrand may be C-infinity but not
+    analytic, as a cutoff is at its support's edge.  Every ray gets the same
+    panels.  Returns (radii, weights), each of shape (rays, nodes)."""
     import numpy as np
 
-    if eps >= outer:
-        return np.array([]), np.array([])
-    mid = 0.5 * (eps + outer)
-    left = [eps]
-    while left[-1] * 2.0 < mid:
-        left.append(left[-1] * 2.0)
-    anchor = left[-1]
-    right = [outer - (outer - anchor) * 0.5 ** k for k in range(1, 9)
-             if outer - (outer - anchor) * 0.5 ** k > anchor]
-    edges = sorted(set(left) | set(right) | {outer})
-    rs, ws = zip(*(gauss_panel(a, b, order) for a, b in zip(edges, edges[1:])))
-    return np.concatenate(rs), np.concatenate(ws)
+    outer = np.atleast_1d(np.asarray(outer, dtype=float))
+    mid = 0.5 * (inner + outer)
+    if inner > 0:
+        steps = max(1, math.ceil(math.log2(float(mid.max()) / inner)))
+        left = inner * (mid / inner)[:, None] ** (np.arange(steps + 1) / steps)
+    else:
+        left = np.stack([np.zeros_like(mid), mid], axis=1)
+    right = outer[:, None] - (outer - mid)[:, None] * 0.5 ** np.arange(1, 6)
+    edges = np.concatenate([left, right, outer[:, None]], axis=1)
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    x, w = _gauss_legendre(order)
+    rs, ws = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+    return rs.reshape(len(outer), -1), ws.reshape(len(outer), -1)
 
 
 def circle_nodes(n_theta: int) -> np.ndarray:

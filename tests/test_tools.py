@@ -2,11 +2,15 @@
 into the medians, quartiles and pair counts of a BENCH_*.json;
 `tools/bench_pairs.timed_passes`, which reads each run's number of timed
 passes; `tools/bench_pairs.main`, which records both checkouts' stage
-digests; and `tools/stage_digests.run_digest`, which hashes a workload's
-outputs."""
+digests; `tools/stage_digests.run_digest`, which hashes a workload's
+outputs; and `tools/oracle_errors.py`, which reports the `dim1` oracles'
+worst errors."""
 
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -24,6 +28,7 @@ def _tool(name):
 
 bench_pairs = _tool("bench_pairs")
 stage_digests = _tool("stage_digests")
+oracle_errors = _tool("oracle_errors")
 
 
 class TestSummary:
@@ -167,3 +172,18 @@ class TestRunDigest:
         wl = _fake_workloads({5: object()})
         with pytest.raises(SystemExit, match="address"):
             stage_digests.run_digest(wl, "w", 5)
+
+
+class TestOracleErrors:
+    def test_seed_ranges(self):
+        assert oracle_errors.parse_seeds(["1..3", "7"]) == [1, 2, 3, 7]
+
+    def test_one_seed_of_this_checkout(self):
+        proc = subprocess.run([sys.executable, str(TOOLS / "oracle_errors.py"),
+                               str(TOOLS.parent), "--seeds", "1"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        worst = dict(re.findall(r"^(\w+): worst relative error (\S+) over seeds 1 ",
+                                proc.stdout, re.M))
+        assert worst.keys() == {"contour", "vp"}
+        assert float(worst["contour"]) <= 1e-6 and float(worst["vp"]) <= 1e-9
