@@ -169,17 +169,17 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
     Trapezoid in the angle (spectrally accurate), Richardson in eps^2.
     This is the oracle that pins the delta-operator constants.  The largest
     circle, eps_0, is at most R/4 for phi's support radius R, half the
-    distance to the nearest other pole and, when the centre lies inside the
-    support, half its distance to the support's edge: every circle then
-    stays where the cutoff is analytic, and the table is a series in eps^2.
+    distance to the nearest other pole and, unless the centre lies on the
+    support's edge, half its distance to that edge: every circle then stays
+    where the cutoff is analytic, and the table is a series in eps^2.
     """
     import numpy as np
 
     cfg = cfg or QuadratureConfig()
     if g.nvars != 1 or phi.nvars != 1:
         raise ValueError("one-variable data expected")
-    gap = float(phi.radius) - abs(center - complex(phi.center[0]))
-    eps0 = float(phi.radius) / 4.0 if gap <= 0 else min(float(phi.radius) / 4.0, 0.5 * gap)
+    gap = abs(float(phi.radius) - abs(center - complex(phi.center[0])))
+    eps0 = min(float(phi.radius) / 4.0, 0.5 * gap) if gap > 0 else float(phi.radius) / 4.0
     # keep all circles clear of the other poles
     other = [complex(p) for p, _ in find_rational_roots(g.den)
              if abs(complex(p) - center) > 1e-12]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.dim1 import (
@@ -406,10 +407,15 @@ class TestVp:
 
 
 # g = (z + 1)/(z - p) against GENERIC_BUMP (R = 2), p near the support's edge:
-# inside it, at -199/100 + i/5 just outside it (where both sides are 0)
+# inside it, but for -199/100 + i/5 just outside it (where both sides are 0)
 NEAR_EDGE_POLES = [GaussianRational(Fraction(re), Fraction(im)) for re, im in (
     ("-15/8", "1/50"), ("-19/10", "1/50"), ("-3/2", "1/50"), ("-199/100", 0),
     ("-1999/1000", 0), ("3/2", "13/10"), ("-199/100", "1/5"))]
+
+
+def _assert_verdict_holds(res, exact, cfg):
+    if res.converged:
+        assert abs(res.value - exact) <= max(cfg.abs_tol, cfg.rel_tol * max(1.0, abs(res.value)))
 
 
 @pytest.mark.parametrize("pole", NEAR_EDGE_POLES, ids=str)
@@ -419,11 +425,33 @@ def test_oracles_near_support_edge(pole):
     cfg = QuadratureConfig()
     g = RatFn(Z + ONE, Z - MultiPoly.const(1, pole))
     exact = residue_pairing_1d(g, GENERIC_BUMP)
-    contour = contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(pole))
+    _assert_verdict_holds(contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(pole)),
+                          exact, cfg)
     vp = vp_1d(g, TestForm.function(GENERIC_BUMP).d_bar(), cfg)
-    for res in (contour, vp):
-        if res.converged:
-            assert abs(res.value - exact) <= max(cfg.abs_tol,
-                                                 cfg.rel_tol * max(1.0, abs(res.value)))
+    _assert_verdict_holds(vp, exact, cfg)
     if abs(complex(pole)) < 2:
         assert abs(vp.value - exact) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-144, 144), st.integers(-144, 144), st.booleans(),
+       st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4), st.integers(-4, 4))
+def test_converged_verdicts_near_support_edge(re, im, pair, dre, dim, c1, c2):
+    # poles of (c1 + i c2/3)/(z - p) + 1/(z - q) within R/8 of the edge of
+    # GENERIC_BUMP's radius-2 support, q = p + (dre + i dim)/32 up to 0.14
+    # away; the exact pairing is the reference of each oracle's verdict
+    pole = GaussianRational(Fraction(re, 64), Fraction(im, 64))
+    assume(1.75 <= abs(complex(pole)) <= 2.25)
+    g = RatFn(MultiPoly.const(1, GaussianRational(c1, Fraction(c2, 3))),
+              Z - MultiPoly.const(1, pole))
+    if pair:
+        assume((dre, dim) != (0, 0))
+        other = pole + GaussianRational(Fraction(dre, 32), Fraction(dim, 32))
+        g = g + RatFn(ONE, Z - MultiPoly.const(1, other))
+    cfg = QuadratureConfig()
+    for part in laurent_parts(g):
+        exact = residue_pairing_1d(part.as_ratfn(), GENERIC_BUMP)
+        res = contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(part.pole))
+        _assert_verdict_holds(res, exact, cfg)
+    vp = vp_1d(g, TestForm.function(GENERIC_BUMP).d_bar(), cfg)
+    _assert_verdict_holds(vp, residue_pairing_1d(g, GENERIC_BUMP), cfg)

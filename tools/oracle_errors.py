@@ -28,21 +28,18 @@ def parse_seeds(tokens) -> list:
     return seeds
 
 
-def oracle_errors(workloads, seed: int) -> dict:
-    """{oracle: (worst relative error, case name)} over one seed's cases."""
+def case_errors(workloads, seed: int):
+    """(oracle, relative error, case name) for both oracles on each of one
+    seed's cases."""
     _, runs = workloads.run_cases(workloads.WORKLOADS["dim1"](seed).cases)
-    worst = {"contour": (0.0, ""), "vp": (0.0, "")}
     for run in runs:
         if run.error is not None:
             raise SystemExit(f"dim1 seed {seed}: {run.case.name} raised {run.error!r}")
         exact = run.outputs["exact"]
         contours, vp = run.outputs["oracle"]
         scale = max(1.0, abs(exact))
-        for label, value in (("contour", sum(c.value for c in contours)), ("vp", vp.value)):
-            err = abs(value - exact) / scale
-            if err > worst[label][0]:
-                worst[label] = (err, run.case.name)
-    return worst
+        yield "contour", abs(sum(c.value for c in contours) - exact) / scale, run.case.name
+        yield "vp", abs(vp.value - exact) / scale, run.case.name
 
 
 def main(argv=None) -> int:
@@ -56,15 +53,14 @@ def main(argv=None) -> int:
     import workloads  # the checkout's bench/workloads.py
 
     seeds = parse_seeds(args.seeds)
-    worst = {"contour": (0.0, "", None), "vp": (0.0, "", None)}
+    worst = {}
     for seed in seeds:
-        for label, (err, case) in oracle_errors(workloads, seed).items():
-            if err > worst[label][0]:
+        for label, err, case in case_errors(workloads, seed):
+            if err > worst.get(label, (-1.0,))[0]:
                 worst[label] = (err, case, seed)
     for label, (err, case, seed) in worst.items():
-        where = f" ({case}, seed {seed})" if case else ""
         print(f"{label}: worst relative error {err:.3g} over seeds "
-              f"{' '.join(map(str, seeds))}{where}")
+              f"{' '.join(map(str, seeds))} ({case}, seed {seed})")
     return 0
 
 
