@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import List, Tuple
 
 from .bump import BumpFunction
@@ -71,6 +73,16 @@ def _rationalize(x: float) -> Fraction:
     return Fraction(x).limit_denominator(RATIONALIZE_MAX_DEN)
 
 
+def _deflate(coeffs: List[GaussianRational], a: GaussianRational):
+    """Synthetic (Horner-Ruffini) division of sum coeffs[i] z^(n-i) by z - a:
+    the quotient's coefficients, highest first, and the remainder, which is
+    the polynomial's value at a."""
+    acc = [coeffs[0]]
+    for c in coeffs[1:]:
+        acc.append(c + a * acc[-1])
+    return acc[:-1], acc[-1]
+
+
 def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     """Split a 1-variable polynomial into exact Gaussian-rational linear
     factors; raises IrrationalPole if any numeric root fails to rationalize."""
@@ -81,25 +93,25 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     deg = den.degree_in(0)
     if deg <= 0:
         return []
-    numeric = np.roots([complex(den.terms.get((e,), 0)) for e in range(deg, -1, -1)])
-    z = MultiPoly.variable(1, 0)
-    remaining = den
+    coeffs = [den.terms.get((e,), GaussianRational(0)) for e in range(deg, -1, -1)]
+    numeric = np.roots([complex(c) for c in coeffs])
     roots: List[Tuple[GaussianRational, int]] = []
     for r in numeric:
         if any(abs(complex(a) - r) < 1e-7 for a, _ in roots):
             continue
         cand = GaussianRational(_rationalize(float(r.real)), _rationalize(float(r.imag)))
-        if not remaining.eval_exact([cand]).is_zero():
+        quotient, value = _deflate(coeffs, cand)
+        if not value.is_zero():
             raise IrrationalPole(
                 f"root near {r:.6g} is not Gaussian rational "
                 "(or exceeds the rationalization bound)")
-        lin = z - MultiPoly.const(1, cand)
         mult = 0
-        while remaining.eval_exact([cand]).is_zero():
-            remaining = exact_divide(remaining, lin)
+        while value.is_zero():
+            coeffs = quotient
             mult += 1
+            quotient, value = _deflate(coeffs, cand)
         roots.append((cand, mult))
-    if remaining.degree_in(0) != 0:
+    if len(coeffs) != 1:
         raise IrrationalPole("numeric root finding missed a factor")
     return roots
 
@@ -129,27 +141,37 @@ def residue_current_1d(parts: List[LaurentPart]) -> List[DeltaOperatorCurrent]:
             for part in parts]
 
 
-def apply_delta_current(cur: DeltaOperatorCurrent, phi: BumpFunction) -> complex:
-    """sum_j b_j (d^j phi / dz^j)(pole); derivatives exact in the bump algebra."""
+def _pair_currents(currents: List[DeltaOperatorCurrent], phi: BumpFunction) -> complex:
+    """sum over the currents of sum_j b_j (d^j phi / dz^j)(pole).  Each d^j phi
+    is built once, exactly in the bump algebra, and evaluated in one call at
+    the poles whose b_j is nonzero; a point's value does not depend on the
+    others, and the terms are added current by current, j ascending."""
     import numpy as np
 
-    if phi.nvars != 1:
+    if currents and phi.nvars != 1:
         raise ValueError("expected a one-variable test function")
-    z0 = np.array([complex(cur.pole)])
-    total = 0j
+    terms = [[] for _ in currents]
     d = phi
-    for j, b in enumerate(cur.coeffs):
-        if j > 0:
-            d = d.dz(0)
-        if not b.is_zero():
-            total += complex(b) * (2j * math.pi) * complex(d.eval_numeric(z0))
-    return total
+    for j in range(max((len(cur.coeffs) for cur in currents), default=0)):
+        d = d.dz(0) if j else d
+        used = [(cur, t) for cur, t in zip(currents, terms)
+                if j < len(cur.coeffs) and not cur.coeffs[j].is_zero()]
+        if used:
+            vals = d.eval_numeric(np.array([[complex(cur.pole)] for cur, _ in used]))
+            for (cur, t), v in zip(used, vals):
+                t.append(complex(cur.coeffs[j]) * (2j * math.pi) * complex(v))
+    # a current's terms in plain left-to-right addition, then the currents
+    return sum((reduce(add, t, 0j) for t in terms), 0j)
+
+
+def apply_delta_current(cur: DeltaOperatorCurrent, phi: BumpFunction) -> complex:
+    """sum_j b_j (d^j phi / dz^j)(pole); derivatives exact in the bump algebra."""
+    return _pair_currents([cur], phi)
 
 
 def residue_pairing_1d(g: RatFn, phi: BumpFunction) -> complex:
     """Full current evaluation: sum over poles of the delta-operator data."""
-    return sum((apply_delta_current(cur, phi)
-                for cur in residue_current_1d(laurent_parts(g))), 0j)
+    return _pair_currents(residue_current_1d(laurent_parts(g)), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +194,9 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
     distance to the nearest other pole and, unless the centre lies on the
     support's edge, half its distance to that edge: every circle then stays
     where the cutoff is analytic, and the table is a series in eps^2.
+    All circles are evaluated in one call and each row is summed alone; as
+    a point's value does not depend on the others passed with it, the table
+    is bit for bit that of one call per circle.
     """
     import numpy as np
 
@@ -185,16 +210,12 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
              if abs(complex(p) - center) > 1e-12]
     if other:
         eps0 = min(eps0, 0.5 * min(abs(p - center) for p in other))
-    e_i = circle_nodes(cfg.n_theta)
-    table = []
-    values = []
-    for eps in cfg.eps_schedule(eps0):
-        zs = center + eps * e_i
-        pts = zs[:, np.newaxis]
-        integrand = g.eval_numeric(pts) * phi.eval_numeric(pts) * 1j * (zs - center)
-        v = complex(integrand.sum() * (2.0 * np.pi / cfg.n_theta))
-        table.append((eps, v))
-        values.append(v)
+    eps_list = cfg.eps_schedule(eps0)
+    zs = center + np.array(eps_list)[:, None] * circle_nodes(cfg.n_theta)
+    pts = zs[..., np.newaxis]
+    integrand = g.eval_numeric(pts) * phi.eval_numeric(pts) * 1j * (zs - center)
+    values = [complex(row.sum() * (2.0 * np.pi / cfg.n_theta)) for row in integrand]
+    table = list(zip(eps_list, values))
     value, residual = richardson(values)
     scale = max(1.0, abs(value))
     converged = residual <= max(cfg.abs_tol, cfg.rel_tol * scale)
@@ -232,7 +253,10 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
       analytic: one `gauss_panel` and VP_ANNULUS_ANGLES angles.
 
     The outer regions are fixed and the thin annuli nest, so the eps-table
-    differences carry no re-meshing noise and stay analytic in eps^2.
+    differences carry no re-meshing noise and stay analytic in eps^2.  Each
+    pole's regions are evaluated in one call on all their nodes and split
+    back, and the sums keep their order; as a point's value does not depend
+    on the others, the table is bit for bit that of one call per region.
     """
     import numpy as np
 
@@ -260,35 +284,41 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
         freq_k = max(p.degree_in(1) for p, _, _ in b.terms)
         n_smooth = max(n_smooth, freq_j + 1, freq_k + 1)
 
-    def polar_integral(fn, origin, rs, ws, n_theta):
-        # integral of fn * b * (-2i) dA over the polar grid about origin: rs
-        # and ws hold each ray's radii and weights, or one row for all rays
-        zs = (origin + rs * circle_nodes(n_theta)[:, None])[..., None]
-        vals = fn.eval_numeric(zs) * b.eval_numeric(zs)
-        return complex(np.sum(vals * rs * ws) * (-4j * np.pi / n_theta))
+    def polar_integrals(fn, origin, regions):
+        # integral of fn * b * (-2i) dA over each polar grid (rs, ws, n_theta)
+        # about origin, from one evaluation on all their nodes: rs and ws
+        # hold each ray's radii and weights, or one row for all rays
+        grids = [origin + rs * circle_nodes(n)[:, None] for rs, _, n in regions]
+        zs = np.concatenate([z.ravel() for z in grids])[:, None]
+        vals = np.split(fn.eval_numeric(zs) * b.eval_numeric(zs),
+                        np.cumsum([z.size for z in grids])[:-1])
+        return [complex(np.sum(v.reshape(z.shape) * rs * ws) * (-4j * np.pi / n))
+                for v, z, (rs, ws, n) in zip(vals, grids, regions)]
 
     total = 0j
     if not smooth.is_zero():
         rs, ws = radial_panels(0.0, support, VP_PANEL_ORDER)
-        total = polar_integral(smooth, center, rs, ws, n_smooth)
+        (total,) = polar_integrals(smooth, center, [(rs, ws, n_smooth)])
     if not parts:
         return LimitResult(total, [(0.0, total)], 0.0, True, note="no poles")
 
     seps = [abs(p - q) for p, _ in principal for q, _ in principal if p != q]
     gaps = [support - abs(p - center) for p, _ in inside]
     eps0 = min([support / 8.0] + [0.25 * s for s in seps] + [0.5 * gap for gap in gaps])
+    eps_list = cfg.eps_schedule(eps0)
+    annuli = [gauss_panel(a, out, VP_PANEL_ORDER) + (VP_ANNULUS_ANGLES,)
+              for a, out in zip(eps_list[1:], eps_list[:-1])]
+    per_pole = []  # each pole's outer region, then its annuli outside in
     for (p, h), gap in zip(inside, gaps):
         n_theta = 64 * 2 ** min(4, max(0, math.ceil(0.5 * math.log2(support / (8.0 * gap)))))
         beta = ((p - center) * np.conj(circle_nodes(n_theta))).real
         r_edge = -beta + np.sqrt(beta * beta + gap * (2.0 * support - gap))
         rs, ws = radial_panels(eps0, r_edge, VP_PANEL_ORDER)
-        total += polar_integral(h, p, rs, ws, n_theta)
-    eps_list = cfg.eps_schedule(eps0)
-    values = [total]
-    for a, out in zip(eps_list[1:], eps_list[:-1]):
-        rs, ws = gauss_panel(a, out, VP_PANEL_ORDER)
-        for p, h in inside:
-            total += polar_integral(h, p, rs, ws, VP_ANNULUS_ANGLES)
+        per_pole.append(polar_integrals(h, p, [(rs, ws, n_theta)] + annuli))
+    values = []
+    for level in range(len(eps_list)):
+        for sums in per_pole:
+            total += sums[level]
         values.append(total)
     table = list(zip(eps_list, values))
     value, residual = richardson(values)

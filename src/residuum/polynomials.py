@@ -244,15 +244,20 @@ class MultiPoly:
         Horner's rule in variable 0 whose coefficients are evaluated by the
         same rule in variables 1, 2, ... (`_horner`), so the summation order
         is fixed by the polynomial alone.  Returns a complex array of shape
-        points.shape[:-1], also for a constant or zero polynomial.
+        points.shape[:-1], also for a constant or zero polynomial.  The
+        points run as one array, a lone point too (numpy's scalar complex
+        arithmetic can round differently), and every step is elementwise: a
+        point's value does not depend on the other points passed with it.
         """
         import numpy as np
 
         pts = np.asarray(points, dtype=complex)
         if pts.shape[-1] != self.nvars:
             raise ValueError("point dimension mismatch")
-        v = _horner_numeric(self, [pts[..., i] for i in range(self.nvars)])
-        return v if isinstance(v, np.ndarray) else np.full(pts.shape[:-1], v, dtype=complex)
+        flat = pts.reshape(-1, self.nvars)
+        v = _horner_numeric(self, [flat[:, i] for i in range(self.nvars)])
+        v = v if isinstance(v, np.ndarray) else np.full(len(flat), v, dtype=complex)
+        return v.reshape(pts.shape[:-1])
 
     # -- structure ----------------------------------------------------
 

@@ -205,7 +205,9 @@ class RatFn:
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
         """Values at complex points (last axis the variables); a constant
-        numerator or denominator is one scalar, not a filled array."""
+        numerator or denominator is one scalar, not a filled array.  As for
+        `MultiPoly.eval_numeric`, a point's value does not depend on the
+        other points passed with it, bit for bit."""
         if self.num.is_constant():
             return complex(self.num.constant_value()) / self.den.eval_numeric(points)
         if self.den.is_constant():

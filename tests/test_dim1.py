@@ -12,6 +12,7 @@ from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.dim1 import (
     apply_delta_current,
     contour_residue_numeric,
+    find_rational_roots,
     laurent_parts,
     residue_current_1d,
     residue_pairing_1d,
@@ -76,6 +77,47 @@ class TestLaurentParts:
     def test_irrational_pole(self):
         with pytest.raises(IrrationalPole):
             laurent_parts(RatFn(ONE, Z ** 2 - 2 * ONE))
+
+    @pytest.mark.parametrize("den, root", [
+        (Z ** 2 - 2 * ONE, "1.41421+0j"),
+        # a triple root spreads by about eps^(1/3): the digits are np.roots'
+        ((Z - MultiPoly.const(1, Fraction(1, 3))) ** 3, "0.333336-1.40811e-06j"),
+    ], ids=["z^2-2", "(z-1/3)^3"])
+    def test_irrational_pole_messages(self, den, root):
+        with pytest.raises(IrrationalPole) as info:
+            find_rational_roots(den)
+        assert str(info.value) == (f"root near {root} is not Gaussian rational "
+                                   "(or exceeds the rationalization bound)")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6).flatmap(lambda q: st.tuples(
+        st.integers(-q, q), st.integers(-q, q), st.just(q))), st.integers(1, 2)),
+        min_size=1, max_size=3))
+    def test_roots_of_planted_factors(self, draws):
+        # den = prod (z - p_j)^k_j, the p_j distinct in the unit square with
+        # denominators up to 6: the roots come back with their multiplicities
+        # exactly, or IrrationalPole is raised, and always for simple poles
+        planted = {}
+        for (re, im, q), k in draws:
+            planted.setdefault(GaussianRational(Fraction(re, q), Fraction(im, q)), k)
+        den = ONE
+        for p, k in planted.items():
+            den = den * (Z - MultiPoly.const(1, p)) ** k
+        try:
+            roots = find_rational_roots(den)
+        except IrrationalPole:
+            assert max(planted.values()) == 2
+            return
+        assert len(roots) == len(planted) and dict(roots) == planted
+
+    def test_two_double_poles_raise(self):
+        # a known limitation, and why the draws above may raise: np.roots
+        # returns each double root split by more than the rationalization
+        # tolerates, so (z + 1 + i)^2 (z + 1 + i/2)^2 raises
+        den = ((Z - MultiPoly.const(1, GaussianRational(-1, -1))) ** 2
+               * (Z - MultiPoly.const(1, GaussianRational(-1, Fraction(-1, 2)))) ** 2)
+        with pytest.raises(IrrationalPole):
+            find_rational_roots(den)
 
     def test_principal_parts_recombine(self):
         g = RatFn(Z + 7 * ONE, (Z ** 2) * (Z - ONE) * (2 * Z + ONE))
@@ -176,11 +218,13 @@ def vp_by_dblquad(g, chi) -> complex:
     dblquad, with dz ^ dzbar = -2i dA; the integrand must be bounded."""
     from scipy.integrate import dblquad
 
+    chi_at = _scalar_bump(chi)
+
     def integrand(y, x, piece):
         z = complex(x, y)
         if z == 0:
             return 0.0
-        val = g(z) * complex(chi.eval_numeric(np.array([z]))) * (-2j)
+        val = g(z) * chi_at(z) * (-2j)
         return val.real if piece == "re" else val.imag
 
     re, _ = dblquad(integrand, -1, 1, -1, 1, args=("re",), epsabs=1e-9)
@@ -431,6 +475,21 @@ def test_oracles_near_support_edge(pole):
     _assert_verdict_holds(vp, exact, cfg)
     if abs(complex(pole)) < 2:
         assert abs(vp.value - exact) <= 1e-8
+
+
+@pytest.mark.parametrize("pole", [GaussianRational(Fraction(1, 3), Fraction(-1, 5)),
+                                  GaussianRational(Fraction(-19, 10), Fraction(1, 50))],
+                         ids=["far-from-edge", "near-edge"])
+def test_levels_do_not_couple(pole):
+    # each eps-level's entry is computed from its own nodes alone: the table
+    # at 3 levels is bit for bit the first 3 rows of the table at 5
+    g = RatFn(Z + ONE, Z - MultiPoly.const(1, pole)) + RatFn(ONE, Z ** 2)
+    psi = TestForm.function(GENERIC_BUMP).d_bar()
+    for oracle in (lambda cfg: contour_residue_numeric(g, GENERIC_BUMP, cfg,
+                                                       center=complex(pole)),
+                   lambda cfg: vp_1d(g, psi, cfg)):
+        short = oracle(QuadratureConfig(eps_levels=3)).table
+        assert short == oracle(QuadratureConfig(eps_levels=5)).table[:3]
 
 
 @settings(max_examples=25, deadline=None)

@@ -1315,6 +1315,22 @@ class TestEvalNumeric:
             for g, w in zip(got.reshape(-1), want if shape else want[:1]):
                 self.assert_close(g, w)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3]).flatmap(lambda n: st.tuples(
+        dense_polys(n), polys(n), polys(n),
+        st.lists(st.lists(unit_points, min_size=n, max_size=n), min_size=6, max_size=6))))
+    def test_a_point_is_evaluated_alone(self, case):
+        # bit for bit: each entry of a (2, 3) result equals its point's value
+        # from a call with that point alone, for MultiPoly and for RatFn
+        p, num, den, pts = case
+        assume(not any(den.eval_exact(pt).is_zero() for pt in pts))
+        grid = np.array([[complex(x) for x in pt] for pt in pts]).reshape(2, 3, p.nvars)
+        for f in (p, RatFn(num, den)):
+            got = f.eval_numeric(grid)
+            assert got.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                assert got[idx] == f.eval_numeric(grid[idx])
+
     @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_and_constant_have_the_points_shape(self, n, shape):

@@ -2,7 +2,7 @@
 into the medians, quartiles and pair counts of a BENCH_*.json;
 `tools/bench_pairs.timed_passes`, which reads each run's number of timed
 passes; `tools/bench_pairs.main`, which records both checkouts' stage
-digests; `tools/stage_digests.run_digest`, which hashes a workload's
+digests and traced per-layer metrics; `tools/stage_digests.run_digest`, which hashes a workload's
 outputs; and `tools/oracle_errors.py`, which reports the `dim1` oracles'
 worst errors."""
 
@@ -85,9 +85,10 @@ class TestTimedPasses:
 def _fake_main(tmp_path, monkeypatch, digests):
     """Run `bench_pairs.main` on checkouts `parent` and `change` under
     tmp_path, with `subprocess.run` faked: bench/run.py reports 10 passes in
-    the parent and 20 in the change, and tools/stage_digests.py prints one
-    line per (workload, seed) ending in digests[side].  Returns the written
-    JSON and the commands run."""
+    the parent and 20 in the change, or with --trace 1 no passes line and
+    per-layer metrics x.calls (n passes times the seed) and x.total_s, and
+    tools/stage_digests.py prints one line per (workload, seed) ending in
+    digests[side].  Returns the written JSON and the commands run."""
     passes = {"parent": 10, "change": 20}
     for side in passes:
         (tmp_path / side).mkdir()
@@ -103,6 +104,12 @@ def _fake_main(tmp_path, monkeypatch, digests):
             return types.SimpleNamespace(stdout="".join(
                 f"w seed {s} {digests[side]}\n" for s in seeds))
         n = passes[Path(cwd).name]
+        if cmd[cmd.index("--trace") + 1] == "1":
+            seed = int(cmd[cmd.index("--seed") + 1])
+            metrics = {"x.calls": {"value": n * seed, "unit": "count"},
+                       "x.total_s": {"value": 1 / n, "unit": "s"}}
+            report = {"correct": True, "failed": 0, "metrics": metrics}
+            return types.SimpleNamespace(stdout="trace: ...\n" + json.dumps(report))
         report = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 1 / n}}}
         return types.SimpleNamespace(stdout=f"passes {n}, raw: 0.1 s\n" + json.dumps(report))
 
@@ -132,6 +139,24 @@ class TestStageDigestsInBench:
         out = _fake_main(tmp_path, monkeypatch, {"parent": "abc", "change": "abd"})
         assert out["stage_digests"]["outputs_identical"] is False
         assert "OUTPUTS DIFFER" in capsys.readouterr().err
+
+
+class TestTracedRuns:
+    def test_per_layer_metrics_of_both_sides(self, tmp_path, monkeypatch):
+        out = _fake_main(tmp_path, monkeypatch, {"parent": "d", "change": "d"})
+        traced = out["traced"]
+        assert traced["command"] == ("python3 bench/run.py --workload W --seed 5 "
+                                     "--seconds 0 --trace 1")
+        # seed 5 whatever --seed is (1 here)
+        assert traced["w"] == {"x.calls": {"parent": 50, "change": 100},
+                               "x.total_s": {"parent": 0.1, "change": 0.05}}
+
+    def test_one_run_per_side_after_the_pairs(self, tmp_path, monkeypatch):
+        out = _fake_main(tmp_path, monkeypatch, {"parent": "d", "change": "d"})
+        runs = [c for c in out["commands"] if c[1] == "bench/run.py"]
+        flags = [c[c.index("--trace") + 1] for c in runs]
+        assert flags == ["0"] * 6 + ["1", "1"]
+        assert [c[c.index("--seed") + 1] for c in runs[6:]] == ["5", "5"]
 
 
 def _fake_workloads(outputs):

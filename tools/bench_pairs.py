@@ -29,6 +29,12 @@ Before the timed runs, the change's `tools/stage_digests.py` hashes the
 outputs of both checkouts at seeds 5 and 7, for the same workloads;
 its lines for each side and `outputs_identical`, whether they agree, go
 under `stage_digests`, and a difference is printed.
+
+After each workload's pairs, each checkout makes one traced run,
+`bench/run.py --trace 1`, at seed 5 whatever --seed is, so that traced
+counts read the same inputs in every BENCH file.  Every per-layer metric
+it reports goes under `traced`, per workload, as {"parent": value,
+"change": value}.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
                           timeout=4 * seconds + 600)
     report = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -53,6 +60,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 DIGEST_SEEDS = [5, 7]  # the seeds tools/stage_digests.py defaults to
+TRACE_SEED = 5         # the seed of the traced runs
 
 
 def stage_digests(tool: Path, checkout: Path, seeds: list, workloads: list) -> list:
@@ -118,6 +126,8 @@ def main(argv=None) -> int:
         "seeds": [args.seed],
         "claim": None,
         "workloads": {},
+        "traced": {"command": "python3 bench/run.py --workload W --seed "
+                              f"{TRACE_SEED} --seconds 0 --trace 1"},
     }
     tool = sides["change"] / "tools" / "stage_digests.py"
     digests = {side: stage_digests(tool, root, DIGEST_SEEDS, args.workloads)
@@ -153,6 +163,10 @@ def main(argv=None) -> int:
         block["all_runs_correct"] = all(r["correct"] for side in runs.values() for r in side)
         block["failed"] = sum(r["failed"] for side in runs.values() for r in side)
         out["workloads"][wl] = block
+        traced = {side: run_once(root, wl, TRACE_SEED, 0, trace=1)["metrics"]
+                  for side, root in sides.items()}
+        out["traced"][wl] = {name: {side: traced[side][name]["value"] for side in traced}
+                             for name in traced["change"] if name in traced["parent"]}
     if args.claim:
         wl, _, name = args.claim.partition(".")
         s = out["workloads"][wl][name]
