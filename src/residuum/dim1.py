@@ -93,7 +93,8 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     deg = den.degree_in(0)
     if deg <= 0:
         return []
-    coeffs = [den.terms.get((e,), GaussianRational(0)) for e in range(deg, -1, -1)]
+    zero = GaussianRational(0)
+    coeffs = [den.terms.get((e,), zero) for e in range(deg, -1, -1)]
     numeric = np.roots([complex(c) for c in coeffs])
     roots: List[Tuple[GaussianRational, int]] = []
     for r in numeric:
@@ -144,8 +145,8 @@ def residue_current_1d(parts: List[LaurentPart]) -> List[DeltaOperatorCurrent]:
 def _pair_currents(currents: List[DeltaOperatorCurrent], phi: BumpFunction) -> complex:
     """sum over the currents of sum_j b_j (d^j phi / dz^j)(pole).  Each d^j phi
     is built once, exactly in the bump algebra, and evaluated in one call at
-    the poles whose b_j is nonzero; a point's value does not depend on the
-    others, and the terms are added current by current, j ascending."""
+    the poles whose b_j is nonzero (a point's value does not depend on the
+    others); each current's terms are added left to right, then the sums."""
     import numpy as np
 
     if currents and phi.nvars != 1:
@@ -160,7 +161,6 @@ def _pair_currents(currents: List[DeltaOperatorCurrent], phi: BumpFunction) -> c
             vals = d.eval_numeric(np.array([[complex(cur.pole)] for cur, _ in used]))
             for (cur, t), v in zip(used, vals):
                 t.append(complex(cur.coeffs[j]) * (2j * math.pi) * complex(v))
-    # a current's terms in plain left-to-right addition, then the currents
     return sum((reduce(add, t, 0j) for t in terms), 0j)
 
 
