@@ -1,8 +1,8 @@
 """Residue currents of meromorphic 1-forms in one variable.
 
 A form g(z) dz with Gaussian-rational poles decomposes into exact Laurent
-principal parts, the (z - p)-adic digits of g times (z - p)^k at a pole p
-of multiplicity k; the residue current at a pole of multiplicity k is the
+principal parts, read off at a pole p of multiplicity k from Taylor shifts
+of num and den to powers of z - p; the residue current there is the
 delta-operator current sum_j b_j d^j/dz^j delta with b_j = (2 pi i / j!)
 times the Laurent coefficient a_{-(j+1)}.  A current stores each b_j once,
 as its Gaussian-rational factor a_{-(j+1)}/j! of 2 pi i; the float 2 pi i
@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, sub
 from typing import List, Tuple
 
 from .bump import BumpFunction
 from .errors import IrrationalPole
 from .forms import TestForm
-from .polynomials import MultiPoly, exact_divide
+from .polynomials import MultiPoly
 from .quadrature import (
     LimitResult,
     QuadratureConfig,
@@ -34,26 +34,30 @@ from .quadrature import (
     radial_panels,
     richardson,
 )
-from .ratfn import RatFn, uni_digits, uni_divmod
+from .ratfn import RatFn, uni_divmod
 from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
 class LaurentPart:
     pole: GaussianRational
-    coeffs: Tuple[GaussianRational, ...]  # a_{-1}, ..., a_{-k}
+    coeffs: Tuple[GaussianRational, ...]  # a_{-1}, ..., a_{-k}, a_{-k} != 0
+
+    def __post_init__(self):
+        if not self.coeffs or self.coeffs[-1].is_zero():
+            raise ValueError("a Laurent part needs a nonzero leading coefficient a_{-k}")
 
     @property
     def multiplicity(self) -> int:
         return len(self.coeffs)
 
     def as_ratfn(self) -> RatFn:
-        """sum_l a_{-l} (z-p)^(k-l) over (z-p)^k, k the multiplicity."""
+        """sum_l a_{-l} (z-p)^(k-l) over (z-p)^k, canonical: monic, a_{-k} != 0."""
         lin = MultiPoly.variable(1, 0) - MultiPoly.const(1, self.pole)
         num = MultiPoly.zero(1)
         for a in self.coeffs:  # Horner in (z - p)
             num = num * lin + MultiPoly.const(1, a)
-        return RatFn(num, lin ** self.multiplicity)
+        return RatFn._of(num, lin ** self.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,18 @@ def _deflate(coeffs: List[GaussianRational], a: GaussianRational):
     for c in coeffs[1:]:
         acc.append(c + a * acc[-1])
     return acc[:-1], acc[-1]
+
+
+def _taylor(p: MultiPoly, a: GaussianRational, n: int) -> List[GaussianRational]:
+    """The first n coefficients of p in powers of z - a, lowest first: a
+    Taylor shift by repeated synthetic division (Knuth, TAOCP 2, 4.6.4)."""
+    zero = GaussianRational(0)
+    coeffs = [p.terms.get((e,), zero) for e in range(max(p.degree_in(0), n - 1), -1, -1)]
+    shifted = []
+    for _ in range(n):
+        coeffs, value = _deflate(coeffs, a)
+        shifted.append(value)
+    return shifted
 
 
 def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
@@ -117,22 +133,29 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     return roots
 
 
+def principal_part(num: MultiPoly, den: MultiPoly, pole: GaussianRational,
+                   k: int) -> Tuple[GaussianRational, ...]:
+    """a_{-1}, ..., a_{-k} of num/den at a pole p of den of multiplicity k.
+    In powers of z - p (`_taylor`), den = sum d_i (z - p)^i with d_i = 0 for
+    i < k and d_k != 0, which certifies k exactly, and a_{-l} = t_{k-l} for
+    the series t = sum n_i (z - p)^i / sum d_{k+i} (z - p)^i of num/den."""
+    d, n, t = _taylor(den, pole, 2 * k), _taylor(num, pole, k), []
+    if any(not c.is_zero() for c in d[:k]) or d[k].is_zero():
+        raise ArithmeticError(f"{pole} is not a pole of multiplicity {k}")
+    for j in range(k):  # n_j = sum_i d_{k+i} t_{j-i}, solved for t_j
+        t.append(reduce(sub, (d[k + i] * t[j - i] for i in range(1, j + 1)), n[j]) / d[k])
+    return tuple(t[::-1])
+
+
 def laurent_parts(g: RatFn) -> List[LaurentPart]:
-    """Exact Laurent principal parts of a one-variable rational function.
-    At a pole p of multiplicity k, g = num / ((z - p)^k q), and a_{-l} is the
-    l-th (z - p)-adic digit of num/q modulo (z - p)^k (`uni_digits`)."""
+    """Exact Laurent principal parts of a one-variable rational function,
+    pole by pole from `principal_part`: no division by (z - p)^k, no gcd."""
     if g.nvars != 1:
         raise ValueError("laurent_parts expects one variable")
     if g.is_zero() or g.is_polynomial():
         return []
-    roots = find_rational_roots(g.den)
-    z = MultiPoly.variable(1, 0)
-    parts: List[LaurentPart] = []
-    for pole, k in sorted(roots, key=lambda t: (t[0].re, t[0].im)):
-        lin = z - MultiPoly.const(1, pole)
-        digits = uni_digits(g.num, exact_divide(g.den, lin ** k), lin, k, 0)
-        parts.append(LaurentPart(pole, tuple(c.constant_value() for c in digits)))
-    return parts
+    return [LaurentPart(pole, principal_part(g.num, g.den, pole, k)) for pole, k
+            in sorted(find_rational_roots(g.den), key=lambda t: (t[0].re, t[0].im))]
 
 
 def residue_current_1d(parts: List[LaurentPart]) -> List[DeltaOperatorCurrent]:
