@@ -133,12 +133,10 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     return roots
 
 
-def principal_part(num: MultiPoly, den: MultiPoly, pole: GaussianRational,
-                   k: int) -> Tuple[GaussianRational, ...]:
-    """a_{-1}, ..., a_{-k} of num/den at a pole p of den of multiplicity k.
-    In powers of z - p (`_taylor`), den = sum d_i (z - p)^i with d_i = 0 for
-    i < k and d_k != 0, which certifies k exactly, and a_{-l} = t_{k-l} for
-    the series t = sum n_i (z - p)^i / sum d_{k+i} (z - p)^i of num/den."""
+def principal_part(num: MultiPoly, den: MultiPoly, pole: GaussianRational, k: int):
+    """(a_{-1}, ..., a_{-k}) of num/den at a pole p of den of multiplicity k.
+    In powers of z - p (`_taylor`), d_i = 0 for i < k and d_k != 0 certify k,
+    and a_{-l} = t_{k-l}, t = sum n_i (z - p)^i / sum d_{k+i} (z - p)^i."""
     d, n, t = _taylor(den, pole, 2 * k), _taylor(num, pole, k), []
     if any(not c.is_zero() for c in d[:k]) or d[k].is_zero():
         raise ArithmeticError(f"{pole} is not a pole of multiplicity {k}")

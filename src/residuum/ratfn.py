@@ -253,9 +253,9 @@ def _divided(p: MultiPoly, g: MultiPoly | None) -> MultiPoly:
 # exponentially.  Results come back as a numerator and a var-free
 # denominator, so a caller forms one RatFn per result instead of one per
 # coefficient operation.  `uni_digits` is the one routine that expands a
-# quotient in powers of a general factor rho: the partial fractions and the
-# normal forms on Y = Z(rho) are its digits (the Laurent parts in one
-# variable, where rho = z - p, come from a Taylor shift in `dim1`).  It inverts the denominator modulo rho only, never modulo rho^m, and takes
+# quotient in powers of a factor rho: the partial fractions and the normal
+# forms on Y = Z(rho) are its digits (for rho = z - p, `dim1` Taylor-shifts).
+# It inverts the denominator modulo rho only, never modulo rho^m, and takes
 # the digits one at a time by a recurrence whose exact divisions by rho
 # certify them.
 # ---------------------------------------------------------------------------

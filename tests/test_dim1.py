@@ -10,10 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.dim1 import (
+    LaurentPart,
     apply_delta_current,
     contour_residue_numeric,
     find_rational_roots,
     laurent_parts,
+    principal_part,
     residue_current_1d,
     residue_pairing_1d,
     vp_1d,
@@ -118,6 +120,56 @@ class TestLaurentParts:
                * (Z - MultiPoly.const(1, GaussianRational(-1, Fraction(-1, 2)))) ** 2)
         with pytest.raises(IrrationalPole):
             find_rational_roots(den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6).flatmap(lambda q: st.tuples(
+        st.integers(-q, q), st.integers(-q, q), st.just(q))), st.integers(1, 2)),
+        min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5))
+    def test_parts_of_planted_poles_canonical_and_exact(self, draws, num_coeffs):
+        # den as in test_roots_of_planted_factors, num any Gaussian-integer
+        # polynomial: each part, built without gcd, equals the normalising
+        # constructor's, and the parts plus the polynomial part give g back
+        planted = {}
+        for (re, im, q), k in draws:
+            planted.setdefault(GaussianRational(Fraction(re, q), Fraction(im, q)), k)
+        den = ONE
+        for p, k in planted.items():
+            den = den * (Z - MultiPoly.const(1, p)) ** k
+        num = MultiPoly(1, {(i,): GaussianRational(re, im)
+                            for i, (re, im) in enumerate(num_coeffs) if re or im})
+        assume(not num.is_zero())
+        g = RatFn(num, den)
+        try:
+            parts = laurent_parts(g)
+        except IrrationalPole:
+            return
+        l, total, _ = uni_divmod(g.num, g.den, 0)
+        total = RatFn(total, l)
+        for part in parts:
+            lin = Z - MultiPoly.const(1, part.pole)
+            k = part.multiplicity
+            part_num = MultiPoly.zero(1)
+            for j, a in enumerate(part.coeffs, 1):
+                part_num = part_num + MultiPoly.const(1, a) * lin ** (k - j)
+            assert part.as_ratfn() == RatFn(part_num, lin ** k)
+            total = total + part.as_ratfn()
+        assert total == g
+
+    def test_part_needs_nonzero_leading_coefficient(self):
+        p = GaussianRational(Fraction(1, 2), 1)
+        with pytest.raises(ValueError):
+            LaurentPart(p, ())
+        with pytest.raises(ValueError):
+            LaurentPart(p, (GaussianRational(3), GaussianRational(0)))
+
+    def test_principal_part_certifies_multiplicity(self):
+        # den's Taylor coefficients at p must vanish below order k, not at k
+        zero = GaussianRational(0)
+        assert principal_part(ONE, Z ** 2, zero, 2) == (zero, GaussianRational(1))
+        for den, k in [(Z ** 2, 1), (Z, 2), (Z - ONE, 1)]:
+            with pytest.raises(ArithmeticError):
+                principal_part(ONE, den, zero, k)
 
     def test_principal_parts_recombine(self):
         g = RatFn(Z + 7 * ONE, (Z ** 2) * (Z - ONE) * (2 * Z + ONE))

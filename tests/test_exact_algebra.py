@@ -19,6 +19,7 @@ from sympy.polys.rings import ring
 
 from residuum import polynomials
 from residuum.bump import BumpFunction
+from residuum.dim1 import principal_part
 from residuum.errors import DivisionError, ZeroInputError
 from residuum.polynomials import (
     MultiPoly,
@@ -1160,7 +1161,7 @@ APART_INPUTS = [
 
 class TestUniDigits:
     """`uni_digits` against the definition of the rho-adic expansion, and in
-    one variable against sympy's partial fractions."""
+    one variable, with dim1's Taylor shift, against sympy's partial fractions."""
 
     @settings(max_examples=40, deadline=None)
     @given(digit_cases())
@@ -1212,20 +1213,25 @@ class TestUniDigits:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("pole,num,rest", APART_INPUTS)
     def test_laurent_digits_match_sympy_apart(self, pole, num, rest, k):
-        # multiplicities above 2 are out of find_rational_roots' reach, so the
-        # (z - p)-adic digits are checked here, below laurent_parts
+        # the Laurent coefficients at p of num / (rest (z - p)^k) two ways:
+        # as the (z - p)-adic digits of num/rest, which the partial fractions
+        # and normal forms take for a general rho, and by dim1's Taylor shift
+        # at the pole, which laurent_parts uses.  Multiplicities above 2 are
+        # out of find_rational_roots' reach, so both are checked here, on
+        # planted poles, rather than through laurent_parts
         z = MultiPoly.variable(1, 0)
         lin = z - MultiPoly.const(1, pole)
         num_p, rest_p = (MultiPoly(1, {(i,): GaussianRational.from_any(c)
                                        for i, c in enumerate(cs)}) for cs in (num, rest))
         digits = uni_digits(num_p, rest_p, lin, k, 0)
         assert all(c.is_constant() for c in digits)
+        shifted = principal_part(num_p, rest_p * lin ** k, pole, k)
         p = to_sympy_number(pole)
         num_s, rest_s = (sum(to_sympy_number(GaussianRational.from_any(c)) * SZ ** i
                              for i, c in enumerate(cs)) for cs in (num, rest))
-        want = sympy_principal_part(num_s, rest_s * (SZ - p) ** k, p, k)
-        assert [to_sympy_number(c.constant_value()) for c in digits] == \
-            [expand(w) for w in want]
+        want = [expand(w) for w in sympy_principal_part(num_s, rest_s * (SZ - p) ** k, p, k)]
+        assert [to_sympy_number(c.constant_value()) for c in digits] == want
+        assert [to_sympy_number(c) for c in shifted] == want
 
 
 # ---------------------------------------------------------------------------
