@@ -144,8 +144,8 @@ class TestLaurentParts:
             parts = laurent_parts(g)
         except IrrationalPole:
             return
-        l, total, _ = uni_divmod(g.num, g.den, 0)
-        total = RatFn(total, l)
+        l, quot, _ = uni_divmod(g.num, g.den, 0)
+        total = RatFn(quot, l)
         for part in parts:
             lin = Z - MultiPoly.const(1, part.pole)
             k = part.multiplicity
