@@ -3,8 +3,8 @@ partial fractions, transverse-derivative operators and the residue-operator
 table they assemble into.
 
 Everything here is exact.  The distinguished variable is written `var`
-(0-based); factors must be squarefree and pairwise coprime in it, with
-leading coefficients that do not vanish at the origin.
+(0-based); factors must be squarefree, pairwise coprime and of constant
+content in it.
 
 Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
 and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Each D_s is
@@ -41,11 +41,10 @@ from .errors import (
     CoprimalityViolation,
     DivisionError,
     FactorFreeOfVariable,
-    LeadingCoefficientVanishesAtOrigin,
     NonSquarefreeFactor,
     ZeroInputError,
 )
-from .polynomials import MultiPoly, discriminant, exact_divide, resultant
+from .polynomials import MultiPoly, content_in_var, discriminant, exact_divide, resultant
 from .ratfn import RatFn, uni_digits
 
 
@@ -74,7 +73,9 @@ class FactoredDenominator:
 
 def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> FactoredDenominator:
     """Validate a factor list in the distinguished variable and compute the
-    discriminant of the reduced product, prod_k disc(rho_k) prod_(i<k) res(rho_i, rho_k)^2."""
+    discriminant of the reduced product, prod_k disc(rho_k) prod_(i<k) res(rho_i, rho_k)^2.
+    A factor free of `var`, or with such a factor (nonconstant content), has
+    a component this chart cannot see: it raises FactorFreeOfVariable."""
     if not factors:
         raise ZeroInputError("empty factor list")
     checked: List[Factor] = []
@@ -84,12 +85,11 @@ def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> Facto
             raise ZeroInputError(f"factor {i} is zero")
         if mult < 1:
             raise ValueError(f"factor {i} has multiplicity {mult} < 1")
-        if rho.degree_in(var) < 1:
+        coeffs = rho.coeffs_in_var(var)  # no content gcd when a coefficient is constant
+        if max(coeffs) < 1 or not (any(c.is_constant() for c in coeffs.values())
+                                   or content_in_var(rho, var).is_constant()):
             raise FactorFreeOfVariable(
-                f"factor {i} has degree 0 in variable {var + 1}")
-        if rho.leading_coefficient_in(var).eval_exact([0] * rho.nvars).is_zero():
-            raise LeadingCoefficientVanishesAtOrigin(
-                f"leading coefficient of factor {i} vanishes at the origin")
+                f"factor {i} or a factor of it is free of variable {var + 1}")
         if rho.degree_in(var) > 1:
             disc = discriminant(rho, var)
             if disc.is_zero():

@@ -28,11 +28,11 @@ from .forms import TestForm
 from .polynomials import MultiPoly
 from .quadrature import (
     LimitResult,
-    QuadratureConfig,
     circle_nodes,
+    eps_schedule,
     gauss_panel,
+    limit,
     radial_panels,
-    richardson,
 )
 from .ratfn import RatFn, uni_divmod
 from .scalars import GaussianRational
@@ -199,18 +199,19 @@ def residue_pairing_1d(g: RatFn, phi: BumpFunction) -> complex:
 # numeric oracles
 # ---------------------------------------------------------------------------
 
+CONTOUR_ANGLES = 128          # trapezoid nodes on each circle of contour_residue_numeric
 VP_PANEL_ORDER = 8            # Gauss-Legendre order of every radial panel of vp_1d
 VP_ANNULUS_ANGLES = 32        # trapezoid nodes on each thin annulus of vp_1d
 VP_OUTSIDE_POLE_ANGLES = 512  # angles when a pole lies on or outside the edge
 
 
 def contour_residue_numeric(g: RatFn, phi: BumpFunction,
-                            cfg: QuadratureConfig | None = None,
                             center: complex = 0j) -> LimitResult:
     """lim_eps contour integral of g phi dz over |z - center| = eps.
 
-    Trapezoid in the angle (spectrally accurate), Richardson in eps^2.
-    This is the oracle that pins the delta-operator constants.  The largest
+    CONTOUR_ANGLES trapezoid nodes (spectral) on each of EPS_LEVELS circles
+    (`eps_schedule`), Richardson in eps^2 and the verdict by `limit`.  This
+    is the oracle that pins the delta-operator constants.  The largest
     circle, eps_0, is at most R/4 for phi's support radius R, half the
     distance to the nearest other pole and, unless the centre lies on the
     support's edge, half its distance to that edge: every circle then stays
@@ -221,7 +222,6 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
     """
     import numpy as np
 
-    cfg = cfg or QuadratureConfig()
     if g.nvars != 1 or phi.nvars != 1:
         raise ValueError("one-variable data expected")
     gap = abs(float(phi.radius) - abs(center - complex(phi.center[0])))
@@ -231,19 +231,15 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
              if abs(complex(p) - center) > 1e-12]
     if other:
         eps0 = min(eps0, 0.5 * min(abs(p - center) for p in other))
-    eps_list = cfg.eps_schedule(eps0)
-    zs = center + np.array(eps_list)[:, None] * circle_nodes(cfg.n_theta)
+    eps_list = eps_schedule(eps0)
+    zs = center + np.array(eps_list)[:, None] * circle_nodes(CONTOUR_ANGLES)
     pts = zs[..., np.newaxis]
     integrand = g.eval_numeric(pts) * phi.eval_numeric(pts) * 1j * (zs - center)
-    values = [complex(row.sum() * (2.0 * np.pi / cfg.n_theta)) for row in integrand]
-    table = list(zip(eps_list, values))
-    value, residual = richardson(values)
-    scale = max(1.0, abs(value))
-    converged = residual <= max(cfg.abs_tol, cfg.rel_tol * scale)
-    return LimitResult(value, table, residual, converged)
+    values = [complex(row.sum() * (2.0 * np.pi / CONTOUR_ANGLES)) for row in integrand]
+    return limit(list(zip(eps_list, values)))
 
 
-def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> LimitResult:
+def vp_1d(g: RatFn, psi: TestForm) -> LimitResult:
     """Principal value lim_eps int_{|z - pole| >= eps} g dz ^ psi.
 
     psi is a (0,1) test form b dzbar, b supported on |z - c| <= R; the
@@ -274,14 +270,14 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
       analytic: one `gauss_panel` and VP_ANNULUS_ANGLES angles.
 
     The outer regions are fixed and the thin annuli nest, so the eps-table
-    differences carry no re-meshing noise and stay analytic in eps^2.  Each
-    pole's regions are evaluated in one call on all their nodes and split
-    back, and the sums keep their order; as a point's value does not depend
-    on the others, the table is bit for bit that of one call per region.
+    differences carry no re-meshing noise and stay analytic in eps^2; the
+    EPS_LEVELS rows (`eps_schedule`) go to `limit`.  Each pole's regions are
+    evaluated in one call on all their nodes and split back, and the sums
+    keep their order; as a point's value does not depend on the others, the
+    table is bit for bit that of one call per region.
     """
     import numpy as np
 
-    cfg = cfg or QuadratureConfig()
     if g.nvars != 1:
         raise ValueError("one-variable data expected")
     if psi.nvars != 1 or psi.bidegree != (0, 1):
@@ -326,7 +322,7 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
     seps = [abs(p - q) for p, _ in principal for q, _ in principal if p != q]
     gaps = [support - abs(p - center) for p, _ in inside]
     eps0 = min([support / 8.0] + [0.25 * s for s in seps] + [0.5 * gap for gap in gaps])
-    eps_list = cfg.eps_schedule(eps0)
+    eps_list = eps_schedule(eps0)
     annuli = [gauss_panel(a, out, VP_PANEL_ORDER) + (VP_ANNULUS_ANGLES,)
               for a, out in zip(eps_list[1:], eps_list[:-1])]
     per_pole = []  # each pole's outer region, then its annuli outside in
@@ -341,8 +337,4 @@ def vp_1d(g: RatFn, psi: TestForm, cfg: QuadratureConfig | None = None) -> Limit
         for sums in per_pole:
             total += sums[level]
         values.append(total)
-    table = list(zip(eps_list, values))
-    value, residual = richardson(values)
-    scale = max(1.0, abs(value))
-    converged = residual <= max(cfg.abs_tol, cfg.rel_tol * scale)
-    return LimitResult(value, table, residual, converged)
+    return limit(list(zip(eps_list, values)))

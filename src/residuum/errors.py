@@ -33,12 +33,8 @@ class NonSquarefreeFactor(DenominatorError):
     """A denominator factor is not squarefree in the distinguished variable."""
 
 
-class LeadingCoefficientVanishesAtOrigin(DenominatorError):
-    """The leading coefficient of a factor vanishes at the origin."""
-
-
 class FactorFreeOfVariable(DenominatorError):
-    """A factor has degree zero in the distinguished variable."""
+    """A factor, or a factor of it, is free of the distinguished variable."""
 
 
 class MultiplePole(DenominatorError):

@@ -1,4 +1,4 @@
-"""Shared numeric plumbing: configuration, extrapolation, grids.
+"""Shared numeric plumbing: the eps-schedule, extrapolation, grids.
 
 All evaluators are deterministic: fixed node counts, fixed summation
 order, no adaptive branching on floating-point noise.
@@ -14,16 +14,9 @@ from typing import TYPE_CHECKING, List, Tuple
 if TYPE_CHECKING:
     import numpy as np
 
-
-@dataclass
-class QuadratureConfig:
-    n_theta: int = 128                  # circle nodes (trapezoid, spectral)
-    eps_levels: int = 5                 # eps_m = eps0 * 2^-m, m = 0..eps_levels-1
-    rel_tol: float = 1e-6               # convergence verdict for extrapolations
-    abs_tol: float = 1e-9
-
-    def eps_schedule(self, eps0: float) -> List[float]:
-        return [eps0 * 2.0 ** (-m) for m in range(self.eps_levels)]
+EPS_LEVELS = 5    # eps_m = eps0 * 2^-m, m = 0..EPS_LEVELS-1
+REL_TOL = 1e-6    # convergence verdict of an extrapolated limit
+ABS_TOL = 1e-9
 
 
 @dataclass
@@ -33,6 +26,19 @@ class LimitResult:
     residual: float = 0.0
     converged: bool = True
     note: str = ""
+
+
+def eps_schedule(eps0: float) -> List[float]:
+    return [eps0 * 2.0 ** (-m) for m in range(EPS_LEVELS)]
+
+
+def tolerance(value: complex) -> float:
+    return max(ABS_TOL, REL_TOL * max(1.0, abs(value)))
+
+
+def limit(table: List[Tuple[float, complex]]) -> LimitResult:
+    value, residual = richardson([v for _, v in table])
+    return LimitResult(value, table, residual, residual <= tolerance(value))
 
 
 def richardson(values: List[complex]) -> Tuple[complex, float]:

@@ -21,7 +21,6 @@ from residuum.decomposition import (
 from residuum.errors import (
     CoprimalityViolation,
     FactorFreeOfVariable,
-    LeadingCoefficientVanishesAtOrigin,
     NonSquarefreeFactor,
 )
 from residuum.polynomials import MultiPoly, discriminant, divides, gcd
@@ -80,9 +79,14 @@ class TestPrepareDenominator:
         with pytest.raises(FactorFreeOfVariable):
             prepare_denominator([(Z1, 1)], 1)
 
-    def test_leading_coefficient_at_origin(self):
-        with pytest.raises(LeadingCoefficientVanishesAtOrigin):
-            prepare_denominator([(Z2 * Z1 + Z2, 1)], 0)
+    @pytest.mark.parametrize("rho,var", [(Z2 * (Z1 + ONE), 0), ((Z2 - ONE) * (Z1 + ONE), 0),
+                                         ((Z2 - ONE) * (Z1 + ONE), 1)],
+                             ids=["z2(z1+1)@0", "(z2-1)(z1+1)@0", "(z2-1)(z1+1)@1"])
+    def test_factor_with_a_factor_free_of_variable(self, rho, var):
+        # the chart would see only the component that depends on its
+        # variable and silently drop the other one
+        with pytest.raises(FactorFreeOfVariable):
+            prepare_denominator([(rho, 1)], var)
 
 
 class TestPartialFractions:
@@ -433,9 +437,10 @@ TABLE_INPUTS = (
        ("p*l", [(P3, 1), (LINE3, 1)], (0,)),
        ("p^2*l", [(P3, 2), (LINE3, 1)], (0,)),
        ("p^3*l^2", [(P3, 3), (LINE3, 2)], (0,)),
-       # w = 1 + z2 is free of z1 (z1 z2 - 1 itself has a leading coefficient
-       # that vanishes at the origin, which prepare_denominator rejects)
+       # w = 1 + z2 is free of z1; for z1 z2 - 1, w = z2 in chart 0 and z1
+       # in chart 1, each vanishing at the origin
        ("((1+z2)z1-1)^3", [((ONE + Z2) * Z1 - ONE, 3)], (0,)),
+       ("(z1z2-1)^3", [(Z1 * Z2 - ONE, 3)], (0, 1)),
        # w = 1 is constant in chart 0, w = -2 z2 in chart 1
        ("(z1-z2^2)^3", [(Z1 - Z2 ** 2, 3)], (0, 1))])
 

@@ -23,7 +23,15 @@ from residuum.dim1 import (
 from residuum.errors import IrrationalPole
 from residuum.forms import TestForm
 from residuum.polynomials import MultiPoly
-from residuum.quadrature import QuadratureConfig, circle_nodes, radial_panels, richardson
+from residuum import quadrature
+from residuum.quadrature import (
+    circle_nodes,
+    eps_schedule,
+    limit,
+    radial_panels,
+    richardson,
+    tolerance,
+)
 from residuum.ratfn import RatFn, uni_divmod
 from residuum.scalars import GaussianRational
 
@@ -250,19 +258,22 @@ class TestRichardsonResidual:
     @pytest.mark.parametrize("levels, converged", [(5, True), (2, False)])
     def test_converged_matches_error(self, levels, converged):
         # the residual is an error estimate: the verdict it gives agrees with
-        # the real error against the exact pairing of each principal part
-        cfg = QuadratureConfig(eps_levels=levels)
+        # the real error against the exact pairing of each principal part.
+        # A table's first rows are those of a shorter schedule
+        # (test_levels_do_not_couple), so the limit of the first `levels`
+        # rows is that schedule's result.
         gs = [RatFn(ONE, Z ** l) for l in (1, 3, 5)]
         gs.append(RatFn(Z + 7 * ONE, (Z ** 2) * (Z - ONE) * (2 * Z + ONE)))
         for g in gs:
             for part in laurent_parts(g):
                 exact = residue_pairing_1d(part.as_ratfn(), GENERIC_BUMP)
-                res = contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(part.pole))
+                full = contour_residue_numeric(g, GENERIC_BUMP, center=complex(part.pole))
+                assert limit(full.table) == full
+                res = limit(full.table[:levels])
                 err = abs(res.value - exact)
                 assert res.converged is converged
-                assert (err <= max(cfg.abs_tol, cfg.rel_tol * max(1.0, abs(res.value)))) \
-                    is converged
-                assert err <= max(res.residual, cfg.abs_tol)
+                assert (err <= tolerance(res.value)) is converged
+                assert err <= max(res.residual, quadrature.ABS_TOL)
 
 
 def vp_by_dblquad(g, chi) -> complex:
@@ -288,7 +299,7 @@ def vp_by_dblquad(g, chi) -> complex:
 ZBAR_CHI = bump_poly(((0, 1), 1, 0), ((1, 1), Fraction(1, 5), 0))
 
 
-def vp_uniform_layout(g, psi, n_theta=512, order=12, cfg=QuadratureConfig()) -> complex:
+def vp_uniform_layout(g, psi, n_theta=512, order=12) -> complex:
     """vp_1d's regions on a uniform node layout: n_theta angles in every
     region and `radial_panels` of the given order on every ray and annulus,
     the rays about each pole inside the support ending at its edge."""
@@ -309,8 +320,8 @@ def vp_uniform_layout(g, psi, n_theta=512, order=12, cfg=QuadratureConfig()) -> 
     total = polar(sum(outside, RatFn.from_any(quotient, 1)), center, 0.0, support)
     seps = [abs(p - q) for p, _ in parts for q, _ in parts if p != q]
     gaps = [support - abs(p - center) for p, _ in inside]
-    eps = cfg.eps_schedule(min([support / 8.0] + [0.25 * s for s in seps]
-                               + [0.5 * gap for gap in gaps]))
+    eps = eps_schedule(min([support / 8.0] + [0.25 * s for s in seps]
+                           + [0.5 * gap for gap in gaps]))
     for p, h in inside:
         beta = ((p - center) * np.conj(e_i)).real
         total += polar(h, p, eps[0], -beta + np.sqrt(beta ** 2 - abs(p - center) ** 2
@@ -509,22 +520,20 @@ NEAR_EDGE_POLES = [GaussianRational(Fraction(re), Fraction(im)) for re, im in (
     ("-1999/1000", 0), ("3/2", "13/10"), ("-199/100", "1/5"))]
 
 
-def _assert_verdict_holds(res, exact, cfg):
+def _assert_verdict_holds(res, exact):
     if res.converged:
-        assert abs(res.value - exact) <= max(cfg.abs_tol, cfg.rel_tol * max(1.0, abs(res.value)))
+        assert abs(res.value - exact) <= tolerance(res.value)
 
 
 @pytest.mark.parametrize("pole", NEAR_EDGE_POLES, ids=str)
 def test_oracles_near_support_edge(pole):
     # a converged verdict holds the tolerance; inside the support, vp_1d's
     # rays end at the edge and it agrees to 1e-8 whatever its verdict
-    cfg = QuadratureConfig()
     g = RatFn(Z + ONE, Z - MultiPoly.const(1, pole))
     exact = residue_pairing_1d(g, GENERIC_BUMP)
-    _assert_verdict_holds(contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(pole)),
-                          exact, cfg)
-    vp = vp_1d(g, TestForm.function(GENERIC_BUMP).d_bar(), cfg)
-    _assert_verdict_holds(vp, exact, cfg)
+    _assert_verdict_holds(contour_residue_numeric(g, GENERIC_BUMP, center=complex(pole)), exact)
+    vp = vp_1d(g, TestForm.function(GENERIC_BUMP).d_bar())
+    _assert_verdict_holds(vp, exact)
     if abs(complex(pole)) < 2:
         assert abs(vp.value - exact) <= 1e-8
 
@@ -532,16 +541,18 @@ def test_oracles_near_support_edge(pole):
 @pytest.mark.parametrize("pole", [GaussianRational(Fraction(1, 3), Fraction(-1, 5)),
                                   GaussianRational(Fraction(-19, 10), Fraction(1, 50))],
                          ids=["far-from-edge", "near-edge"])
-def test_levels_do_not_couple(pole):
+def test_levels_do_not_couple(pole, monkeypatch):
     # each eps-level's entry is computed from its own nodes alone: the table
     # at 3 levels is bit for bit the first 3 rows of the table at 5
     g = RatFn(Z + ONE, Z - MultiPoly.const(1, pole)) + RatFn(ONE, Z ** 2)
     psi = TestForm.function(GENERIC_BUMP).d_bar()
-    for oracle in (lambda cfg: contour_residue_numeric(g, GENERIC_BUMP, cfg,
-                                                       center=complex(pole)),
-                   lambda cfg: vp_1d(g, psi, cfg)):
-        short = oracle(QuadratureConfig(eps_levels=3)).table
-        assert short == oracle(QuadratureConfig(eps_levels=5)).table[:3]
+    oracles = (lambda: contour_residue_numeric(g, GENERIC_BUMP, center=complex(pole)),
+               lambda: vp_1d(g, psi))
+    full = [oracle().table for oracle in oracles]
+    assert all(len(table) == 5 for table in full)
+    monkeypatch.setattr(quadrature, "EPS_LEVELS", 3)
+    for oracle, table in zip(oracles, full):
+        assert oracle().table == table[:3]
 
 
 @settings(max_examples=25, deadline=None)
@@ -559,10 +570,9 @@ def test_converged_verdicts_near_support_edge(re, im, pair, dre, dim, c1, c2):
         assume((dre, dim) != (0, 0))
         other = pole + GaussianRational(Fraction(dre, 32), Fraction(dim, 32))
         g = g + RatFn(ONE, Z - MultiPoly.const(1, other))
-    cfg = QuadratureConfig()
     for part in laurent_parts(g):
         exact = residue_pairing_1d(part.as_ratfn(), GENERIC_BUMP)
-        res = contour_residue_numeric(g, GENERIC_BUMP, cfg, center=complex(part.pole))
-        _assert_verdict_holds(res, exact, cfg)
-    vp = vp_1d(g, TestForm.function(GENERIC_BUMP).d_bar(), cfg)
-    _assert_verdict_holds(vp, residue_pairing_1d(g, GENERIC_BUMP), cfg)
+        res = contour_residue_numeric(g, GENERIC_BUMP, center=complex(part.pole))
+        _assert_verdict_holds(res, exact)
+    vp = vp_1d(g, TestForm.function(GENERIC_BUMP).d_bar())
+    _assert_verdict_holds(vp, residue_pairing_1d(g, GENERIC_BUMP))

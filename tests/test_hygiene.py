@@ -9,6 +9,10 @@ call each other, nor a name shared by a live and a dead definition.  For
 static and class methods, which share names such as `zero` across classes,
 a second rule asks for the qualified `Class.name` (or `cls.name`).
 
+Every error type without subclasses in `errors.py` is raised somewhere in
+`src/`: a type whose check was deleted would still be referenced by the
+tests that import it, so the rule above cannot see it.
+
 Inside each function, a parameter (other than `self`) or an assigned name
 (other than one starting with `_`) that neither the function nor a function
 nested in it reads is dead too.  So is a module-level import whose name the
@@ -74,6 +78,29 @@ def _unqualified_class_level_methods():
 def test_every_static_and_class_method_is_called_by_class():
     unused = _unqualified_class_level_methods()
     assert not unused, f"static or class methods never called as Class.name: {unused}"
+
+
+def _raised_in_src() -> set:
+    """The names of the exception classes that a `raise` in `src/residuum`
+    instantiates or re-raises by name."""
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return raised
+
+
+def test_every_leaf_error_type_is_raised():
+    classes = [node for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    parents = {base.id for cls in classes for base in cls.bases if isinstance(base, ast.Name)}
+    leaves = {cls.name for cls in classes} - parents
+    assert "ChartError" in leaves
+    never = sorted(leaves - _raised_in_src())
+    assert not never, f"error types that nothing in src/ raises: {never}"
 
 
 def _unread_names():
