@@ -74,8 +74,7 @@ class FactoredDenominator:
 def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> FactoredDenominator:
     """Validate a factor list in the distinguished variable and compute the
     discriminant of the reduced product, prod_k disc(rho_k) prod_(i<k) res(rho_i, rho_k)^2.
-    A factor free of `var`, or with such a factor (nonconstant content), has
-    a component this chart cannot see: it raises FactorFreeOfVariable."""
+    A factor with a factor free of `var` (unseen by this chart) raises FactorFreeOfVariable."""
     if not factors:
         raise ZeroInputError("empty factor list")
     checked: List[Factor] = []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from residuum import quadrature
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.dim1 import (
     LaurentPart,
@@ -23,7 +24,6 @@ from residuum.dim1 import (
 from residuum.errors import IrrationalPole
 from residuum.forms import TestForm
 from residuum.polynomials import MultiPoly
-from residuum import quadrature
 from residuum.quadrature import (
     circle_nodes,
     eps_schedule,

@@ -140,6 +140,10 @@ NONZERO_GAUSSIAN_INTEGERS = st.sampled_from([GaussianRational(re, im) for re in 
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
+def identity(n: int):
+    return [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def unimodular(n: int):
     """M in SL_n(Z[i]): a product of 1 to 3 elementary matrices I + t e_ij,
     i != j, with t a small nonzero Gaussian integer."""
@@ -147,7 +151,7 @@ def unimodular(n: int):
                            NONZERO_GAUSSIAN_INTEGERS)
 
     def product(steps):
-        m = [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]
+        m = identity(n)
         for i, d, t in steps:  # row i += t * row j
             j = (i + d) % n
             m[i] = [a + t * b for a, b in zip(m[i], m[j])]
@@ -161,10 +165,6 @@ def shifts(n: int):
                     min_size=n, max_size=n)
 
 
-def identity(n: int):
-    return [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # simple poles: Res(phi* omega) = phi* Res(omega)
 # ---------------------------------------------------------------------------
@@ -173,8 +173,8 @@ def residues_natural(omega, factors, divisor, matrix, shift) -> int:
     """Assert Res(phi* omega) = phi* Res(omega) in every pair of accepted
     charts, and the divisor constants on both sides; returns the number of
     (chart, chart, component) cases compared.  A map may leave phi* omega
-    with no accepted chart: each of its factors is then free of some chart
-    variable, and `prepare_denominator` says so with a typed error."""
+    with no chart that accepts all its factors; `prepare_denominator` then
+    says so with a typed error in each chart."""
     images = affine_images(matrix, shift)
     pulled_factors = [(pull_poly(rho, images), m) for rho, m in factors]
     got = residue_forms(pull_form(omega, images), pulled_factors)
