@@ -1,10 +1,15 @@
-"""Per-variable denominator data: factored denominators, discriminants,
-partial fractions, transverse-derivative operators and the residue-operator
-table they assemble into.
+"""Per-variable denominator data: factored denominators, partial fractions,
+transverse-derivative operators and the residue-operator table they
+assemble into.
 
 Everything here is exact.  The distinguished variable is written `var`
 (0-based); factors must be squarefree, pairwise coprime and of constant
-content in it.
+content in it.  `prepare_denominator` checks this by nonzero discriminants
+and resultants and keeps none of them: the discriminant B of the reduced
+product, which every partial-fraction denominator divides a power of, is
+`discriminant(prod_k rho_k, var)` when a caller needs it.  1/prod rho_k^(m_k)
+has no polynomial part, since its numerator has degree 0, so the
+decomposition is its entries alone.
 
 Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
 and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Each D_s is
@@ -58,7 +63,6 @@ class Factor:
 class FactoredDenominator:
     var: int
     factors: Tuple[Factor, ...]
-    discriminant_b: MultiPoly
 
     @property
     def nvars(self) -> int:
@@ -72,13 +76,13 @@ class FactoredDenominator:
 
 
 def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> FactoredDenominator:
-    """Validate a factor list in the distinguished variable and compute the
-    discriminant of the reduced product, prod_k disc(rho_k) prod_(i<k) res(rho_i, rho_k)^2.
-    A factor with a factor free of `var` (unseen by this chart) raises FactorFreeOfVariable."""
+    """Validate a factor list in the distinguished variable: each factor
+    squarefree (nonzero discriminant) and the factors pairwise coprime
+    (nonzero resultants).  A factor with a factor free of `var` (unseen by
+    this chart) raises FactorFreeOfVariable."""
     if not factors:
         raise ZeroInputError("empty factor list")
     checked: List[Factor] = []
-    disc_b = MultiPoly.const(factors[0][0].nvars, 1)
     for i, (rho, mult) in enumerate(factors):
         if rho.is_zero():
             raise ZeroInputError(f"factor {i} is zero")
@@ -89,36 +93,30 @@ def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> Facto
                                    or content_in_var(rho, var).is_constant()):
             raise FactorFreeOfVariable(
                 f"factor {i} or a factor of it is free of variable {var + 1}")
-        if rho.degree_in(var) > 1:
-            disc = discriminant(rho, var)
-            if disc.is_zero():
-                raise NonSquarefreeFactor(
-                    f"factor {i} is not squarefree in variable {var + 1}")
-            disc_b = disc_b * disc
+        if rho.degree_in(var) > 1 and discriminant(rho, var).is_zero():
+            raise NonSquarefreeFactor(f"factor {i} is not squarefree in variable {var + 1}")
         checked.append(Factor(rho, int(mult)))
     for i in range(len(checked)):
         for k in range(i + 1, len(checked)):
-            res = resultant(checked[i].rho, checked[k].rho, var)
-            if res.is_zero():
+            if resultant(checked[i].rho, checked[k].rho, var).is_zero():
                 raise CoprimalityViolation(
                     f"factors {i} and {k} share a root sheet in variable {var + 1}")
-            disc_b = disc_b * res * res
-    return FactoredDenominator(var, tuple(checked), disc_b)
+    return FactoredDenominator(var, tuple(checked))
 
 
 @dataclass(frozen=True)
 class PartialFractionDecomp:
-    """1/f = sum_k sum_mu c[(k, mu)] / rho_k^mu (+ polynomial part, here 0)."""
+    """1/f = sum_k sum_mu c[(k, mu)] / rho_k^mu; the nonzero c only.  Each
+    factor's top digit c[(k, m_k)] is nonzero, so there is always an entry."""
 
     var: int
     entries: Tuple[Tuple[int, int, RatFn], ...]  # (factor index, mu, c)
-    polynomial_part: RatFn
 
     def coefficient(self, k: int, mu: int) -> RatFn:
         for kk, mm, c in self.entries:
             if (kk, mm) == (k, mu):
                 return c
-        return RatFn.zero(self.polynomial_part.nvars)
+        return RatFn.zero(self.entries[0][2].nvars)
 
 
 def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
@@ -126,9 +124,8 @@ def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
     remaining variables: c_(k, mu) is the mu-th rho_k-adic digit of the
     inverse of the other factors modulo rho_k^(m_k).  Verifies the
     recombination identity."""
-    nvars = fd.nvars
     var = fd.var
-    one = MultiPoly.const(nvars, 1)
+    one = MultiPoly.const(fd.nvars, 1)
     powers = [f.rho ** f.multiplicity for f in fd.factors]
     # prod_(i != k) rho_i^(m_i) = prefix[k] * suffix[k], the products over
     # i < k and over i > k
@@ -139,20 +136,20 @@ def partial_fractions(fd: FactoredDenominator) -> PartialFractionDecomp:
         others = prefix[k] * suffix[k]
         digits = uni_digits(one, others, f.rho, f.multiplicity, var)
         entries += [(k, mu, c) for mu, c in enumerate(digits, 1) if not c.is_zero()]
-    pfd = PartialFractionDecomp(var, tuple(entries), RatFn.zero(nvars))
+    pfd = PartialFractionDecomp(var, tuple(entries))
     _verify_recombination(pfd, fd, powers)
     return pfd
 
 
 def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator,
                           powers: List[MultiPoly]):
-    """Check 1/P = sum c/rho_k^mu + pp exactly, with P = prod rho_k^(m_k) and
+    """Check 1/P = sum c/rho_k^mu exactly, with P = prod rho_k^(m_k) and
     powers[k] = rho_k^(m_k), as `partial_fractions` built them.
 
     Times P*D, where D is a common multiple of the denominators of the
-    nonzero c and pp, the identity is one between polynomials:
+    nonzero c, the identity is one between polynomials:
 
-        sum_k S_k * prod_(i != k) rho_i^(m_i) + pp.num * (D/pp.den) * P == D,
+        sum_k S_k * prod_(i != k) rho_i^(m_i) == D,
         S_k = sum_mu c.num * (D/c.den) * rho_k^(m_k - mu),   c = c_(k, mu).
 
     D (`common`) is built from the largest denominators down, and one joins
@@ -167,9 +164,7 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator,
     same rule in the powers: after factor k it is
     sum_(j <= k) S_j prod_(i <= k, i != j) rho_i^(m_i).
     """
-    parts = [(c, k, mu) for k, mu, c in pfd.entries]
-    parts.append((pfd.polynomial_part, None, 0))
-    parts = [part for part in parts if not part[0].is_zero()]
+    parts = [(c, k, mu) for k, mu, c in pfd.entries if not c.is_zero()]
     common = MultiPoly.const(fd.nvars, 1)
     cofactors: Dict[MultiPoly, MultiPoly] = {}  # den -> D/den
     # a proper divisor of a monic den has lower total degree, so it comes later
@@ -181,21 +176,20 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator,
             cofactors = {d: q * den for d, q in cofactors.items()}
             cofactors[den], common = common, common * den
     zero = MultiPoly.zero(fd.nvars)
-    digits: Dict[Tuple[int | None, int], MultiPoly] = {}  # (k, mu) -> c.num * (D/c.den)
+    digits: Dict[Tuple[int, int], MultiPoly] = {}  # (k, mu) -> c.num * (D/c.den)
     for c, k, mu in parts:
-        if k is not None and not 1 <= mu <= fd.factors[k].multiplicity:
+        if not 1 <= mu <= fd.factors[k].multiplicity:
             raise ArithmeticError(f"partial fraction entry {(k, mu)} out of range")
         term = c.num * cofactors[c.den]
         digits[(k, mu)] = digits.get((k, mu), zero) + term
     total = zero
-    below = MultiPoly.const(fd.nvars, 1)  # prod_(i < k) rho_i^(m_i)
-    for k, (f, p) in enumerate(zip(fd.factors, powers)):
+    # below = prod_(i < k) rho_i^(m_i)
+    belows = accumulate(powers[:-1], mul, initial=MultiPoly.const(fd.nvars, 1))
+    for k, (f, p, below) in enumerate(zip(fd.factors, powers, belows)):
         s = zero
         for mu in range(1, f.multiplicity + 1):
             s = s * f.rho + digits.get((k, mu), zero)
         total = total * p + s * below
-        below = below * p
-    total = total + digits.get((None, 0), zero) * below
     if total != common:
         raise ArithmeticError("partial fraction recombination failed")
 

@@ -214,25 +214,26 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
 
 @dataclass
 class HypersurfaceForm:
-    component: int
+    """A form on Y = Z(rho), named by rho alone, with its representative in
+    the chart of `var`; the records that hold several file each under k."""
+
     rho: MultiPoly
     var: int
     rep: MeroForm
-    normalized: bool = False
+    normalized: bool = field(default=False, kw_only=True)
 
     def normalize(self) -> "HypersurfaceForm":
         if self.normalized:
             return self
         rep = normal_form_on_hypersurface(self.rep, self.rho, self.var)
-        return HypersurfaceForm(self.component, self.rho, self.var, rep, True)
+        return HypersurfaceForm(self.rho, self.var, rep, normalized=True)
 
     def equals(self, other: "HypersurfaceForm") -> bool:
         """Equality on Y; the other representative is re-read in this chart."""
         if self.rho != other.rho:
             return False
         a = self.normalize()
-        b = HypersurfaceForm(other.component, other.rho, self.var,
-                             other.rep).normalize()
+        b = HypersurfaceForm(other.rho, self.var, other.rep).normalize()
         return a.rep == b.rep
 
     def is_zero(self) -> bool:
@@ -241,7 +242,7 @@ class HypersurfaceForm:
     def d_on_hypersurface(self) -> "HypersurfaceForm":
         """d on Y: d of the normal form, with dz_var eliminated by normalizing."""
         rep = self.normalize().rep.exterior_d()
-        return HypersurfaceForm(self.component, self.rho, self.var, rep).normalize()
+        return HypersurfaceForm(self.rho, self.var, rep).normalize()
 
     def constant_value(self) -> GaussianRational:
         nf = self.normalize()
@@ -293,9 +294,8 @@ class SDescriptor:
     Pairing with a test function phi: the reduced residue A acts on phi, and
     the descriptors act on eta = d phi.  In one variable the residue of
     g phi at a root r of rho is A(r) phi(r) + sum over the descriptors of
-    gamma(r) sum_a c_a(r) eta^(a)(r), eta = phi'."""
+    gamma(r) sum_a c_a(r) eta^(a)(r), eta = phi'.  The chart is gamma.var."""
 
-    var: int
     component: int
     mu: int                       # the R-term order nu
     l: int                        # test-side transverse order
@@ -306,9 +306,8 @@ class SDescriptor:
 @dataclass
 class ReducedResidue:
     degree: int                   # degree p of the input form
-    components: List[Tuple[int, HypersurfaceForm]]
+    components: List[Tuple[int, HypersurfaceForm]]  # (k, A on Y_k), per chart
     s_descriptors: List[SDescriptor]
-    charts: Dict[int, Tuple[FactoredDenominator, PartialFractionDecomp]]
     leray: Dict[Tuple[int, int], LerayData] = field(default_factory=dict)
 
 
@@ -325,7 +324,7 @@ def simple_pole_residue_form(omega: MeroForm, fd: FactoredDenominator,
     c = pfd.coefficient(k, 1)
     w = RatFn(factor.rho.partial(var))
     rep = alpha.contract(var).scale(c / w)
-    return HypersurfaceForm(k, factor.rho, var, rep).normalize()
+    return HypersurfaceForm(factor.rho, var, rep).normalize()
 
 
 def reduced_residue(omega: MeroForm,
@@ -355,7 +354,7 @@ def reduced_residue(omega: MeroForm,
             omega_k = alpha.scale(part)
             ld = lower_pole_order(omega_k, factor.rho, var, factor.multiplicity)
             leray[(var, k)] = ld
-            a_rest = HypersurfaceForm(k, factor.rho, var, ld.a).normalize()
+            a_rest = HypersurfaceForm(factor.rho, var, ld.a).normalize()
             components.append((k, a_rest))
             if not ld.r_terms:
                 continue
@@ -374,10 +373,9 @@ def reduced_residue(omega: MeroForm,
                     gamma_rep = MeroForm(e_nu.nvars, e_nu.degree,
                                          {key: RatFn(*ds[nu - 1 - l]) * coeff * sign_p
                                           for key, ds in derivs.items()})
-                    gamma = HypersurfaceForm(k, factor.rho, var, gamma_rep).normalize()
-                    descriptors.append(
-                        SDescriptor(var, k, nu, l, gamma, tower[l]))
-    return ReducedResidue(p, components, descriptors, dict(charts), leray)
+                    gamma = HypersurfaceForm(factor.rho, var, gamma_rep).normalize()
+                    descriptors.append(SDescriptor(k, nu, l, gamma, tower[l]))
+    return ReducedResidue(p, components, descriptors, leray)
 
 
 def divisor_coefficients(rr: ReducedResidue) -> List[Tuple[int, GaussianRational]]:

@@ -75,7 +75,8 @@ def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_panel(a: float, b: float, order: int):
-    """Gauss-Legendre nodes and weights of one panel [a, b]; exact for
+    """Gauss-Legendre nodes and weights of one panel [a, b], or of many when
+    a and b are arrays with a trailing axis for the nodes; exact for
     polynomials of degree < 2 * order, and spectrally accurate for an
     integrand analytic near the panel."""
     x, w = _gauss_legendre(order)
@@ -102,9 +103,7 @@ def radial_panels(inner: float, outer, order: int):
         left = np.stack([np.zeros_like(mid), mid], axis=1)
     right = outer[:, None] - (outer - mid)[:, None] * 0.5 ** np.arange(1, 6)
     edges = np.concatenate([left, right, outer[:, None]], axis=1)
-    a, b = edges[:, :-1, None], edges[:, 1:, None]
-    x, w = _gauss_legendre(order)
-    rs, ws = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+    rs, ws = gauss_panel(edges[:, :-1, None], edges[:, 1:, None], order)
     return rs.reshape(len(outer), -1), ws.reshape(len(outer), -1)
 
 

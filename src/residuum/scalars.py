@@ -50,8 +50,6 @@ class GaussianRational:
             return x
         if isinstance(x, (int, Fraction)):
             return GaussianRational(x, 0)
-        if isinstance(x, str):
-            return GaussianRational(Fraction(x), 0)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     # -- parts -------------------------------------------------------

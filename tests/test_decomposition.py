@@ -23,7 +23,7 @@ from residuum.errors import (
     FactorFreeOfVariable,
     NonSquarefreeFactor,
 )
-from residuum.polynomials import MultiPoly, discriminant, divides, gcd
+from residuum.polynomials import MultiPoly, discriminant, divides, gcd, resultant
 from residuum.ratfn import RatFn
 from residuum.scalars import GaussianRational
 
@@ -49,23 +49,26 @@ CORPUS_CHARTS = [(name, var) for var in (0, 1) for name in sorted(CORPUS)
 
 class TestPrepareDenominator:
     def test_parabola_discriminant(self):
-        fd = prepare_denominator([(PARABOLA, 1)], 0)
-        assert fd.discriminant_b == 4 * Z2
+        assert discriminant(PARABOLA, 0) == 4 * Z2
 
     def test_two_lines_discriminant(self):
-        fd = prepare_denominator([(Z1, 1), (Z1 - Z2, 1)], 0)
         # root-difference product (0 - z2)^2
-        assert fd.discriminant_b == Z2 * Z2
+        assert discriminant(Z1 * (Z1 - Z2), 0) == Z2 * Z2
 
     @pytest.mark.parametrize("name,var", CORPUS_CHARTS)
     def test_discriminant_b_is_discriminant_of_product(self, name, var):
-        # reference: the discriminant of the reduced product, from its own
-        # Sylvester matrix
+        # B = prod_k disc(rho_k) prod_(i<k) res(rho_i, rho_k)^2, from the
+        # factors one at a time, is the discriminant of the reduced product
         fd = prepare_denominator(CORPUS[name], var)
-        reduced = ONE
-        for f in fd.factors:
-            reduced = reduced * f.rho
-        assert fd.discriminant_b == discriminant(reduced, var)
+        rhos = [f.rho for f in fd.factors]
+        b, reduced = ONE, ONE
+        for k, rho in enumerate(rhos):
+            if rho.degree_in(var) > 1:
+                b = b * discriminant(rho, var)
+            for other in rhos[:k]:
+                b = b * resultant(other, rho, var) ** 2
+            reduced = reduced * rho
+        assert b == discriminant(reduced, var)
 
     def test_duplicate_factor_rejected(self):
         with pytest.raises(CoprimalityViolation):
@@ -135,7 +138,10 @@ class TestPartialFractions:
         fd = prepare_denominator(CORPUS[name], 0)
         pfd = partial_fractions(fd)
         bound = sum(f.multiplicity for f in fd.factors)
-        b_pow = fd.discriminant_b ** bound
+        reduced = ONE
+        for f in fd.factors:
+            reduced = reduced * f.rho
+        b_pow = discriminant(reduced, 0) ** bound
         for _, _, c in pfd.entries:
             assert divides(c.den, b_pow)
 
@@ -170,14 +176,7 @@ class TestRecombinationCheck:
                 bad = c + RatFn(MultiPoly.const(3, 1), c.den)
             entries = pfd.entries[:j] + ((k, mu, bad),) + pfd.entries[j + 1:]
             with pytest.raises(ArithmeticError):
-                verify_recombination(PartialFractionDecomp(pfd.var, entries,
-                                                           pfd.polynomial_part), fd)
-
-    def test_nonzero_polynomial_part_is_rejected(self, decomposition):
-        fd, pfd = decomposition
-        with pytest.raises(ArithmeticError):
-            verify_recombination(PartialFractionDecomp(pfd.var, pfd.entries,
-                                                       RatFn.one(3)), fd)
+                verify_recombination(PartialFractionDecomp(pfd.var, entries), fd)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +536,7 @@ def test_recombination_rejects_a_perturbed_coefficient(name, var):
         for bad in (c * unit, c + RatFn(Z2, c.den)):
             entries = pfd.entries[:j] + ((k, mu, bad),) + pfd.entries[j + 1:]
             with pytest.raises(ArithmeticError):
-                verify_recombination(PartialFractionDecomp(var, entries, pfd.polynomial_part), fd)
+                verify_recombination(PartialFractionDecomp(var, entries), fd)
 
 
 def _drop_pseudo_division_multiplier(monkeypatch):
@@ -593,14 +592,13 @@ def _with_a_coprime_denominator(pfd):
     """pfd with the entry c of lowest denominator degree split into c - h/C
     and h/C, where C is prime to every denominator of pfd: the same sum, and
     no denominator is a multiple of all the others."""
-    nvars = pfd.polynomial_part.nvars
+    nvars = pfd.entries[0][2].nvars
     y2, y3 = MultiPoly.variable(nvars, 1), MultiPoly.variable(nvars, 2)
     part = RatFn(y2, y3 + MultiPoly.const(nvars, 2))
     j = min(range(len(pfd.entries)), key=lambda i: sum(pfd.entries[i][2].den.leading_exponent()))
     k, mu, c = pfd.entries[j]
     return PartialFractionDecomp(
-        pfd.var, pfd.entries[:j] + ((k, mu, c - part), (k, mu, part)) + pfd.entries[j + 1:],
-        pfd.polynomial_part)
+        pfd.var, pfd.entries[:j] + ((k, mu, c - part), (k, mu, part)) + pfd.entries[j + 1:])
 
 
 # p^3*l^2 in z1: the digit denominators are B^4, B^3 and B^2 for one B
@@ -623,20 +621,18 @@ def test_recombination_over_a_common_multiple(monkeypatch, name):
     split = _with_a_coprime_denominator(pfd)
     unit = RatFn.const(fd.nvars, GaussianRational(1, 1))
     y2 = MultiPoly.variable(fd.nvars, 1)
-    for good in (pfd, split, PartialFractionDecomp(var, split.entries[::-1],
-                                                   split.polynomial_part)):
+    for good in (pfd, split, PartialFractionDecomp(var, split.entries[::-1])):
         verify_recombination(good, fd)
         for j, (k, mu, c) in enumerate(good.entries):
             for bad in (c * unit, c + RatFn(y2, c.den)):
                 entries = good.entries[:j] + ((k, mu, bad),) + good.entries[j + 1:]
                 with pytest.raises(ArithmeticError):
-                    verify_recombination(PartialFractionDecomp(var, entries,
-                                                               good.polynomial_part), fd)
+                    verify_recombination(PartialFractionDecomp(var, entries), fd)
 
 
 def test_recombination_rejects_an_entry_out_of_range():
     fd = prepare_denominator(CORPUS["parabola_sq"], 0)
     pfd = partial_fractions(fd)
     with pytest.raises(ArithmeticError):
-        verify_recombination(PartialFractionDecomp(0, pfd.entries + ((0, 3, RatFn.one(2)),),
-                                                   pfd.polynomial_part), fd)
+        verify_recombination(PartialFractionDecomp(0, pfd.entries + ((0, 3, RatFn.one(2)),)),
+                             fd)

@@ -16,16 +16,20 @@ tests that import it, so the rule above cannot see it.
 Inside each function, a parameter (other than `self`) or an assigned name
 (other than one starting with `_`) that neither the function nor a function
 nested in it reads is dead too.  So is a module-level import whose name the
-module never reads.
+module never reads.  And a name that a function or comprehension reads as a
+global must be defined: by the module, after import, or as a builtin.
 
 The exact layer does not load numpy: importing the package leaves it out
 of `sys.modules`, and the numeric routines import it when they first run.
 """
 
 import ast
+import builtins
+import importlib
 import os
 import re
 import subprocess
+import symtable
 import sys
 from collections import Counter
 from pathlib import Path
@@ -158,6 +162,35 @@ def _unused_imports():
 def test_every_module_import_is_read():
     unused = _unused_imports()
     assert not unused, f"imported but never read: {unused}"
+
+
+def _undefined_globals():
+    """(file, scope, name) for every implicit global that a function scope of
+    the package, comprehensions and lambdas included, reads and never
+    assigns, and that neither the imported module nor `builtins` defines."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "residuum" if path.stem == "__init__" else f"residuum.{path.stem}"
+        known = set(vars(importlib.import_module(name))) | set(vars(builtins))
+        todo = symtable.symtable(path.read_text(), str(path), "exec").get_children()
+        while todo:
+            table = todo.pop()
+            todo += table.get_children()
+            if table.get_type() != "function":
+                continue
+            out |= {(path.name, table.get_name(), sym.get_name())
+                    for sym in table.get_symbols()
+                    if sym.is_global() and not sym.is_declared_global()
+                    and sym.is_referenced() and not sym.is_assigned()
+                    and sym.get_name() not in known}
+    return out
+
+
+def test_every_global_read_is_defined():
+    # lower_pole_order calls a helper that nothing defines (ROADMAP item 0);
+    # the fix must delete this entry
+    known_defect = {("leray.py", "lower_pole_order", "_polar_digit_forms")}
+    assert _undefined_globals() == known_defect
 
 
 def _program_modules():

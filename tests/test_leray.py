@@ -87,8 +87,8 @@ class TestLowerPoleOrder:
         assert ld.beta_polar  # simple-pole remainder: the input is not closed
         assert ld.recombined() == omega
         # the digit representative z1/(2 z2) equals 1/(2 z1) on Y
-        got = HypersurfaceForm(0, RHO, 0, ld.a)
-        want = HypersurfaceForm(0, RHO, 0, MeroForm.function(RatFn(ONE, 2 * Z1)))
+        got = HypersurfaceForm(RHO, 0, ld.a)
+        want = HypersurfaceForm(RHO, 0, MeroForm.function(RatFn(ONE, 2 * Z1)))
         assert got.equals(want)
 
     @pytest.mark.parametrize("r", [2, 3])
@@ -293,8 +293,8 @@ class TestSimplePoleResidueForm:
 class TestDOnHypersurface:
     def test_coordinate_on_parabola(self):
         # on Y = {z1^2 = z2}: 2 z1 dz1 = dz2, so d(z1)|_Y = dz2 / (2 z1)
-        d = HypersurfaceForm(0, RHO, 0, MeroForm.function(RatFn(Z1))).d_on_hypersurface()
-        want = HypersurfaceForm(0, RHO, 0, DZ2.scale(RatFn(ONE, 2 * Z1)))
+        d = HypersurfaceForm(RHO, 0, MeroForm.function(RatFn(Z1))).d_on_hypersurface()
+        want = HypersurfaceForm(RHO, 0, DZ2.scale(RatFn(ONE, 2 * Z1)))
         assert not d.is_zero()
         assert d.equals(want)
 
@@ -307,8 +307,8 @@ class TestDOnHypersurface:
         def f_at(a: MultiPoly) -> RatFn:
             return RatFn(a * a * x3 + x2, a + x2 * x2 + MultiPoly.const(3, 2))
 
-        d = HypersurfaceForm(0, rho, 0, MeroForm.function(f_at(x1))).d_on_hypersurface()
-        want = HypersurfaceForm(0, rho, 0, MeroForm.function(f_at(graph)).exterior_d())
+        d = HypersurfaceForm(rho, 0, MeroForm.function(f_at(x1))).d_on_hypersurface()
+        want = HypersurfaceForm(rho, 0, MeroForm.function(f_at(graph)).exterior_d())
         assert not f_at(graph).is_polynomial()
         assert d.rep.degree == 1 and not d.is_zero()
         assert d.equals(want)
@@ -326,7 +326,7 @@ class TestDOnHypersurface:
             rep = MeroForm(4, 1, {(0,): RatFn(x[1] * x[3]),
                                   (1,): RatFn(x[0] * x[2], x[3] + 3 * one),
                                   (3,): RatFn(x[0] ** 3 + x[1])})
-        d = HypersurfaceForm(0, rho, 0, rep).d_on_hypersurface()
+        d = HypersurfaceForm(rho, 0, rep).d_on_hypersurface()
         assert not d.is_zero()
         assert d.d_on_hypersurface().is_zero()
 
@@ -387,7 +387,7 @@ class TestReducedResidue:
         assert (d.mu, d.l) == (1, 0)
         # gamma = (-1)^p e_1 / w restricted; p = 1, e_1 = -1 -> 1/w on Y
         w = RatFn(RHO.partial(0))
-        want = HypersurfaceForm(0, RHO, 0,
+        want = HypersurfaceForm(RHO, 0,
                                 MeroForm.function(RatFn.one(2) / w)).normalize()
         assert d.gamma.equals(want)
 

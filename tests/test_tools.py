@@ -1,7 +1,8 @@
 """The evidence tools: `tools/bench_pairs.summary`, which turns paired runs
 into the medians, quartiles and pair counts of a BENCH_*.json;
-`tools/bench_pairs.timed_passes`, which reads each run's number of timed
-passes; `tools/bench_pairs.main`, which records both checkouts' stage
+`tools/bench_pairs.timed_passes` and `raw_medians`, which read each run's
+number of timed passes, raw pass time and reference loop;
+`tools/bench_pairs.main`, which records both checkouts' stage
 digests and traced per-layer metrics; `tools/stage_digests.run_digest`, which hashes a workload's
 outputs; and `tools/oracle_errors.py`, which reports the `dim1` oracles'
 worst errors."""
@@ -73,7 +74,14 @@ class TestTimedPasses:
 
     def test_none_without_a_passes_line(self):
         # a traced run (--trace 1) prints no passes line
-        assert bench_pairs.timed_passes(self.STDOUT.replace("passes 36", "spans 36")) is None
+        stdout = self.STDOUT.replace("passes 36", "spans 36")
+        assert bench_pairs.timed_passes(stdout) is None
+        assert bench_pairs.raw_medians(stdout) is None
+
+    def test_raw_and_reference_medians(self):
+        # the median of the raw (not the rescaled) times, and the loop median
+        raw, ref = bench_pairs.raw_medians(self.STDOUT)
+        assert raw == pytest.approx(0.0406) and ref == 1.05
 
     def test_recorded_per_run_and_workload(self, tmp_path, monkeypatch):
         out = _fake_main(tmp_path, monkeypatch, {"parent": "d", "change": "d"})
@@ -81,11 +89,24 @@ class TestTimedPasses:
         assert block["parent_passes"] == [10, 10, 10]
         assert block["change_passes"] == [20, 20, 20]
 
+    def test_raw_times_summarised_beside_pass_s(self, tmp_path, monkeypatch):
+        out = _fake_main(tmp_path, monkeypatch, {"parent": "d", "change": "d"})
+        block = out["workloads"]["w"]
+        assert block["raw_pass_s"]["parent_runs"] == [0.2, 0.2, 0.2]
+        assert block["raw_pass_s"]["change_runs"] == [0.1, 0.1, 0.1]
+        assert block["ref_loop_ms"]["parent_median"] == 1.0
+        # neither is bound-checked: the change's loop reads twice the
+        # parent's, and nothing is beyond bound
+        assert block["ref_loop_ms"]["change_over_parent"] == 2.0
+        assert out["beyond_bound"] == []
+
 
 def _fake_main(tmp_path, monkeypatch, digests):
     """Run `bench_pairs.main` on checkouts `parent` and `change` under
     tmp_path, with `subprocess.run` faked: bench/run.py reports 10 passes in
-    the parent and 20 in the change, or with --trace 1 no passes line and
+    the parent and 20 in the change, with raw pass times 1/n to 3/n s
+    (median 2/n) and a median reference loop of n/10 ms, or with --trace 1
+    no passes line and
     per-layer metrics x.calls (n passes times the seed) and x.total_s, and
     tools/stage_digests.py prints one line per (workload, seed) ending in
     digests[side].  Returns the written JSON and the commands run."""
@@ -111,7 +132,9 @@ def _fake_main(tmp_path, monkeypatch, digests):
             report = {"correct": True, "failed": 0, "metrics": metrics}
             return types.SimpleNamespace(stdout="trace: ...\n" + json.dumps(report))
         report = {"correct": True, "failed": 0, "metrics": {"pass_s": {"value": 1 / n}}}
-        return types.SimpleNamespace(stdout=f"passes {n}, raw: 0.1 s\n" + json.dumps(report))
+        line = (f"passes {n}, raw: {3 / n} {2 / n} {1 / n} s; rescaled: 0.5 0.5 0.5 s; "
+                f"{n} reference loops, 1.000 to 2.000 ms, median {n / 10:.3f} ms\n")
+        return types.SimpleNamespace(stdout=line + json.dumps(report))
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     path = tmp_path / "BENCH.json"

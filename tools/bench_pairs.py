@@ -10,15 +10,21 @@ runs `python3 bench/run.py --workload W --seed S --seconds T` once in each
 checkout, one process at a time, the parent first in odd pairs (1, 3, ...)
 and the change first in even ones, so a slow spell of the host does not
 fall on one side only.  Each run's last line of output is its JSON report,
-and its `passes N,` line gives the number of timed passes.
+and its `passes N, raw: ... s; rescaled: ...; ... median M ms` line gives
+the number of timed passes, the raw pass times and the median reference
+loop.
 
 For every end-to-end metric of the change's BENCHMARK.json the output
 holds, per workload, the median and the inclusive quartiles of each side,
 all runs in pair order, change_over_parent (ratio of medians) and
 change_lower_in_pairs (pairs where the change read lower); each run's
 number of timed passes (parent_passes, change_passes), against which to
-read peak_rss_mb, since run.py keeps every pass's case runs; and whether
-every run was correct.  A metric whose change median is worse than the
+read peak_rss_mb, since run.py keeps every pass's case runs; raw_pass_s,
+the median raw (unrescaled) pass time of each run, and ref_loop_ms, its
+median reference loop, summarised as the metrics are but not checked
+against a bound, so that a move of pass_s can be split into one of the
+program and one of the host-speed rescaling; and whether every run was
+correct.  A metric whose change median is worse than the
 parent's by more than its bound is listed under beyond_bound and printed;
 the exit status is then 1.  --claim names the metric a change claims to
 improve; its block gives the pairs won, the gap of the medians and the
@@ -56,6 +62,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
                           timeout=4 * seconds + 600)
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     report["passes"] = timed_passes(proc.stdout)
+    report["raw"] = raw_medians(proc.stdout)
     return report
 
 
@@ -75,6 +82,15 @@ def timed_passes(stdout: str) -> int | None:
     """N from run.py's `passes N, raw: ...` line; None when there is none."""
     m = re.search(r"^passes (\d+),", stdout, re.MULTILINE)
     return int(m.group(1)) if m else None
+
+
+def raw_medians(stdout: str) -> tuple | None:
+    """(median raw pass time in s, median reference loop in ms) from run.py's
+    `passes N, raw: ... s; ... median M ms` line; None when there is none."""
+    m = re.search(r"^passes \d+, raw: ([^;]*) s;.* median (\S+) ms$", stdout, re.MULTILINE)
+    if not m:
+        return None
+    return statistics.median(map(float, m.group(1).split())), float(m.group(2))
 
 
 def summary(parent: list, change: list) -> dict:
@@ -147,7 +163,8 @@ def main(argv=None) -> int:
                 runs[side].append(report)
                 print(f"{wl} pair {i + 1} {side}: " + ", ".join(
                     f"{m['name']} {report['metrics'][m['name']]['value']:.4f}"
-                    for m in metrics) + f", passes {report['passes']}",
+                    for m in metrics) + f", passes {report['passes']}, raw pass "
+                    f"{report['raw'][0]:.4f} s, reference loop {report['raw'][1]:.3f} ms",
                     file=sys.stderr, flush=True)
         block = {}
         for m in metrics:
@@ -158,6 +175,9 @@ def main(argv=None) -> int:
             worse = ratio - 1 if m["better"] == "lower" else 1 - ratio
             if worse > m["bound"]:
                 beyond.append(f"{wl} {name}: change/parent {ratio} beyond bound {m['bound']}")
+        for i, name in enumerate(("raw_pass_s", "ref_loop_ms")):
+            block[name] = summary(*([r["raw"][i] for r in runs[side]]
+                                    for side in ("parent", "change")))
         for side in ("parent", "change"):
             block[f"{side}_passes"] = [r["passes"] for r in runs[side]]
         block["all_runs_correct"] = all(r["correct"] for side in runs.values() for r in side)
