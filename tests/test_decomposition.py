@@ -1,7 +1,7 @@
 """Factored denominators, partial fractions, transverse operators."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -138,10 +138,7 @@ class TestPartialFractions:
         fd = prepare_denominator(CORPUS[name], 0)
         pfd = partial_fractions(fd)
         bound = sum(f.multiplicity for f in fd.factors)
-        reduced = ONE
-        for f in fd.factors:
-            reduced = reduced * f.rho
-        b_pow = discriminant(reduced, 0) ** bound
+        b_pow = discriminant(prod((f.rho for f in fd.factors), start=ONE), 0) ** bound
         for _, _, c in pfd.entries:
             assert divides(c.den, b_pow)
 
