@@ -7,8 +7,8 @@ A bump value is a finite sum of terms
 cut off to 0 for t >= 1.  P is an exact polynomial in the 2n real-analytic
 variables (z_1..z_n, zbar_1..zbar_n), m >= 0 and c >= 1 are integers, and
 a is the (Gaussian-rational) support center.  The class is closed under
-d/dz_j, d/dzbar_j and under products, so operators built from these
-derivatives act exactly; only point evaluation is floating point.
+d/dz_j, d/dzbar_j, sums and scalar multiples, so operators built from
+these derivatives act exactly; only point evaluation is floating point.
 """
 
 from __future__ import annotations
@@ -84,17 +84,6 @@ class BumpFunction:
         return self._with_terms([(-p, m, c) for p, m, c in self.terms])
 
     def __mul__(self, other) -> "BumpFunction":
-        if isinstance(other, BumpFunction):
-            self._check(other)
-            terms = []
-            for p1, m1, c1 in self.terms:
-                for p2, m2, c2 in other.terms:
-                    terms.append((p1 * p2, m1 + m2, c1 + c2))
-            return self._with_terms(terms)
-        if isinstance(other, MultiPoly):
-            if other.nvars == self.nvars:
-                other = embed_holomorphic(other)
-            return self._with_terms([(p * other, m, c) for p, m, c in self.terms])
         coeff = GaussianRational.from_any(other)
         return self._with_terms([(p * coeff, m, c) for p, m, c in self.terms])
 

@@ -64,7 +64,7 @@ class LaurentPart:
 class DeltaOperatorCurrent:
     """sum_j b_j d^j/dz^j delta at `pole`.  `coeffs` holds b_j / (2 pi i),
     the Gaussian-rational factor of each b_j: 2 pi i itself is applied only
-    in the float evaluation, `apply_delta_current`."""
+    in the float evaluation, `_pair_currents`."""
 
     pole: GaussianRational
     coeffs: Tuple[GaussianRational, ...]  # b_0, ..., b_{k-1}, each over 2 pi i
@@ -183,11 +183,6 @@ def _pair_currents(currents: List[DeltaOperatorCurrent], phi: BumpFunction) -> c
             for (cur, t), v in zip(used, vals):
                 t.append(complex(cur.coeffs[j]) * (2j * math.pi) * complex(v))
     return sum((reduce(add, t, 0j) for t in terms), 0j)
-
-
-def apply_delta_current(cur: DeltaOperatorCurrent, phi: BumpFunction) -> complex:
-    """sum_j b_j (d^j phi / dz^j)(pole); derivatives exact in the bump algebra."""
-    return _pair_currents([cur], phi)
 
 
 def residue_pairing_1d(g: RatFn, phi: BumpFunction) -> complex:

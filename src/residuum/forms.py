@@ -3,20 +3,22 @@
 Both kinds of form are elements of one sparse exterior algebra: a dict from
 strictly increasing tuples of generator numbers to nonzero coefficients,
 with every sign referring to that increasing order.  A MeroForm is a
-(p, 0)-form on the n generators dz_1..dz_n with RatFn coefficients.  A
-TestForm is a (q, r)-form on 2n generators with bump-algebra coefficients:
-dz_i is generator i and dzbar_j is generator n + j (0-based), so a key
-lists its dz's before its dzbar's, and wedge, d', d'' and contraction take
-their signs from the same merge rule.  At its interface a TestForm keys its
-coefficients by the pair (I, J) of dz and dzbar index sets.
+(p, 0)-form on the n generators dz_1..dz_n with RatFn coefficients; wedge,
+d and contraction take their signs from one merge rule.  A TestForm is a
+(q, r)-form on 2n generators with bump coefficients: dz_i is generator i
+and dzbar_j is generator n + j (0-based), so a key lists its dz's before
+its dzbar's, and d'' takes its signs from the same merge rule.  It carries
+the d'' step of the one-variable principal value, psi = d''phi for a
+bump phi.  At its interface a TestForm keys its coefficients by the pair
+(I, J) of dz and dzbar index sets.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from .bump import BumpFunction, embed_holomorphic
+from .bump import BumpFunction
 from .polynomials import MultiPoly
 from .ratfn import RatFn
 
@@ -54,21 +56,6 @@ def _summed(pairs) -> dict:
     for k, c in pairs:
         out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def _wedge_terms(left: dict, right: dict) -> dict:
-    """Terms of left ^ right.  The right coefficient is the left operand of
-    the product, so that a bump coefficient can take a polynomial one."""
-
-    def pairs():
-        for k1, c1 in left.items():
-            for k2, c2 in right.items():
-                merged, sign = merge_indices(k1, k2)
-                if merged is not None:
-                    c = c2 * c1
-                    yield merged, c if sign > 0 else -c
-
-    return _summed(pairs())
 
 
 class _Form:
@@ -115,19 +102,11 @@ class _Form:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, s):
-        return self.map_coeffs(lambda c: c * s)
-
     def map_coeffs(self, fn):
         return self._new(_summed((k, fn(c)) for k, c in self.terms.items()))
 
     def eval_numeric(self, points: np.ndarray) -> dict:
         return {k: c.eval_numeric(points) for k, c in self.coeffs.items()}
-
-    def _wedge(self, other, grading):
-        if self.nvars != other.nvars:
-            raise ValueError("nvars mismatch")
-        return self._new(_wedge_terms(self.terms, other.terms), grading)
 
     def _d(self, gens, deriv, grading):
         """Sum over the generators g in `gens` of dg ^ (the form with each
@@ -197,7 +176,18 @@ class MeroForm(_Form):
         return self.map_coeffs(lambda v: v * f)
 
     def wedge(self, other: "MeroForm") -> "MeroForm":
-        return self._wedge(other, self.degree + other.degree)
+        if self.nvars != other.nvars:
+            raise ValueError("nvars mismatch")
+
+        def pairs():
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    merged, sign = merge_indices(k1, k2)
+                    if merged is not None:
+                        c = c2 * c1
+                        yield merged, c if sign > 0 else -c
+
+        return self._new(_summed(pairs()), self.degree + other.degree)
 
     def exterior_d(self) -> "MeroForm":
         return self._d(range(self.nvars), RatFn.partial, self.degree + 1)
@@ -241,50 +231,10 @@ class TestForm(_Form):
     def function(b: BumpFunction) -> "TestForm":
         return TestForm(b.nvars, (0, 0), {((), ()): b})
 
-    def wedge(self, other: "TestForm") -> "TestForm":
-        (q1, r1), (q2, r2) = self.bidegree, other.bidegree
-        return self._wedge(other, (q1 + q2, r1 + r2))
-
-    def d_holo(self) -> "TestForm":
-        q, r = self.bidegree
-        return self._d(range(self.nvars), BumpFunction.dz, (q + 1, r))
-
     def d_bar(self) -> "TestForm":
         n, (q, r) = self.nvars, self.bidegree
         return self._d(range(n, 2 * n), lambda b, g: b.dzbar(g - n), (q, r + 1))
 
-    def exterior_d(self) -> List["TestForm"]:
-        """Full d = d' + d''; returned as the bidegree components."""
-        return [self.d_holo(), self.d_bar()]
-
-    def split_by_missing_conjugate(self) -> List[Tuple[int, "TestForm"]]:
-        """Split a (q, n-1) form into the pieces that omit dzbar_j, per j.
-
-        For n = 1 the antiholomorphic degree is 0 and the whole form omits
-        dzbar_1 (index 0).
-        """
-        n = self.nvars
-        if self.bidegree[1] != n - 1:
-            raise ValueError("antiholomorphic degree must be nvars - 1")
-        buckets: Dict[int, Dict] = {j: {} for j in range(n)}
-        for k, b in self.terms.items():
-            (g,) = set(range(n, 2 * n)).difference(k)
-            buckets[g - n][k] = b
-        return [(j, self._new(terms)) for j, terms in buckets.items()]
-
     def __repr__(self):
         return f"TestForm(nvars={self.nvars}, bidegree={self.bidegree}, {len(self.terms)} terms)"
 
-
-def wedge_mero_test(alpha: MeroForm, phi: TestForm) -> TestForm:
-    """alpha ^ phi for a holomorphic-coefficient alpha (polynomial RatFns):
-    the wedge of the algebra, with alpha's coefficients embedded in the
-    (z, zbar) polynomial ring."""
-    if alpha.nvars != phi.nvars:
-        raise ValueError("nvars mismatch")
-    if not all(c.is_polynomial() for c in alpha.terms.values()):
-        raise ValueError("wedging into a test form needs polynomial coefficients")
-    polys = {k: embed_holomorphic(c.num * c.den.constant_value().inverse())
-             for k, c in alpha.terms.items()}
-    q, r = phi.bidegree
-    return phi._new(_wedge_terms(polys, phi.terms), (alpha.degree + q, r))

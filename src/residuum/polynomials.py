@@ -301,6 +301,9 @@ class MultiPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its value, as the RatFn equal to it does
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):

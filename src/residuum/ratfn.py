@@ -224,6 +224,9 @@ class RatFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial equals its numerator, and a constant its value
+        if self.den.is_constant():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

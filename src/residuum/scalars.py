@@ -24,7 +24,8 @@ class GaussianRational:
     """An element (a + b*i)/d of Q(i), with d > 0 and gcd(a, b, d) = 1.
 
     `re` and `im` give the parts as `Fraction`s; the triple itself is what
-    equality and hashing compare.
+    equality compares.  A real value hashes as its `re`, the value it
+    equals.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -69,9 +70,6 @@ class GaussianRational:
 
     def is_one(self) -> bool:
         return self._a == self._d == 1 and not self._b
-
-    def is_real(self) -> bool:
-        return not self._b
 
     # -- arithmetic --------------------------------------------------
 
@@ -166,6 +164,9 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        # a real value equals its int or Fraction, so it hashes as one
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self._a, self._b, self._d))
 
     # -- conversion --------------------------------------------------

@@ -12,7 +12,7 @@ from residuum import quadrature
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.dim1 import (
     LaurentPart,
-    apply_delta_current,
+    _pair_currents,
     contour_residue_numeric,
     find_rational_roots,
     laurent_parts,
@@ -212,12 +212,12 @@ class TestDeltaCurrents:
     def test_apply_examples(self):
         phi = GENERIC_BUMP
         (cur,) = residue_current_1d(laurent_parts(RatFn(ONE, Z)))
-        val = apply_delta_current(cur, phi)
+        val = _pair_currents([cur], phi)
         phi0 = complex(phi.eval_numeric(np.array([0j])))
         assert val == pytest.approx(2j * math.pi * phi0, rel=1e-12)
         zero_cur = residue_current_1d(laurent_parts(RatFn(ONE, Z)))[0]
         zero_cur = type(zero_cur)(zero_cur.pole, ())
-        assert apply_delta_current(zero_cur, phi) == 0j
+        assert _pair_currents([zero_cur], phi) == 0j
 
     def test_linearity(self):
         phi = GENERIC_BUMP

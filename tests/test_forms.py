@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from residuum.bump import BumpFunction, embed_holomorphic
-from residuum.forms import MeroForm, TestForm, merge_indices, wedge_mero_test
+from residuum.forms import MeroForm, TestForm, merge_indices
 from residuum.polynomials import MultiPoly
 from residuum.ratfn import RatFn
 from residuum.scalars import GaussianRational
@@ -290,28 +290,6 @@ def simple_testform(nvars, bidegree, seed=0, radius=Fraction(2)):
 
 
 class TestTestForm:
-    def test_split_degenerate_dimension_one(self):
-        phi = simple_testform(1, (0, 0))
-        out = phi.split_by_missing_conjugate()
-        assert len(out) == 1 and out[0][0] == 0 and out[0][1] == phi
-
-    def test_split_two_vars_single_bucket(self):
-        b = BumpFunction.radial(2, Fraction(2))
-        phi = TestForm(2, (2, 1), {((0, 1), (1,)): b})
-        split = dict(phi.split_by_missing_conjugate())
-        assert split[0] == phi
-        assert split[1].is_zero()
-
-    def test_split_two_vars_both(self):
-        ba = BumpFunction.radial(2, Fraction(2))
-        bb = ba * embed_holomorphic(Z1)
-        phi = TestForm(2, (2, 1), {((0, 1), (0,)): ba, ((0, 1), (1,)): bb})
-        split = dict(phi.split_by_missing_conjugate())
-        assert split[1] == TestForm(2, (2, 1), {((0, 1), (0,)): ba})
-        assert split[0] == TestForm(2, (2, 1), {((0, 1), (1,)): bb})
-        total = split[0] + split[1]
-        assert total == phi
-
     @pytest.mark.parametrize("bidegree, key", [((1, 0), ((2,), ())), ((0, 1), ((), (2,))),
                                                ((2, 0), ((1, 0), ())), ((0, 1), ((0,), ()))])
     def test_constructor_rejects_bad_index_sets(self, bidegree, key):
@@ -326,35 +304,13 @@ class TestTestForm:
         for arr in dd.eval_numeric(pts).values():
             np.testing.assert_allclose(arr, 0, atol=1e-13)
 
-    def test_full_d_squares_to_zero_numerically(self):
-        phi = simple_testform(2, (1, 0), seed=4)
-        dh, db = phi.exterior_d()
-        # (2,0), (1,1) components of d(d(phi)) must cancel where mixed
-        mixed = dh.d_bar() + db.d_holo()
-        pts = np.random.default_rng(1).uniform(-1, 1, size=(10, 2)) \
-            + 1j * np.random.default_rng(2).uniform(-1, 1, size=(10, 2))
-        for arr in mixed.eval_numeric(pts).values():
-            np.testing.assert_allclose(arr, 0, atol=1e-12)
-        assert dh.d_holo().is_zero() or all(
-            np.allclose(a, 0, atol=1e-12) for a in dh.d_holo().eval_numeric(pts).values())
-
-    def test_wedge_mero_test(self):
-        alpha = DZ1.scale(RatFn(Z2)) + DZ2
-        phi = simple_testform(2, (0, 1), seed=7)
-        out = wedge_mero_test(alpha, phi)
-        assert out.bidegree == (1, 1)
-        # pointwise check at one point
-        z = np.array([0.25 + 0.1j, -0.3 + 0.2j])
-        a_vals = alpha.eval_numeric(z)
-        p_vals = phi.eval_numeric(z)
-        o_vals = out.eval_numeric(z)
-        for (iset, jset), got in o_vals.items():
-            want = 0j
-            for (i1,), av in a_vals.items():
-                for ((), (j1,)), pv in p_vals.items():
-                    if (i1,) == iset and (j1,) == jset:
-                        want += av * pv
-            assert complex(got) == pytest.approx(complex(want), rel=1e-12, abs=1e-15)
+    def test_dbar_puts_dz_before_dzbar(self):
+        # d''(b dz1) = sum_j db/dzbar_j dzbar_j ^ dz1 = -sum_j db/dzbar_j dz1 ^ dzbar_j
+        poly = embed_holomorphic(Z1 * Z2) + MultiPoly.variable(4, 3)  # z1 z2 + zbar2
+        b = BumpFunction.from_poly(2, Fraction(2), poly)
+        got = TestForm(2, (1, 0), {((0,), ()): b}).d_bar()
+        assert got == TestForm(2, (1, 1), {((0,), (j,)): -b.dzbar(j) for j in (0, 1)})
+        assert len(got.terms) == 2
 
 
 class TestMergeSign:
@@ -365,31 +321,3 @@ class TestMergeSign:
         assert merge_indices((1,), (0,)) == ((0, 1), -1)
         assert merge_indices((0,), (1,)) == ((0, 1), 1)
         assert merge_indices((0, 2), (1,)) == ((0, 1, 2), -1)
-
-
-BIDEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-
-class TestTestFormAlgebra:
-    """Exact identities of the shared algebra on bump-coefficient forms (n = 2)."""
-
-    @pytest.mark.parametrize("bidegrees", [((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 0)),
-                                           ((0, 1), (1, 0), (0, 1)), ((1, 1), (0, 1), (1, 0))])
-    def test_wedge_associative(self, bidegrees):
-        a, b, c = (simple_testform(2, bd, seed=s) for s, bd in enumerate(bidegrees))
-        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
-
-    @pytest.mark.parametrize("d1", BIDEGREES)
-    @pytest.mark.parametrize("d2", BIDEGREES)
-    def test_wedge_graded_commutative(self, d1, d2):
-        a, b = simple_testform(2, d1, seed=1), simple_testform(2, d2, seed=2)
-        sign = GaussianRational((-1) ** (sum(d1) * sum(d2)))
-        assert a.wedge(b) == b.wedge(a).scale(sign)
-
-    @pytest.mark.parametrize("d1", BIDEGREES)
-    @pytest.mark.parametrize("d2", BIDEGREES)
-    def test_leibniz(self, d1, d2):
-        a, b = simple_testform(2, d1, seed=3), simple_testform(2, d2, seed=4)
-        sign = GaussianRational((-1) ** sum(d1))
-        for d in (TestForm.d_holo, TestForm.d_bar):
-            assert d(a.wedge(b)) == d(a).wedge(b) + a.wedge(d(b)).scale(sign)

@@ -9,6 +9,13 @@ call each other, nor a name shared by a live and a dead definition.  For
 static and class methods, which share names such as `zero` across classes,
 a second rule asks for the qualified `Class.name` (or `cls.name`).
 
+A definition that only the tests reach is listed in `TEST_FACING`, with
+its reason: the set of definitions that no code in `src/`, `bench/` or
+`tools/` reads (as a name, an attribute or an import; docstrings do not
+count) must equal that list.  This rule cannot see a name shared with a
+live definition either: a test-only `TestForm.wedge` would hide behind
+`MeroForm.wedge`.
+
 Every error type without subclasses in `errors.py` is raised somewhere in
 `src/`: a type whose check was deleted would still be referenced by the
 tests that import it, so the rule above cannot see it.
@@ -55,10 +62,49 @@ def _corpus() -> str:
 
 
 def test_every_definition_is_referenced():
-    text = _corpus()
-    unused = sorted(name for name, count in _definitions().items()
-                    if len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count)
+    # a token count is the count of whole-word matches for an identifier
+    tokens = Counter(re.findall(r"\w+", _corpus()))
+    unused = sorted(name for name, count in _definitions().items() if tokens[name] <= count)
     assert not unused, f"defined but never referenced: {unused}"
+
+
+# Definitions that only the tests reach, each with the reason it stays.
+TEST_FACING = {
+    "certificate_holds": "test oracle of the Leray certificate; ROADMAP item 12 records it",
+    "d_on_hypersurface": "test oracle of residue-class equality; ROADMAP item 0's witness check",
+    "divides": "test oracle of exact division",
+    "embed_holomorphic": "builds test functions from holomorphic polynomials",
+    "entry": "reads the (k, mu, l) operator table in tests; ROADMAP item 3 deletes the table",
+    "eval_exact": "test oracle of polynomial arithmetic at exact points",
+    "radial": "builds the plain cutoff as a test function",
+    "squarefree_decompose": "ROADMAP item 1 splits denominators with it; tests pin it until then",
+    "translate": "builds off-centre test functions",
+}
+
+
+def _read_outside_tests() -> set:
+    """Every name that code in `src/`, `bench/` or `tools/`, test files
+    apart, reads as a name, an attribute or an imported name."""
+    read = set()
+    for top in ("src", "bench", "tools"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if "tests" in path.relative_to(ROOT).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name.rpartition(".")[2])
+    return read
+
+
+def test_only_listed_definitions_are_test_facing():
+    test_only = set(_definitions()) - _read_outside_tests()
+    assert test_only == set(TEST_FACING), (
+        f"reached only by tests, not listed: {sorted(test_only - set(TEST_FACING))}; "
+        f"listed, but read outside the tests: {sorted(set(TEST_FACING) - test_only)}")
 
 
 def _unqualified_class_level_methods():
