@@ -12,7 +12,7 @@ a second rule asks for the qualified `Class.name` (or `cls.name`).
 A definition that only the tests reach is listed in `TEST_FACING`, with
 its reason: the set of definitions that no code in `src/`, `bench/` or
 `tools/` reads (as a name, an attribute or an import; docstrings do not
-count) must equal that list.  This rule cannot see a name shared with a
+count) must equal its keys.  This rule cannot see a name shared with a
 live definition either: a test-only `TestForm.wedge` would hide behind
 `MeroForm.wedge`.
 
