@@ -18,6 +18,7 @@ from sympy import QQ, QQ_I, Add, I, Poly, Rational, apart, expand, symbols
 from sympy.polys.rings import ring
 
 from residuum import polynomials
+from residuum.bump import BumpFunction
 from residuum.dim1 import principal_part
 from residuum.errors import DivisionError, ZeroInputError
 from residuum.polynomials import (
@@ -534,6 +535,18 @@ class TestMultiply:
         assert list(got.terms)[-1] == (1, 1)
         assert got == reference_mul(p, q)
         assert list(got.terms) == list(reference_mul(p, q).terms)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_defers_to_a_bump_operand(self, n):
+        # zbar_n + 3 times the plain cutoff on C^n
+        poly = MultiPoly.variable(2 * n, 2 * n - 1) + MultiPoly.const(2 * n, 3)
+        bump = BumpFunction.from_poly(n, 2, poly)
+        # an exact scalar of each kind returns NotImplemented for a bump, so
+        # the bump scales itself from either side, coefficient by coefficient
+        for c in (3, Fraction(-2, 5), GaussianRational(1, -2)):
+            coeff = GaussianRational.from_any(c)
+            assert c * bump == bump * c
+            assert (c * bump).terms == [(p * coeff, m, k) for p, m, k in bump.terms]
 
     def test_unknown_operand_raises_type_error(self):
         with pytest.raises(TypeError):
