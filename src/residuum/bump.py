@@ -26,8 +26,8 @@ if TYPE_CHECKING:
 class BumpFunction:
     __slots__ = ("nvars", "radius", "center", "terms")
 
-    def __init__(self, nvars: int, radius, terms: List[Tuple[MultiPoly, int, int]] | None = None,
-                 center: Tuple[GaussianRational, ...] | None = None):
+    def __init__(self, nvars: int, radius, terms: List[Tuple[MultiPoly, int, int]],
+                 center: Tuple[GaussianRational, ...] | None):
         self.nvars = int(nvars)
         self.radius = Fraction(radius)
         if self.radius <= 0:
@@ -38,7 +38,7 @@ class BumpFunction:
         if len(self.center) != self.nvars:
             raise ValueError("center dimension mismatch")
         merged: Dict[Tuple[int, int], MultiPoly] = {}
-        for poly, m, c in terms or []:
+        for poly, m, c in terms:
             if poly.nvars != 2 * self.nvars:
                 raise ValueError("polynomial part must have 2*nvars variables")
             if m < 0 or c < 1:
@@ -91,7 +91,7 @@ class BumpFunction:
 
     # -- derivatives --------------------------------------------------------
 
-    def derivative(self, var: int, conjugate: bool = False) -> "BumpFunction":
+    def derivative(self, var: int, conjugate: bool) -> "BumpFunction":
         """Exact d/dz_var (or d/dzbar_var); stays in the class."""
         if not 0 <= var < self.nvars:
             raise ValueError("variable index out of range")

@@ -52,10 +52,6 @@ class IrrationalPole(ResiduumError):
 class PoleReductionObstruction(ResiduumError):
     """A residual high-order pole term is not exact; pole lowering failed."""
 
-    def __init__(self, message, offending_term=None):
-        super().__init__(message)
-        self.offending_term = offending_term
-
 
 class NonConstantResidueForm(ResiduumError):
     """A degree-0 reduced residue failed the constancy check on its component."""

@@ -16,14 +16,11 @@ bump phi.  At its interface a TestForm keys its coefficients by the pair
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import Dict, Tuple
 
 from .bump import BumpFunction
 from .polynomials import MultiPoly
 from .ratfn import RatFn
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Index = Tuple[int, ...]
 
@@ -88,12 +85,12 @@ class _Form:
             (other.nvars, other.grading, other.terms)
 
     def __add__(self, other):
+        if (self.nvars, self.grading) != (other.nvars, other.grading):
+            raise ValueError("cannot add forms of different type")
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if (self.nvars, self.grading) != (other.nvars, other.grading):
-            raise ValueError("cannot add forms of different type")
         return self._new(_summed(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
@@ -104,9 +101,6 @@ class _Form:
 
     def map_coeffs(self, fn):
         return self._new(_summed((k, fn(c)) for k, c in self.terms.items()))
-
-    def eval_numeric(self, points: np.ndarray) -> dict:
-        return {k: c.eval_numeric(points) for k, c in self.coeffs.items()}
 
     def _d(self, gens, deriv, grading):
         """Sum over the generators g in `gens` of dg ^ (the form with each
@@ -124,26 +118,17 @@ class _Form:
 
         return self._new(_summed(pairs()), grading)
 
-    def _contract(self, g: int, grading):
-        """Interior product with the vector dual to generator g."""
-        out = {}
-        for k, c in self.terms.items():
-            if g in k:
-                pos = k.index(g)
-                out[k[:pos] + k[pos + 1:]] = -c if pos % 2 else c
-        return self._new(out, grading)
-
 
 class MeroForm(_Form):
     """A (p, 0)-form with exact rational-function coefficients."""
 
     __slots__ = ()
 
-    def __init__(self, nvars: int, degree: int, coeffs: Dict[Index, RatFn] | None = None):
+    def __init__(self, nvars: int, degree: int, coeffs: Dict[Index, RatFn]):
         self.nvars, self.grading = int(nvars), int(degree)
         self.terms = _summed((_checked(idx, self.grading, self.nvars),
                               RatFn.from_any(c, self.nvars))
-                             for idx, c in (coeffs or {}).items())
+                             for idx, c in coeffs.items())
 
     @property
     def degree(self) -> int:
@@ -152,7 +137,7 @@ class MeroForm(_Form):
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int, degree: int = 0) -> "MeroForm":
+    def zero(nvars: int, degree: int) -> "MeroForm":
         return MeroForm(nvars, degree, {})
 
     @staticmethod
@@ -194,7 +179,12 @@ class MeroForm(_Form):
 
     def contract(self, j: int) -> "MeroForm":
         """Interior product with d/dz_j."""
-        return self._contract(j, self.degree - 1)
+        out = {}
+        for k, c in self.terms.items():
+            if j in k:
+                pos = k.index(j)
+                out[k[:pos] + k[pos + 1:]] = -c if pos % 2 else c
+        return self._new(out, self.degree - 1)
 
     def __repr__(self):
         if self.is_zero():
@@ -212,11 +202,11 @@ class TestForm(_Form):
     __slots__ = ()
 
     def __init__(self, nvars: int, bidegree: Tuple[int, int],
-                 coeffs: Dict[Tuple[Index, Index], BumpFunction] | None = None):
+                 coeffs: Dict[Tuple[Index, Index], BumpFunction]):
         n = self.nvars = int(nvars)
         q, r = self.grading = (int(bidegree[0]), int(bidegree[1]))
         self.terms = _summed((_checked(iset, q, n) + tuple(n + j for j in _checked(jset, r, n)), b)
-                             for (iset, jset), b in (coeffs or {}).items())
+                             for (iset, jset), b in coeffs.items())
 
     @property
     def bidegree(self) -> Tuple[int, int]:

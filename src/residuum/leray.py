@@ -10,12 +10,13 @@ order at a time; for closed input the non-drho parts of order >= 2 vanish
 identically and beta comes out pole free.  The residue data extracted here:
 the restriction A = a|_Y (reduced residue summand) and, from R, the
 correction descriptors evaluated as one-dimensional transverse derivatives
-on the zero set.
+on the zero set.  A form on Y, defined modulo rho and drho, is held as its
+normal form (Leray, Bull. SMF 87, 1959), fixed when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
@@ -30,6 +31,7 @@ from .decomposition import (
 from .errors import (
     ChartError,
     DivisionError,
+    MultiplePole,
     NonClosedForm,
     NonConstantResidueForm,
     PoleReductionObstruction,
@@ -105,7 +107,7 @@ class LerayData:
     r_terms: Dict[int, MeroForm]     # nu -> e_nu, no dz_var and no drho
     a_prime: Optional[MeroForm]      # da = drho ^ a' + C rho (when available)
     c_cert: Optional[MeroForm]
-    beta_polar: bool = False         # beta kept a simple-pole part (input not closed)
+    beta_polar: bool                 # beta kept a simple-pole part (input not closed)
 
     def drho(self) -> MeroForm:
         return MeroForm.d_of_poly(self.rho)
@@ -154,8 +156,7 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
                 continue
             if not has:
                 raise PoleReductionObstruction(
-                    f"order-{mu} term without drho is not exact",
-                    offending_term=(rest, top))
+                    f"order-{mu} term without drho is not exact: {rest} {top!r}")
             a_coeffs[rest] = top
         if not a_coeffs:
             raise PoleReductionObstruction("positive pole order with no top digit")
@@ -214,43 +215,38 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
 
 @dataclass
 class HypersurfaceForm:
-    """A form on Y = Z(rho), named by rho alone, with its representative in
-    the chart of `var`; the records that hold several file each under k."""
+    """A form on Y = Z(rho), named by rho alone; `rep` is its normal form in
+    the chart of `var`, set at construction, so forms equal on Y have equal
+    `rep`s in one chart.  The records that hold several file each under k."""
 
     rho: MultiPoly
     var: int
     rep: MeroForm
-    normalized: bool = field(default=False, kw_only=True)
 
-    def normalize(self) -> "HypersurfaceForm":
-        if self.normalized:
-            return self
-        rep = normal_form_on_hypersurface(self.rep, self.rho, self.var)
-        return HypersurfaceForm(self.rho, self.var, rep, normalized=True)
+    def __post_init__(self):
+        self.rep = normal_form_on_hypersurface(self.rep, self.rho, self.var)
 
     def equals(self, other: "HypersurfaceForm") -> bool:
-        """Equality on Y; the other representative is re-read in this chart."""
+        """Equality on Y; a form in another chart is re-read in this one."""
         if self.rho != other.rho:
             return False
-        a = self.normalize()
-        b = HypersurfaceForm(other.rho, self.var, other.rep).normalize()
-        return a.rep == b.rep
+        if other.var != self.var:
+            other = HypersurfaceForm(other.rho, self.var, other.rep)
+        return self.rep == other.rep
 
     def is_zero(self) -> bool:
-        return self.normalize().rep.is_zero()
+        return self.rep.is_zero()
 
     def d_on_hypersurface(self) -> "HypersurfaceForm":
         """d on Y: d of the normal form, with dz_var eliminated by normalizing."""
-        rep = self.normalize().rep.exterior_d()
-        return HypersurfaceForm(self.rho, self.var, rep).normalize()
+        return HypersurfaceForm(self.rho, self.var, self.rep.exterior_d())
 
     def constant_value(self) -> GaussianRational:
-        nf = self.normalize()
-        if nf.rep.degree != 0:
+        if self.rep.degree != 0:
             raise NonConstantResidueForm("form has positive degree")
-        if nf.rep.is_zero():
+        if self.rep.is_zero():
             return GaussianRational(0)
-        c = nf.rep.coeffs.get((), RatFn.zero(nf.rep.nvars))
+        c = self.rep.coeffs[()]
         if not c.is_constant():
             raise NonConstantResidueForm(
                 f"residue coefficient is not constant on the component: {c!r}")
@@ -308,23 +304,20 @@ class ReducedResidue:
     degree: int                   # degree p of the input form
     components: List[Tuple[int, HypersurfaceForm]]  # (k, A on Y_k), per chart
     s_descriptors: List[SDescriptor]
-    leray: Dict[Tuple[int, int], LerayData] = field(default_factory=dict)
+    leray: Dict[Tuple[int, int], LerayData]
 
 
 def simple_pole_residue_form(omega: MeroForm, fd: FactoredDenominator,
                              pfd: PartialFractionDecomp, k: int) -> HypersurfaceForm:
-    """A = (drho/dz_var)^-1 c_1^k contract(var, alpha) restricted to Y_k."""
-    from .errors import MultiplePole
-
+    """A = (drho/dz_var)^-1 c_1^k contract(var, P omega) restricted to Y_k."""
     factor = fd.factors[k]
     if factor.multiplicity != 1:
         raise MultiplePole("component has a higher-order pole")
     var = fd.var
-    alpha = omega.scale(RatFn(fd.product()))
     c = pfd.coefficient(k, 1)
     w = RatFn(factor.rho.partial(var))
-    rep = alpha.contract(var).scale(c / w)
-    return HypersurfaceForm(factor.rho, var, rep).normalize()
+    rep = omega.contract(var).scale(RatFn(fd.product()) * c / w)
+    return HypersurfaceForm(factor.rho, var, rep)
 
 
 def reduced_residue(omega: MeroForm,
@@ -354,7 +347,7 @@ def reduced_residue(omega: MeroForm,
             omega_k = alpha.scale(part)
             ld = lower_pole_order(omega_k, factor.rho, var, factor.multiplicity)
             leray[(var, k)] = ld
-            a_rest = HypersurfaceForm(factor.rho, var, ld.a).normalize()
+            a_rest = HypersurfaceForm(factor.rho, var, ld.a)
             components.append((k, a_rest))
             if not ld.r_terms:
                 continue
@@ -373,7 +366,7 @@ def reduced_residue(omega: MeroForm,
                     gamma_rep = MeroForm(e_nu.nvars, e_nu.degree,
                                          {key: RatFn(*ds[nu - 1 - l]) * coeff * sign_p
                                           for key, ds in derivs.items()})
-                    gamma = HypersurfaceForm(factor.rho, var, gamma_rep).normalize()
+                    gamma = HypersurfaceForm(factor.rho, var, gamma_rep)
                     descriptors.append(SDescriptor(k, nu, l, gamma, tower[l]))
     return ReducedResidue(p, components, descriptors, leray)
 

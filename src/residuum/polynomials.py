@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 Exponent = Tuple[int, ...]
+_ZERO = GaussianRational(0)
 
 
 def _grlex_key(exp: Exponent):
@@ -37,23 +38,17 @@ class MultiPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Dict[Exponent, GaussianRational] | None = None):
+    def __init__(self, nvars: int, terms: Dict[Exponent, GaussianRational]):
         self.nvars = int(nvars)
         clean: Dict[Exponent, GaussianRational] = {}
-        if terms:
-            for exp, c in terms.items():
-                c = GaussianRational.from_any(c)
-                if c.is_zero():
-                    continue
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != self.nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent {exp} for nvars={self.nvars}")
-                if exp in clean:
-                    c = clean[exp] + c
-                    if c.is_zero():
-                        del clean[exp]
-                        continue
-                clean[exp] = c
+        for exp, c in terms.items():
+            c = GaussianRational.from_any(c)
+            if c.is_zero():
+                continue
+            # integral exponents: two keys cannot name one monomial
+            if len(exp) != self.nvars or any(e < 0 or int(e) != e for e in exp):
+                raise ValueError(f"bad exponent {exp} for nvars={self.nvars}")
+            clean[tuple(int(e) for e in exp)] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -91,15 +86,22 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _constant_term(self) -> GaussianRational | None:
+        """The value of a constant, None for any other polynomial: terms are
+        nonzero at distinct exponents, so a constant has none or one, at 0."""
+        if len(self.terms) != 1:
+            return None if self.terms else _ZERO
+        (exp, c), = self.terms.items()
+        return None if any(exp) else c
+
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return self._constant_term() is not None
 
     def constant_value(self) -> GaussianRational:
-        if self.is_zero():
-            return GaussianRational(0)
-        if not self.is_constant():
+        c = self._constant_term()
+        if c is None:
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return c
 
     def degree_in(self, var: int) -> int:
         if self.is_zero():
@@ -296,14 +298,17 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
+        # a constant equals its value, as the RatFn equal to it does
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self._constant_term() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        # a constant hashes as its value, as the RatFn equal to it does
-        if self.is_constant():
-            return hash(self.constant_value())
+        c = self._constant_term()
+        if c is not None:
+            return hash(c)
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):

@@ -7,7 +7,7 @@ order, no adaptive branching on floating-point noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Tuple
 
@@ -22,9 +22,9 @@ ABS_TOL = 1e-9
 @dataclass
 class LimitResult:
     value: complex
-    table: List[Tuple[float, complex]] = field(default_factory=list)
-    residual: float = 0.0
-    converged: bool = True
+    table: List[Tuple[float, complex]]
+    residual: float
+    converged: bool
     note: str = ""
 
 

@@ -30,7 +30,7 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return

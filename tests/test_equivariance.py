@@ -182,9 +182,9 @@ def residues_natural(omega, factors, divisor, matrix, shift) -> int:
     assert want, "omega is accepted in no chart"
     compared = 0
     for (var, k), h in want.items():
-        pulled = HypersurfaceForm(pulled_factors[k][0], var, pull_form(h.rep, images))
         for (var2, k2), g in got.items():
             if k2 == k:
+                pulled = HypersurfaceForm(pulled_factors[k][0], var2, pull_form(h.rep, images))
                 assert g.equals(pulled), (var, var2, k)
                 compared += 1
         if divisor is not None:

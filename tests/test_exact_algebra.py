@@ -328,6 +328,13 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             (Z1 + Z2).partial(5)
 
+    @pytest.mark.parametrize("exp", [(1.5, 0), (Fraction(1, 2), 1), (-1, 0), (1,)])
+    def test_bad_exponent_rejected(self, exp):
+        # a non-integral exponent is not truncated: (1.5, 0) and (1, 0)
+        # would name one monomial
+        with pytest.raises(ValueError):
+            MultiPoly(2, {exp: 1, (1, 0): 1})
+
     def test_exact_divide_roundtrip(self):
         p = (Z1 - Z2) * (Z1 + Z2) * (2 * Z1 * Z2 + ONE2)
         q = exact_divide(p, Z1 + Z2)
@@ -572,6 +579,24 @@ class TestHashFollowsEquality:
                 if a == b:
                     assert hash(a) == hash(b), (a, b)
         assert len({z, z.re}) == (1 if z.im == 0 else 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands, operands)
+    def test_equality_is_transitive(self, x, y):
+        # each value as a scalar, a constant MultiPoly and a constant RatFn;
+        # a == b == c must give a == c, so a constant MultiPoly equals its
+        # int as the RatFn equal to both does
+        def representations(v):
+            z = gr(v) if isinstance(v, tuple) else GaussianRational.from_any(v)
+            reals = [] if z.im else [z.re] + ([int(z.re)] if z.re.denominator == 1 else [])
+            return reals + [z, MultiPoly.const(2, z), RatFn.const(2, z)]
+
+        values = representations(x) + representations(y)
+        for a in values:
+            for b in values:
+                assert (a == b) == (b == a), (a, b)
+                if a == b:
+                    assert all(a == c for c in values if b == c), (a, b)
 
 
 class TestExactDivide:

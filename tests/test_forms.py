@@ -64,6 +64,18 @@ class TestWedge:
         assert lhs == rhs
 
 
+class TestSum:
+    @pytest.mark.parametrize("zero, other", [(MeroForm.zero(2, 1), MeroForm.dz(3, 0)),
+                                             (MeroForm.zero(2, 0), DZ1)],
+                             ids=["nvars", "degree"])
+    def test_zero_of_another_type_is_rejected(self, zero, other):
+        # a zero form keeps its type: the sum does not return the other operand
+        with pytest.raises(ValueError):
+            zero + other
+        with pytest.raises(ValueError):
+            other + zero
+
+
 class TestExteriorD:
     def test_d_of_z1_dz2(self):
         form = DZ2.scale(RatFn(Z1))
@@ -301,8 +313,8 @@ class TestTestForm:
         phi = simple_testform(2, (1, 0), seed=9)
         dd = phi.d_bar().d_bar()
         pts = np.random.default_rng(0).uniform(-1, 1, size=(15, 2)) + 0j
-        for arr in dd.eval_numeric(pts).values():
-            np.testing.assert_allclose(arr, 0, atol=1e-13)
+        for b in dd.coeffs.values():
+            np.testing.assert_allclose(b.eval_numeric(pts), 0, atol=1e-13)
 
     def test_dbar_puts_dz_before_dzbar(self):
         # d''(b dz1) = sum_j db/dzbar_j dzbar_j ^ dz1 = -sum_j db/dzbar_j dz1 ^ dzbar_j

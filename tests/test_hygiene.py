@@ -26,6 +26,10 @@ nested in it reads is dead too.  So is a module-level import whose name the
 module never reads.  And a name that a function or comprehension reads as a
 global must be defined: by the module, after import, or as a builtin.
 
+Every default value, of a parameter or of a dataclass field, is listed in
+`DEFAULTS` with a caller that omits it: a default that every call passes
+anyway is a second way to write the same call.
+
 The exact layer does not load numpy: importing the package leaves it out
 of `sys.modules`, and the numeric routines import it when they first run.
 """
@@ -237,6 +241,53 @@ def test_every_global_read_is_defined():
     # the fix must delete this entry
     known_defect = {("leray.py", "lower_pole_order", "_polar_digit_forms")}
     assert _undefined_globals() == known_defect
+
+
+# Every default of the package, each with a caller that omits it.
+DEFAULTS = {
+    "BumpFunction.radial.center": "tests build centred cutoffs: test_forms.py",
+    "BumpFunction.from_poly.center": "tests build centred bumps: test_forms.py",
+    "contour_residue_numeric.center": "the contour about 0: test_dim1.py",
+    "_Form._new.grading": "map_coeffs and __add__ keep the grading",
+    "_horner.var": "MultiPoly.eval_exact and _horner_numeric start at variable 0",
+    "RatFn.__init__.den": "RatFn(p) for a polynomial p, throughout src/",
+    "GaussianRational.__init__.im": "GaussianRational(0) and other real values, throughout src/",
+    "LimitResult.note": "quadrature.limit gives no note",
+}
+
+
+def _defaults() -> set:
+    """`scope.name` for every parameter with a default (scope is the
+    function's qualified name) and every dataclass field with a default
+    (scope is the class) in `src/residuum`."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    out.update(f"{child.name}.{stmt.target.id}" for stmt in child.body
+                               if isinstance(stmt, ast.AnnAssign) and stmt.value is not None)
+                visit(child, scope + (child.name,))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(scope + (child.name,))
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                out.update(f"{name}.{a.arg}" for a in with_default)
+                visit(child, scope + (child.name,))
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), ())
+    return out
+
+
+def test_every_default_is_listed():
+    found = _defaults()
+    assert found == set(DEFAULTS), (
+        f"defaults not listed: {sorted(found - set(DEFAULTS))}; "
+        f"listed, but not defaults: {sorted(set(DEFAULTS) - found)}")
 
 
 def _program_modules():

@@ -256,6 +256,59 @@ class TestNormalFormIsReduction:
             assert_reduces(c, nf.coeffs.get((l,), RatFn.zero(3)), rho, var)
 
 
+# irreducible, and of positive degree in every variable, so that every
+# variable is a chart
+RHOS_EVERY_CHART = [RHO, Z1 * Z2 - ONE, Z1 * Z1 + Z2 * Z2 - ONE, Z1 * Z1 * Z2 + Z1 - Z2,
+                    Y1 * Y1 - Y2 * Y3 - ONE3]
+
+
+def poly_form(draw, nvars, degree):
+    return MeroForm(nvars, degree, {idx: RatFn(draw(small_polys(nvars)))
+                                    for idx in itertools.combinations(range(nvars), degree)})
+
+
+@st.composite
+def classes_on_hypersurface(draw):
+    """(rho, var, other, omega, omega + drho ^ eta + rho theta): two
+    representatives of one form on Y, with polynomial eta and theta."""
+    rho = draw(st.sampled_from(RHOS_EVERY_CHART))
+    n = rho.nvars
+    var, other = draw(st.permutations(range(n)))[:2]
+    degree = draw(st.integers(0, n - 1))
+    den = draw(small_polys(n))
+    assume(not den.is_zero())
+    omega = MeroForm(n, degree, {idx: RatFn(draw(small_polys(n)), den)
+                                 for idx in itertools.combinations(range(n), degree)})
+    shifted = omega + poly_form(draw, n, degree).scale(RatFn(rho))
+    if degree:
+        shifted = shifted + MeroForm.d_of_poly(rho).wedge(poly_form(draw, n, degree - 1))
+    return rho, var, other, omega, shifted
+
+
+class TestCanonicalRepresentative:
+    """A HypersurfaceForm holds one representative per form on Y: the ones
+    built from omega, from omega + drho ^ eta + rho theta, and from omega
+    read in another chart have equal `rep`s."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(classes_on_hypersurface())
+    def test_representatives_share_one_rep(self, case):
+        rho, var, other, omega, shifted = case
+        try:
+            h = HypersurfaceForm(rho, var, omega)
+        except ChartError:  # rho divides the denominator
+            assume(False)
+        moved = HypersurfaceForm(rho, var, HypersurfaceForm(rho, other, omega).rep)
+        for g in (HypersurfaceForm(rho, var, shifted), moved):
+            assert g.rep == h.rep
+            assert g.equals(h) and h.equals(g)
+        assert HypersurfaceForm(rho, other, shifted).equals(h)
+
+    def test_chart_variable_must_occur_in_rho(self):
+        with pytest.raises(ChartError):
+            HypersurfaceForm(Z1 - ONE, 1, DZ1)
+
+
 class TestSimplePoleResidueForm:
     def setup_method(self):
         self.fd1 = prepare_denominator([(RHO, 1)], 0)
@@ -387,8 +440,7 @@ class TestReducedResidue:
         assert (d.mu, d.l) == (1, 0)
         # gamma = (-1)^p e_1 / w restricted; p = 1, e_1 = -1 -> 1/w on Y
         w = RatFn(RHO.partial(0))
-        want = HypersurfaceForm(RHO, 0,
-                                MeroForm.function(RatFn.one(2) / w)).normalize()
+        want = HypersurfaceForm(RHO, 0, MeroForm.function(RatFn.one(2) / w))
         assert d.gamma.equals(want)
 
     def test_requires_closed(self):
