@@ -277,8 +277,7 @@ def classes_on_hypersurface(draw):
     degree = draw(st.integers(0, n - 1))
     den = draw(small_polys(n))
     assume(not den.is_zero())
-    omega = MeroForm(n, degree, {idx: RatFn(draw(small_polys(n)), den)
-                                 for idx in itertools.combinations(range(n), degree)})
+    omega = poly_form(draw, n, degree).scale(RatFn(MultiPoly.const(n, 1), den))
     shifted = omega + poly_form(draw, n, degree).scale(RatFn(rho))
     if degree:
         shifted = shifted + MeroForm.d_of_poly(rho).wedge(poly_form(draw, n, degree - 1))
