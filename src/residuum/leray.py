@@ -213,18 +213,19 @@ def lower_pole_order(omega_k: MeroForm, rho: MultiPoly, var: int,
 # hypersurface forms: arithmetic on Y = Z(rho) via mod-rho normal forms
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HypersurfaceForm:
     """A form on Y = Z(rho), named by rho alone; `rep` is its normal form in
     the chart of `var`, set at construction, so forms equal on Y have equal
-    `rep`s in one chart.  The records that hold several file each under k."""
+    `rep`s in one chart.  Frozen: assigning a field would skip the
+    normalisation.  The records that hold several file each under k."""
 
     rho: MultiPoly
     var: int
     rep: MeroForm
 
     def __post_init__(self):
-        self.rep = normal_form_on_hypersurface(self.rep, self.rho, self.var)
+        object.__setattr__(self, "rep", normal_form_on_hypersurface(self.rep, self.rho, self.var))
 
     def equals(self, other: "HypersurfaceForm") -> bool:
         """Equality on Y; a form in another chart is re-read in this one."""

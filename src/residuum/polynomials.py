@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DivisionError, ZeroInputError
@@ -181,17 +181,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def _constant_term(self) -> GaussianRational | None:
-        """The value of a constant polynomial, zero included; None otherwise."""
-        terms = self.terms
-        if not terms:
-            return GaussianRational(0)
-        if len(terms) == 1:
-            (e, c), = terms.items()
-            if not any(e):
-                return c
-        return None
-
     def _scaled(self, c: GaussianRational) -> "MultiPoly":
         """c times self; self itself when c is 1."""
         if c.is_zero():
@@ -298,12 +287,16 @@ class MultiPoly:
         return out
 
     def __eq__(self, other):
-        # a constant equals its value, as the RatFn equal to it does
+        # a constant equals its value, as the RatFn equal to it does, so
+        # constants in different numbers of variables equal each other
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self._constant_term() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            c = self._constant_term()
+            return c is not None and c == other._constant_term()
+        return self.terms == other.terms
 
     def __hash__(self):
         c = self._constant_term()
@@ -586,8 +579,15 @@ _HEU_GCD_TRIES = 6
 def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Full multivariate gcd over Q(i), normalized graded-lex monic.
 
-    Heuristic gcd (GCDHEU: Char, Geddes and Gonnet, J. Symb. Comp. 7, 1989)
-    carried over to Z[i], with `_prs_gcd` as the fallback:
+    Closed form for a one-term operand.  If p or q is a single term c x^a,
+    the gcd is x^b, b the coordinatewise minimum of the exponents of both
+    operands.  The divisors of c x^a in Q(i)[x] are the unit multiples of
+    the monomials x^d with d <= a, and x^d divides a polynomial iff d is at
+    most each of its exponents; x^b is the largest such monomial.  A
+    constant operand is the case a = 0, with gcd 1.
+
+    Otherwise: heuristic gcd (GCDHEU: Char, Geddes and Gonnet, J. Symb.
+    Comp. 7, 1989) carried over to Z[i], with `_prs_gcd` as the fallback:
 
     1. Clear denominators, so that p and q lie in Z[i][x] (Q(i)[x] has the
        same gcds up to a unit), and strip each one's Z[i] content, giving
@@ -602,6 +602,9 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     4. Accept G only if exact trial division shows G | f and G | g;
        otherwise grow xi and try again.  After `_HEU_GCD_TRIES` values of
        xi, or when a recursive level gives up, fall back to `_prs_gcd`.
+       A constant G is a unit and divides everything, so it is accepted
+       without a trial division, and the gcd is 1 (the unit exit): no
+       polynomial is built and none is made monic.
 
     Why an accepted G is the gcd.  Let h = gcd(f, g), primitive.  G is a
     primitive common divisor, so h = G k with k in Z[i][x] (Gauss's lemma;
@@ -621,37 +624,91 @@ def gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     G = h up to a unit.  (This is the CGG bound with |.|_inf the largest
     coefficient modulus and the digit bound xi/2 widened to xi/sqrt(2).)
 
-    The result is `monic_grlex` of G times the gcd of the contents, the
-    same canonical form `_prs_gcd` returns.
+    The result is G made graded-lex monic, the same canonical form
+    `_prs_gcd` returns.
     """
-    if p.is_zero() and q.is_zero():
-        return MultiPoly.zero(p.nvars)
-    if p.is_zero():
-        return monic_grlex(q)
-    if q.is_zero():
-        return monic_grlex(p)
-    if p.is_constant() or q.is_constant():
-        return MultiPoly.const(p.nvars, 1)
-    h = _heu_gcd(_to_zi(p)[0], _to_zi(q)[0])
-    if h is None:
-        return _prs_gcd(p, q)
-    out = MultiPoly._of(p.nvars, {e: GaussianRational(a, b) for e, (a, b) in h.items()})
-    return monic_grlex(out)
+    return _gcd(p, q)[0]
 
 
-def _heu_gcd(f: dict, g: dict) -> dict | None:
-    """gcd of two Z[i][x] polynomials up to a unit, or None on giving up."""
+def cofactors(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(g, p/g, q/g) with g = gcd(p, q), the quotients taken from the gcd's
+    own work rather than from two more divisions.
+
+    A one-term operand gives them by shifting exponents down by b, and a
+    unit gcd as p and q themselves.  The trial division that certifies the
+    heuristic's G also builds f/G and g/G, which are p/g and q/g up to a
+    scalar; g is monic and graded-lex leading terms multiply, so the
+    scalar is lc(p) / lc(f/G).  A zero operand q gives lc(p) and 0 (and
+    cofactors(0, 0) is (0, 0, 0)).  Only after the PRS fallback are they
+    found by `exact_divide`.
+    """
+    g, fp, fq = _gcd(p, q)
+    return g, _cofactor(p, fp), _cofactor(q, fq)
+
+
+def _gcd(p: MultiPoly, q: MultiPoly) -> Tuple[MultiPoly, object, object]:
+    """(g, fp, fq) with g = `gcd`(p, q).  fp is p/g (fq the same for q), as a
+    MultiPoly, or as the Z[i] polynomial of the trial division, which is
+    p/g up to a scalar: building it is left to `_cofactor`, since `gcd`
+    does not need it.  For p = q = 0 all three are 0."""
+    nvars = p.nvars
+    if p.is_zero() or q.is_zero():  # gcd(f, 0) is f made monic; f/g is lc(f)
+        f = q if p.is_zero() else p
+        if f.is_zero():
+            return f, p, q
+        lc = f.leading_coefficient()
+        g, unit = f._scaled(lc.inverse()), MultiPoly.const(nvars, lc)
+        return (g, unit, q) if f is p else (g, p, unit)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        b = tuple(map(min, *p.terms, *q.terms))
+        if not any(b):
+            return MultiPoly.const(nvars, 1), p, q
+        return MultiPoly._of(nvars, {b: GaussianRational(1)}), _shifted(p, b), _shifted(q, b)
+    found = _heu_gcd(_to_zi(p)[0], _to_zi(q)[0])
+    if found is None:
+        g = _prs_gcd(p, q)
+        return g, exact_divide(p, g), exact_divide(q, g)
+    h, fp, fq = found
+    if fp is None:  # the unit exit
+        return MultiPoly.const(nvars, 1), p, q
+    return _zi_with_lc(h, nvars, GaussianRational(1)), fp, fq
+
+
+def _cofactor(p: MultiPoly, f) -> MultiPoly:
+    """p/g from what `_gcd` returned for it: g is monic, so p/g has p's
+    graded-lex leading coefficient."""
+    return f if isinstance(f, MultiPoly) else _zi_with_lc(f, p.nvars, p.leading_coefficient())
+
+
+def _shifted(p: MultiPoly, b: Exponent) -> MultiPoly:
+    """p / x^b, for x^b dividing p."""
+    return MultiPoly._of(p.nvars, {tuple(map(sub, e, b)): c for e, c in p.terms.items()})
+
+
+def _zi_with_lc(f: dict, nvars: int, lc: GaussianRational) -> MultiPoly:
+    """The scalar multiple of the Z[i] polynomial f whose graded-lex leading
+    coefficient is lc."""
+    s = lc / GaussianRational(*f[max(f, key=_grlex_key)])
+    return MultiPoly._of(nvars, {e: GaussianRational(a, b) * s for e, (a, b) in f.items()})
+
+
+def _heu_gcd(f: dict, g: dict) -> tuple | None:
+    """(h, qf, qg) for two Z[i][x] polynomials, or None on giving up.  h is
+    their gcd up to a unit.  qf and qg are the quotients of the trial
+    division that accepted h, so f = qf h and g = qg h up to scalars; both
+    are None when no trial division ran, because an operand vanished or h
+    is the constant gcd of the contents."""
     # an image can vanish: xi only has to pass the smaller operand's bound
     if not f:
-        return g
+        return g, None, None
     if not g:
-        return f
+        return f, None, None
     cf, cg = _zi_content(f), _zi_content(g)
     c = _zi_gcd(cf, cg)
     nvars = len(next(iter(f)))
     one = (0,) * nvars
     if (len(f) == 1 and one in f) or (len(g) == 1 and one in g):
-        return {one: c}
+        return {one: c}, None, None
     f, g = _zi_div_exact(f, cf), _zi_div_exact(g, cg)
     v = nvars - 1
     while not any(e[v] for e in f) and not any(e[v] for e in g):
@@ -660,15 +717,17 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
                 max(a * a + b * b for a, b in g.values()))
     xi = 4 * (isqrt(norm2) + 2)  # > (2 + sqrt 2)(1 + min |.|_inf), see gcd
     for _ in range(_HEU_GCD_TRIES):
-        gamma = _heu_gcd(_zi_eval(f, v, xi), _zi_eval(g, v, xi))
-        if gamma is None:
+        found = _heu_gcd(_zi_eval(f, v, xi), _zi_eval(g, v, xi))
+        if found is None:
             return None
-        h = _zi_interpolate(gamma, v, xi)
+        h = _zi_interpolate(found[0], v, xi)
         h = _zi_div_exact(h, _zi_content(h))
         if len(h) == 1 and one in h:
-            return {one: c}
-        if _zi_divides(h, f) and _zi_divides(h, g):
-            return _zi_scale(h, c)
+            return {one: c}, None, None
+        qf = _zi_quotient(f, h)
+        qg = None if qf is None else _zi_quotient(g, h)
+        if qg is not None:
+            return _zi_scale(h, c), qf, qg
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
     return None
 
@@ -755,26 +814,28 @@ def _zi_interpolate(h: dict, var: int, xi: int) -> dict:
     return out
 
 
-def _zi_divides(g: dict, f: dict) -> bool:
-    """True iff g divides f in Z[i][x]: exact division by lex-leading terms,
-    stopping at the first monomial or coefficient that does not divide."""
+def _zi_quotient(f: dict, g: dict) -> dict | None:
+    """f / g if g divides f in Z[i][x], else None: exact division by
+    lex-leading terms, stopping at the first monomial or coefficient that
+    does not divide."""
     lg = max(g)
     if any(i < j for i, j in zip(max(f), lg)):
-        return False
+        return None
     g0, g1 = g[lg]
     n = g0 * g0 + g1 * g1
     rest = [(e, c) for e, c in g.items() if e != lg]
     rem = dict(f)
+    quot = {}
     while rem:
         lr = max(rem)
         shift = tuple(i - j for i, j in zip(lr, lg))
         if min(shift) < 0:
-            return False
+            return None
         a, b = rem.pop(lr)
         x, y = a * g0 + b * g1, b * g0 - a * g1  # (a + bi) * conj(lc g)
         if x % n or y % n:
-            return False
-        q0, q1 = x // n, y // n
+            return None
+        q0, q1 = quot[shift] = x // n, y // n
         for e, (c0, c1) in rest:
             m = tuple(i + j for i, j in zip(e, shift))
             s0, s1 = q0 * c0 - q1 * c1, q0 * c1 + q1 * c0
@@ -785,7 +846,7 @@ def _zi_divides(g: dict, f: dict) -> bool:
                 rem[m] = (r[0] - s0, r[1] - s1)
             else:
                 del rem[m]
-    return True
+    return quot
 
 
 def gcd_in_var(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:

@@ -13,6 +13,10 @@ monic denominators stay monic.  A product cancels crosswise, by
 gcd(a.num, b.den) and gcd(b.num, a.den) (Knuth, TAOCP 2, 4.5.1); a sum is
 Henrici's (P. Henrici, J. ACM 3, 1956): with d = gcd(a.den, b.den), only
 gcd(t, d) of the cross sum t = a.num (b.den/d) + b.num (a.den/d) can cancel.
+Each of these gcds, and those of `RatFn.partial` and `_over_powers`, is
+taken by `cofactors`, which returns the two quotients with it: they come
+from the gcd's own closed forms and trial division, so no step divides by
+the gcd a second time.  Only `RatFn(num, den)` takes `gcd` and divides.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Tuple
 
 from .errors import DivisionError
-from .polynomials import MultiPoly, _pseudo_divide, content_in_var, exact_divide, gcd
+from .polynomials import (MultiPoly, _pseudo_divide, cofactors, content_in_var, exact_divide,
+                          gcd)
 from .scalars import GaussianRational
 
 if TYPE_CHECKING:
@@ -114,16 +119,18 @@ class RatFn:
             return self
         # Henrici's sum: with d = gcd(a.den, b.den), the cross sum
         # t = a.num (b.den/d) + b.num (a.den/d) is prime to both cofactors,
-        # so only g = gcd(t, d) can cancel: a + b = (t/g) / ((a.den/d) (b.den/g))
-        a, b, d = self, other, None
+        # so only g = gcd(t, d) can cancel: a + b = (t/g) / ((a.den/d) (b.den/d) (d/g))
+        a, b = self, other
+        d, a_cof, b_cof = None, a.den, b.den
         if not (a.den.is_constant() or b.den.is_constant()):
-            d = gcd(a.den, b.den)
-        a_cof = _divided(a.den, d)
-        t = a.num * _divided(b.den, d) + b.num * a_cof
+            d, a_cof, b_cof = cofactors(a.den, b.den)
+        t = a.num * b_cof + b.num * a_cof
         if t.is_zero():
             return RatFn.zero(self.nvars)
-        g = None if d is None or d.is_constant() else gcd(t, d)
-        return RatFn._of(_divided(t, g), a_cof * _divided(b.den, g))
+        if d is None or d.is_constant():
+            return RatFn._of(t, a_cof * b.den)
+        _, t, d_g = cofactors(t, d)
+        return RatFn._of(t, a_cof * (b_cof * d_g))
 
     __radd__ = __add__
 
@@ -155,10 +162,10 @@ class RatFn:
         """(self.num / g, other.den / g) with g = gcd(self.num, other.den):
         what `self * other` keeps of self's numerator and other's
         denominator."""
-        g = None
-        if not (self.num.is_constant() or other.den.is_constant()):
-            g = gcd(self.num, other.den)
-        return _divided(self.num, g), _divided(other.den, g)
+        if self.num.is_constant() or other.den.is_constant():
+            return self.num, other.den
+        _, num, den = cofactors(self.num, other.den)
+        return num, den
 
     def _inverse(self) -> "RatFn":
         """den/num scaled to a monic denominator."""
@@ -192,14 +199,12 @@ class RatFn:
         num, den = self.num, self.den
         if den.is_constant():
             return RatFn._of(num.partial(var), den)
-        d_den = den.partial(var)
-        g = gcd(den, d_den)
-        den_g = _divided(den, g)
-        t = num.partial(var) * den_g - num * _divided(d_den, g)
+        _, den_g, d_den_g = cofactors(den, den.partial(var))
+        t = num.partial(var) * den_g - num * d_den_g
         if t.is_zero():
             return RatFn.zero(self.nvars)
-        c = gcd(t, den)
-        return RatFn._of(_divided(t, c), _divided(den * den_g, c))
+        _, t, den_c = cofactors(t, den)
+        return RatFn._of(t, den_c * den_g)
 
     # -- evaluation ------------------------------------------------------
 
@@ -233,11 +238,6 @@ class RatFn:
         if self.is_polynomial():
             return f"RatFn({self.num.to_string()})"
         return f"RatFn(({self.num.to_string()}) / ({self.den.to_string()}))"
-
-
-def _divided(p: MultiPoly, g: MultiPoly | None) -> MultiPoly:
-    """p / g for a monic divisor g of p; p itself when g is None or 1."""
-    return p if g is None or g.is_constant() else exact_divide(p, g)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +350,13 @@ def _over_powers(num: MultiPoly, powers: List[Tuple[MultiPoly, int]]) -> RatFn:
     den = MultiPoly.const(num.nvars, 1)
     while powers:
         b, e = powers.pop()
-        g = None if num.is_constant() or b.is_constant() or not e else gcd(num, b)
-        if g is None or g.is_constant():
-            c = b._constant_term()  # a constant base is a scalar power
-            den = den * (b ** e if c is None else c ** e)
-            continue
-        num = exact_divide(num, g)
-        powers += [(g, e - 1), (_divided(b, g), e)]
+        if e and not (num.is_constant() or b.is_constant()):
+            g, num_g, b_g = cofactors(num, b)
+            if not g.is_constant():
+                num = num_g
+                powers += [(g, e - 1), (b_g, e)]
+                continue
+        c = b._constant_term()  # a constant base is a scalar power
+        den = den * (b ** e if c is None else c ** e)
     inv = den.leading_coefficient().inverse()
     return RatFn._of(num * inv, den * inv)

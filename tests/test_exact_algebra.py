@@ -24,6 +24,7 @@ from residuum.errors import DivisionError, ZeroInputError
 from residuum.polynomials import (
     MultiPoly,
     _prs_gcd,
+    cofactors,
     discriminant,
     divides,
     exact_divide,
@@ -480,6 +481,14 @@ class TestFullGcd:
         # equal operands
         (SHARED * Z1 * Z2, SHARED * Z1 * Z2),
         ((W1 * W2 + W3) ** 2, (W1 * W2 + W3) ** 2),
+        # one-term operands: the gcd is the monomial of the least exponents
+        (3 * Z1 * Z1 * Z2, SHARED * Z1 * Z2),
+        (SHARED * Z2 * Z2, Z1 * Z2 ** 3 * I2),
+        (Z1 * Z2, SHARED),
+        (Z1 ** 2 * Z2, Fraction(2, 5) * Z1 * Z2 ** 3),
+        (Z2, Z1),
+        (W1 * W3 ** 2, (W1 + W2) * W3),
+        ((W1 * W2 + W3) * W2, W1 * W2 ** 2 * W3 * GaussianRational(2, -1)),
     ])
     def test_edge_cases(self, p, q):
         assert_gcd_agrees(p, q)
@@ -503,6 +512,64 @@ class TestFullGcd:
         monkeypatch.setattr(polynomials, "_zi_interpolate",
                             lambda h, var, xi: {(1, 0): (1, 0), (0, 0): (1, 0)})
         assert gcd(p, q) == monic_grlex(SHARED)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(c x^a h, b) for random c x^a, h and b: p shares a monomial with b
+    at most, and sometimes is one."""
+    nvars = draw(st.sampled_from([2, 3]))
+    mono = MultiPoly(nvars, {draw(st.tuples(*[st.integers(0, 3)] * nvars)):
+                             draw(gaussian_coeffs)})
+    h = draw(st.sampled_from([MultiPoly.const(nvars, 1), draw(polys(nvars, 3))]))
+    return mono * h, draw(polys(nvars))
+
+
+class TestCofactors:
+    """cofactors(p, q) is (gcd(p, q), p/g, q/g) exactly, on every path."""
+
+    @staticmethod
+    def check(p, q):
+        g, a, b = cofactors(p, q)
+        assert g == gcd(p, q)
+        assert g * a == p and g * b == q
+        return g, a, b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(planted_pairs().map(lambda pqh: pqh[:2]), monomial_pairs()))
+    def test_quotients_times_gcd_give_the_operands(self, pq):
+        p, q = pq
+        self.check(p, q)
+        self.check(q, p)
+
+    def test_unit_content_is_not_dropped(self):
+        # the Z[i] content of -z3 - 1 is the unit -1, which the heuristic
+        # keeps in its primitive part
+        p, q = -W3 - ONE3, W3 + ONE3
+        assert self.check(p, q) == (W3 + ONE3, -ONE3, ONE3)
+
+    def test_unit_gcd_returns_the_operands(self):
+        p, q = SHARED * (Z1 + Z2), SHARED * Z1 + ONE2
+        g, a, b = self.check(p, q)
+        assert g == ONE2 and a is p and b is q
+
+    def test_monomial_gcd_shifts_exponents(self):
+        p, q = 3 * Z1 * Z1 * Z2, SHARED * Z1 * Z2
+        assert self.check(p, q) == (Z1 * Z2, 3 * Z1, SHARED)
+
+    def test_zero_operands(self):
+        p = GaussianRational(0, 2) * SHARED
+        zero = MultiPoly.zero(2)
+        lc = MultiPoly.const(2, p.leading_coefficient())
+        assert self.check(p, zero) == (monic_grlex(p), lc, zero)
+        assert self.check(zero, p) == (monic_grlex(p), zero, lc)
+        assert cofactors(zero, zero) == (zero, zero, zero)
+
+    def test_fallback_divides(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "_heu_gcd", lambda f, g: None)
+        p, q = SHARED * (Z1 + Z2), SHARED * (Z1 - Z2 * Z2)
+        assert self.check(p, q) == (monic_grlex(SHARED), exact_divide(p, monic_grlex(SHARED)),
+                                    exact_divide(q, monic_grlex(SHARED)))
 
 
 def reference_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -583,13 +650,14 @@ class TestHashFollowsEquality:
     @settings(max_examples=100, deadline=None)
     @given(operands, operands)
     def test_equality_is_transitive(self, x, y):
-        # each value as a scalar, a constant MultiPoly and a constant RatFn;
-        # a == b == c must give a == c, so a constant MultiPoly equals its
-        # int as the RatFn equal to both does
+        # each value as a scalar, and as a constant MultiPoly and RatFn in 2
+        # and 3 variables; a == b == c must give a == c, so a constant
+        # MultiPoly equals its int as the RatFn equal to both does, and
+        # constants in different numbers of variables equal each other
         def representations(v):
             z = gr(v) if isinstance(v, tuple) else GaussianRational.from_any(v)
             reals = [] if z.im else [z.re] + ([int(z.re)] if z.re.denominator == 1 else [])
-            return reals + [z, MultiPoly.const(2, z), RatFn.const(2, z)]
+            return reals + [z] + [c(n, z) for n in (2, 3) for c in (MultiPoly.const, RatFn.const)]
 
         values = representations(x) + representations(y)
         for a in values:
@@ -1079,6 +1147,13 @@ class TestRatFnPartial:
         assert_same(RatFn(Z2, Z1).partial(1), RatFn(ONE2, Z1))
         assert RatFn(Z1, Z2 * Z2).partial(1) == RatFn(-2 * Z1, Z2 ** 3)
         assert RatFn(ONE2, Z2 + ONE2).partial(0).is_zero()
+
+    def test_variable_the_denominator_lacks(self):
+        # d/dz2 of (-i z2 z3 - i)/z3 = -i: the denominator's derivative is
+        # 0, so gcd(den, 0) = den and den/g = 1
+        i = GaussianRational(0, 1)
+        f = RatFn(-i * W2 * W3 - i * ONE3, W3)
+        assert_same(f.partial(1), RatFn.const(3, -i))
 
 
 # ---------------------------------------------------------------------------

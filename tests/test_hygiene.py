@@ -26,6 +26,10 @@ nested in it reads is dead too.  So is a module-level import whose name the
 module never reads.  And a name that a function or comprehension reads as a
 global must be defined: by the module, after import, or as a builtin.
 
+No module or class body defines one name twice (by def, class or
+assignment): the later definition replaces the earlier one, which is dead
+but still counts as a definition for the rules above.
+
 Every default value, of a parameter or of a dataclass field, is listed in
 `DEFAULTS` with a caller that omits it: a default that every call passes
 anyway is a second way to write the same call.
@@ -63,6 +67,31 @@ def _definitions():
 def _corpus() -> str:
     return "\n".join(path.read_text() for top in SEARCHED
                      for path in sorted((ROOT / top).rglob("*.py")))
+
+
+def _redefined():
+    """(file, scope, name) for every name that one module or class body of
+    the package defines twice, by def, class or assignment: the later
+    definition silently replaces the earlier one."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            names = Counter()
+            for stmt in scope.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names[stmt.name] += 1
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            name = getattr(scope, "name", "<module>")
+            out += [(path.name, name, n) for n, k in sorted(names.items()) if k > 1]
+    return out
+
+
+def test_no_body_defines_a_name_twice():
+    twice = _redefined()
+    assert not twice, f"defined twice in one body: {twice}"
 
 
 def test_every_definition_is_referenced():

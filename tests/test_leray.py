@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -306,6 +307,17 @@ class TestCanonicalRepresentative:
     def test_chart_variable_must_occur_in_rho(self):
         with pytest.raises(ChartError):
             HypersurfaceForm(Z1 - ONE, 1, DZ1)
+
+    def test_fields_cannot_be_assigned(self):
+        # a new rep would skip the normalisation that equals and is_zero
+        # rely on: rho itself is zero on Y
+        rho = Z1 * Z1 - Z2
+        h = HypersurfaceForm(rho, 0, MeroForm.function(RatFn(Z1)))
+        with pytest.raises(FrozenInstanceError):
+            h.rep = MeroForm.function(RatFn(rho))
+        with pytest.raises(FrozenInstanceError):
+            h.var = 1
+        assert HypersurfaceForm(rho, 0, MeroForm.function(RatFn(rho))).is_zero()
 
 
 class TestSimplePoleResidueForm:
