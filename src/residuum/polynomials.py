@@ -688,8 +688,9 @@ def _shifted(p: MultiPoly, b: Exponent) -> MultiPoly:
 def _zi_with_lc(f: dict, nvars: int, lc: GaussianRational) -> MultiPoly:
     """The scalar multiple of the Z[i] polynomial f whose graded-lex leading
     coefficient is lc."""
-    s = lc / GaussianRational(*f[max(f, key=_grlex_key)])
-    return MultiPoly._of(nvars, {e: GaussianRational(a, b) * s for e, (a, b) in f.items()})
+    ((sa, sb),), d = _over_common_denominator([lc / GaussianRational(*f[max(f, key=_grlex_key)])])
+    return MultiPoly._of(nvars, {e: _reduced(a * sa - b * sb, a * sb + b * sa, d)
+                                 for e, (a, b) in f.items()})
 
 
 def _heu_gcd(f: dict, g: dict) -> tuple | None:
