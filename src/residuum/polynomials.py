@@ -5,11 +5,11 @@ GaussianRational coefficients.  The canonical term order is graded
 lexicographic (total degree first, ties broken lexicographically with
 variable 0 strongest); normalization and serialization both use it.
 
-A constant operand of `*` or a constant divisor of `exact_divide` is a
-scalar: the result multiplies each coefficient once, and a factor 1 returns
-the other operand itself.  Otherwise a product runs on the Z[i] numerators
-over a common denominator, and `exact_divide` keys its remainder by packed
-monomials, one int per exponent whose order is graded-lex order.
+A constant operand of `*` is a scalar: the result multiplies each
+coefficient once, and a factor 1 returns the other operand itself; a
+one-term divisor of `exact_divide` likewise shifts exponents and scales.
+Otherwise products, gcds and exact divisions with several-term operands
+all run on Z[i] numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -380,74 +380,33 @@ def monic_grlex(p: MultiPoly) -> MultiPoly:
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Return p/q if q divides p exactly, else raise DivisionError.
 
-    A constant q multiplies p by its inverse.  Otherwise the division runs
-    on packed monomials (Monagan and Pearce, CASC 2007): each exponent is one
-    int, see `_pack`, so the leading term of the remainder is the largest
-    int key, a monomial product is an int sum, and x^lq divides x^lr when no
-    field borrows in lr - lq.  Only the quotient is unpacked.
+    A one-term q = c x^b (a constant is b = 0) divides p iff x^b divides
+    every term of p, and p/q is p shifted down by b and scaled by 1/c.
+    Any other q runs the gcd's trial division `_zi_quotient` on Z[i]
+    numerators: p times a denominator, by q made primitive in Z[i][x].
+    That is exact by Gauss's lemma (Z[i] is a UFD): a primitive divisor
+    over Q(i) also divides over Z[i], so the trial division fails only if
+    q does not divide p.  Its quotient is p/q up to a scalar, and since
+    graded-lex leading terms multiply, the scalar makes the leading
+    coefficient lc(p)/lc(q).
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiPoly.zero(p.nvars)
     p._check(q)
-    c = q._constant_term()
-    if c is not None:
+    if len(q.terms) == 1:
+        (b, c), = q.terms.items()
+        if any(b):
+            if any(i < j for e in p.terms for i, j in zip(e, b)):
+                raise DivisionError(f"{q!r} does not divide {p!r}")
+            p = _shifted(p, b)
         return p._scaled(c.inverse())
-    top = max(map(sum, p.terms))
-    lq = q.leading_exponent()
-    if sum(lq) > top:
+    g = _to_zi(q)[0]
+    f = _zi_quotient(_to_zi(p)[0], _zi_div_exact(g, _zi_content(g)))
+    if f is None:
         raise DivisionError(f"{q!r} does not divide {p!r}")
-    # every remainder monomial has total degree <= top, so a field of
-    # width(top) bits below its guard bit holds each exponent
-    width = top.bit_length() + 1
-    guard = 0
-    for _ in range(p.nvars + 1):
-        guard = guard << width | 1 << (width - 1)
-    cq = q.terms[lq]
-    lq_key = _pack(lq, width)
-    rest = [(_pack(e, width), k) for e, k in q.terms.items() if e != lq]
-    rem = {_pack(e, width): k for e, k in p.terms.items()}
-    quot: Dict[int, GaussianRational] = {}
-    while rem:
-        lr = max(rem)
-        diff = (lr | guard) - lq_key  # a field keeps its guard bit iff it did not borrow
-        if diff & guard != guard:
-            raise DivisionError(f"{q!r} does not divide {p!r}")
-        diff ^= guard
-        c = rem.pop(lr) / cq
-        quot[diff] = c
-        for e, k in rest:  # rem -= c * x^diff * (q - lead term)
-            m = e + diff
-            s = rem.get(m)
-            if s is None:
-                rem[m] = -(c * k)
-            else:
-                s = s - c * k
-                if s.is_zero():
-                    del rem[m]
-                else:
-                    rem[m] = s
-    mask = (1 << width) - 1
-    terms: Dict[Exponent, GaussianRational] = {}
-    for key, c in quot.items():
-        exp = []
-        for _ in range(p.nvars):
-            exp.append(key & mask)
-            key >>= width
-        terms[tuple(reversed(exp))] = c
-    return MultiPoly._of(p.nvars, terms)
-
-
-def _pack(exp: Exponent, width: int) -> int:
-    """The monomial x^exp as one int: its total degree, then exp[0], ...,
-    exp[-1], in fields of `width` bits from the most significant down.
-    While every field is below 2^(width-1), the top (guard) bit of each
-    field is 0 and int order is graded-lex order."""
-    key = sum(exp)
-    for e in exp:
-        key = key << width | e
-    return key
+    return _zi_with_lc(f, p.nvars, p.leading_coefficient() / q.leading_coefficient())
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
@@ -818,7 +777,8 @@ def _zi_interpolate(h: dict, var: int, xi: int) -> dict:
 def _zi_quotient(f: dict, g: dict) -> dict | None:
     """f / g if g divides f in Z[i][x], else None: exact division by
     lex-leading terms, stopping at the first monomial or coefficient that
-    does not divide."""
+    does not divide.  This is the one exact division: the gcd's trial
+    division, and `exact_divide` for a divisor of several terms."""
     lg = max(g)
     if any(i < j for i, j in zip(max(f), lg)):
         return None

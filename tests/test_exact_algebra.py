@@ -682,14 +682,14 @@ class TestExactDivide:
     @given(st.sampled_from([2, 3]).flatmap(
         lambda n: st.tuples(polys(n, 6), polys(n, 5), st.integers(0, 9))))
     def test_matches_term_by_term_division(self, pqk):
-        # packed keys against tuple keys: same quotient, same term order
+        # the Z[i] trial division against the graded-lex division on
+        # GaussianRationals: the same quotient, or a raise on both
         p, q, k = pqk
         if q.is_constant():
             q = q + MultiPoly.variable(q.nvars, k % q.nvars) ** (k + 1)
         prod = p * q
         got, expect = exact_divide(prod, q), reference_divide(prod, q)
         assert got == expect == p
-        assert list(got.terms) == list(expect.terms)
         # a non-multiple fails where the reference fails
         other = prod + MultiPoly.variable(p.nvars, 0) ** k
         try:
@@ -698,15 +698,44 @@ class TestExactDivide:
             with pytest.raises(DivisionError):
                 exact_divide(other, q)
         else:
-            assert list(exact_divide(other, q).terms) == list(expect.terms)
+            assert exact_divide(other, q) == expect
 
     def test_high_degrees_fill_their_fields(self):
-        # total degree 15 takes 4 bits a field and 16 would take 5
+        # divisors of total degree 15, products of total degree up to 23
         for q in (Z1 ** 7 * Z2 ** 8 + Z2 + ONE2, Z1 ** 15 + ONE2, Z2 ** 15 - Z1):
             for p in (Z1 + Z2, ONE2, Z1 ** 8 - 3 * Z2):
                 got = exact_divide(p * q, q)
-                assert got == p
-                assert list(got.terms) == list(reference_divide(p * q, q).terms)
+                assert got == reference_divide(p * q, q) == p
+
+    @pytest.mark.parametrize("p,q", [
+        (Z1 + ONE2, 2 * Z1 + 2 * ONE2),
+        ((Z1 + Z2) * (Z1 + ONE2), (Z1 + ONE2) * GaussianRational(1, 1)),
+        ((Z1 * Z2 + ONE2) * (Z1 + Z2), 3 * (Z1 + Z2)),
+    ])
+    def test_divisor_with_a_nonunit_content(self, p, q):
+        # q's Z[i] numerators have content 2, 1 + i and 3, which does not
+        # divide p's: the quotients 1/2, (z1 + z2)/(1 + i) and (z1 z2 + 1)/3
+        # are found only once q is made primitive
+        got = exact_divide(p, q)
+        assert got == reference_divide(p, q)
+        assert got * q == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda n: st.tuples(
+        polys(n, 5), st.tuples(*[st.integers(0, 2)] * n), gaussian_coeffs)))
+    def test_one_term_divisor(self, pbc):
+        # q = c x^b divides p iff no exponent of p is below b
+        p, b, c = pbc
+        q = MultiPoly(p.nvars, {b: c})
+        try:
+            expect = reference_divide(p, q)
+        except DivisionError:
+            assert any(i < j for e in p.terms for i, j in zip(e, b))
+            with pytest.raises(DivisionError):
+                exact_divide(p, q)
+        else:
+            assert exact_divide(p, q) == expect
+            assert exact_divide(p * q, q) == p
 
     @pytest.mark.parametrize("p,q", [
         (Z1, Z1 * Z2),                      # larger total degree
@@ -715,6 +744,7 @@ class TestExactDivide:
         (Z1 ** 2 * Z2, Z2 ** 2),
         (Z1 ** 9 + Z2, Z2 ** 2 + Z1),       # the leading term divides, a later one not
         (W1 ** 4 * W3, W2 * W3 + ONE3),
+        (Z1 ** 3 * Z2 + Z1, Z1 ** 2),       # a one-term q divides one term of p, not the other
     ])
     def test_non_divisor_raises(self, p, q):
         with pytest.raises(DivisionError):
