@@ -25,7 +25,7 @@ from typing import List, Tuple
 from .bump import BumpFunction
 from .errors import IrrationalPole
 from .forms import TestForm
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, cofactors
 from .quadrature import (
     LimitResult,
     circle_nodes,
@@ -87,11 +87,17 @@ def _deflate(coeffs: List[GaussianRational], a: GaussianRational):
     return acc[:-1], acc[-1]
 
 
+def _coeffs(p: MultiPoly, deg: int) -> List[GaussianRational]:
+    """The coefficients of a one-variable p, highest first, from degree
+    max(deg_z p, deg) down."""
+    zero = GaussianRational(0)
+    return [p.terms.get((e,), zero) for e in range(max(p.degree_in(0), deg), -1, -1)]
+
+
 def _taylor(p: MultiPoly, a: GaussianRational, n: int) -> List[GaussianRational]:
     """The first n coefficients of p in powers of z - a, lowest first: a
     Taylor shift by repeated synthetic division (Knuth, TAOCP 2, 4.6.4)."""
-    zero = GaussianRational(0)
-    coeffs = [p.terms.get((e,), zero) for e in range(max(p.degree_in(0), n - 1), -1, -1)]
+    coeffs = _coeffs(p, n - 1)
     shifted = []
     for _ in range(n):
         coeffs, value = _deflate(coeffs, a)
@@ -109,8 +115,7 @@ def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
     deg = den.degree_in(0)
     if deg <= 0:
         return []
-    zero = GaussianRational(0)
-    coeffs = [den.terms.get((e,), zero) for e in range(deg, -1, -1)]
+    coeffs = _coeffs(den, deg)
     numeric = np.roots([complex(c) for c in coeffs])
     roots: List[Tuple[GaussianRational, int]] = []
     for r in numeric:
@@ -221,9 +226,10 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
         raise ValueError("one-variable data expected")
     gap = abs(float(phi.radius) - abs(center - complex(phi.center[0])))
     eps0 = min(float(phi.radius) / 4.0, 0.5 * gap) if gap > 0 else float(phi.radius) / 4.0
-    # keep all circles clear of the other poles
-    other = [complex(p) for p, _ in find_rational_roots(g.den)
-             if abs(complex(p) - center) > 1e-12]
+    # keep all circles clear of the other poles: the roots of den's
+    # squarefree part are simple, so np.roots does not spread them
+    roots = np.roots([complex(c) for c in _coeffs(cofactors(g.den, g.den.partial(0))[1], 0)])
+    other = [complex(p) for p in roots if abs(complex(p) - center) > 1e-12]
     if other:
         eps0 = min(eps0, 0.5 * min(abs(p - center) for p in other))
     eps_list = eps_schedule(eps0)

@@ -810,23 +810,6 @@ def _zi_quotient(f: dict, g: dict) -> dict | None:
     return quot
 
 
-def gcd_in_var(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
-    """gcd of p, q viewed univariate in `var` over the rational-function field
-    of the remaining variables: the content in `var` is stripped."""
-    if p.is_zero() and q.is_zero():
-        raise ZeroInputError("gcd of two zero polynomials")
-    if p.is_zero():
-        return monic_grlex(q)
-    if q.is_zero():
-        return monic_grlex(p)
-    if not (p.depends_on(var) and q.depends_on(var)):
-        return MultiPoly.const(p.nvars, 1)
-    # Gauss's lemma: the gcd over the function field is the primitive part
-    # of the full gcd
-    g = gcd(p, q)
-    return primitive_part_in_var(g, var) if g.depends_on(var) else MultiPoly.const(p.nvars, 1)
-
-
 # ---------------------------------------------------------------------------
 # resultant / discriminant (subresultant PRS, certified by exact division)
 # ---------------------------------------------------------------------------
@@ -888,52 +871,37 @@ def discriminant(p: MultiPoly, var: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition (gcd ladder, with respect to one variable)
+# squarefree decomposition (Yun's algorithm, with respect to one variable)
 # ---------------------------------------------------------------------------
 
-def _field_div_primitive(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
-    """Primitive part of p/q when q divides p over the function field in `var`.
-
-    p * lc(q)^(dp-dq+1) is exactly divisible by q whenever the field-quotient
-    exists; the var-free content introduced that way is stripped afterwards.
-    """
-    if not q.depends_on(var):
-        return primitive_part_in_var(p, var) if p.depends_on(var) else monic_grlex(p)
-    dp, dq = p.degree_in(var), q.degree_in(var)
-    if dp < dq:
-        raise DivisionError("field division with deficient degree")
-    lc = q.leading_coefficient_in(var)
-    quot = exact_divide(p * (lc ** (dp - dq + 1)), q)
-    return primitive_part_in_var(quot, var) if quot.depends_on(var) else monic_grlex(quot)
-
-
 def squarefree_decompose(p: MultiPoly, var: int) -> List[Tuple[MultiPoly, int]]:
-    """Squarefree decomposition of p in `var`.
+    """[(a_i, i)] for the a_i not free of `var`, with p = u prod a_i^i, u free
+    of `var`, and the a_i pairwise coprime, squarefree in `var` (not
+    necessarily irreducible), primitive in `var` and graded-lex monic.
 
-    The product of factor^multiplicity equals p up to a factor free of `var`;
-    factors are pairwise coprime and squarefree in `var` (not necessarily
-    irreducible).
+    Yun's algorithm (D. Y. Y. Yun, SYMSAC 1976) on f, the primitive part of
+    p in `var`: (_, b, c) = `cofactors`(f, f'), then (a_i, b, c) =
+    `cofactors`(b, c - b') for i = 1, 2, ..., ' = d/d`var`.  It is exact:
+
+    * f is primitive in `var`, so every divisor of it is too, and a full
+      gcd over Q(i)[x] of its divisors is their gcd over the field of
+      rational functions in the other variables up to a unit (Gauss's
+      lemma); `gcd` makes it graded-lex monic, 1 when it is a unit.
+    * `cofactors` returns the exact quotients of both operands by one g.
+    * b_i = prod_{j >= i} a_j is free of `var` after the largest
+      multiplicity, so at most deg_var p steps run.
     """
     if p.is_zero():
         raise ZeroInputError("squarefree decomposition of zero")
-    if not p.depends_on(var):
-        return []
     f = primitive_part_in_var(p, var)
-    g = gcd_in_var(f, f.partial(var), var)
-    if not g.depends_on(var):
-        return [(f, 1)]
-    w = _field_div_primitive(f, g, var)
+    _, b, c = cofactors(f, f.partial(var))
     out: List[Tuple[MultiPoly, int]] = []
-    i = 1
-    while w.depends_on(var):
-        y = gcd_in_var(w, g, var) if g.depends_on(var) else MultiPoly.const(p.nvars, 1)
-        z = _field_div_primitive(w, y, var)
-        if z.depends_on(var):
-            out.append((z, i))
-        w = y
-        if g.depends_on(var) and y.depends_on(var):
-            g = _field_div_primitive(g, y, var)
-        i += 1
-        if i > p.degree_in(var) + 1:
-            raise DivisionError("squarefree ladder failed to terminate")
+    for i in range(1, p.degree_in(var) + 1):
+        if not b.depends_on(var):
+            break
+        a, b, c = cofactors(b, c - b.partial(var))
+        if a.depends_on(var):
+            out.append((a, i))
+    if b.depends_on(var):
+        raise DivisionError("squarefree decomposition did not end after deg_var p steps")
     return out
