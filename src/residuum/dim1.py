@@ -229,7 +229,7 @@ def contour_residue_numeric(g: RatFn, phi: BumpFunction,
     # keep all circles clear of the other poles: the roots of den's
     # squarefree part are simple, so np.roots does not spread them
     roots = np.roots([complex(c) for c in _coeffs(cofactors(g.den, g.den.partial(0))[1], 0)])
-    other = [complex(p) for p in roots if abs(complex(p) - center) > 1e-12]
+    other = [r for r in map(complex, roots) if abs(r - center) > 1e-12]
     if other:
         eps0 = min(eps0, 0.5 * min(abs(p - center) for p in other))
     eps_list = eps_schedule(eps0)

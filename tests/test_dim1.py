@@ -253,7 +253,6 @@ class TestContourOracle:
         c1 = contour_residue_numeric(g_shift, phi_shift, center=complex(a)).value
         assert c1 == pytest.approx(c0, rel=1e-10)
 
-
     def test_circles_an_irrational_pole(self):
         # the circles' clearance from the other poles does not rationalise
         # them: 1/(z^2 - 2) at sqrt 2 has residue 1/(2 sqrt 2)

@@ -954,8 +954,9 @@ def planted_squarefree(draw):
     """(var, p, planted): p = u prod f^m over planted = [(f, m)], 1 to 3
     variables, 1 to 3 factors f = a x + c of positive degree in x = z_var
     (usually squarefree and pairwise coprime), multiplicities 1 to 3 and u
-    free of var.  a has degree at most 1 in each variable: with degree 2,
-    gcds of three-variable p took 6 to over 60 s."""
+    free of var.  a has degree at most 1 in each variable, which keeps
+    three-variable products small: GCDHEU's cost grows fast with their
+    degrees (ROADMAP item 6)."""
     nvars = draw(st.integers(1, 3))
     var = draw(st.integers(0, nvars - 1))
     x, one = MultiPoly.variable(nvars, var), MultiPoly.const(nvars, 1)
