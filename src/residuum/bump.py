@@ -128,12 +128,18 @@ class BumpFunction:
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at complex points, shape (..., nvars) -> (...).
 
-        Points outside the support (t >= 1) are not evaluated: their value
-        is written as 0.  On the points inside it, each term's polynomial is
-        evaluated by Horner's rule in z_1, ..., z_n, zbar_1, ..., zbar_n,
-        variable z_1 outermost (`polynomials._horner`), on the columns of the
-        points and their conjugates; log(1 - t) is taken once for all terms.
-        A point's value does not depend on the other points passed with it.
+        t is summed over the variables one column at a time, left to right
+        from 0.0, each column (rel * conj(rel)).real with rel = z_i - a_i.
+        Points outside the support (t >= 1, or t NaN) are not evaluated:
+        when there are any, the points inside are copied out through a mask
+        and their values written back into zeros.  When every point is
+        inside, nothing is copied and the sum of the terms is returned
+        itself.  Each term's polynomial is evaluated by Horner's rule in
+        z_1, ..., z_n, zbar_1, ..., zbar_n, variable z_1 outermost
+        (`polynomials._horner`), on the columns of the points and their
+        conjugates; log(1 - t) is taken once for all terms, and only when
+        some term has m > 0.  A point's value does not depend on the other
+        points passed with it, so both paths give it the same bits.
         """
         import numpy as np
 
@@ -144,22 +150,27 @@ class BumpFunction:
             else:
                 raise ValueError("point dimension mismatch")
         shape = pts.shape[:-1]
+        if not self.terms:
+            return np.zeros(shape, dtype=complex)
         pts = pts.reshape(-1, self.nvars)
-        ctr = np.array([complex(c) for c in self.center])
-        rel = pts - ctr
-        t = np.sum((rel * np.conj(rel)).real, axis=-1) / float(self.radius) ** 2
-        del rel  # a full-grid array: free it before the terms' arrays are built
+        rels = (pts[:, i] - complex(a) for i, a in enumerate(self.center))
+        t = sum(((rel * np.conj(rel)).real for rel in rels), 0.0) / float(self.radius) ** 2
         inside = t < 1.0
-        out = np.zeros(t.shape, dtype=complex)
-        pts = pts[inside]
-        u = 1.0 - t[inside]
+        everywhere = inside.all()
+        if not everywhere:
+            pts = pts[inside]
+            t = t[inside]
+        u = 1.0 - t
         zs = [pts[:, i] for i in range(self.nvars)]
         cols = zs + [np.conj(z) for z in zs]
-        log_u = np.log(u)
+        log_u = np.log(u) if any(m for _, m, _ in self.terms) else None
         acc = 0j
         for p, m, c in self.terms:
             damp = np.exp(-c / u - m * log_u) if m else np.exp(-c / u)
             acc = acc + _horner_numeric(p, cols) * damp
+        if everywhere:
+            return acc.reshape(shape)
+        out = np.zeros(inside.shape, dtype=complex)
         out[inside] = acc
         return out.reshape(shape)
 

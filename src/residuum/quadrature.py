@@ -107,9 +107,14 @@ def radial_panels(inner: float, outer, order: int):
     return rs.reshape(len(outer), -1), ws.reshape(len(outer), -1)
 
 
+@lru_cache(maxsize=None)
 def circle_nodes(n_theta: int) -> np.ndarray:
     """e^{i theta} at the unit-circle nodes theta_k = 2 pi k / N (trapezoid
-    weights 2 pi / N)."""
+    weights 2 pi / N), computed once per N and returned read-only, since
+    every caller shares it: vp_1d and the contour oracle ask for the same
+    few N."""
     import numpy as np
 
-    return np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
+    nodes = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
+    nodes.flags.writeable = False
+    return nodes

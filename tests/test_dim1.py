@@ -296,6 +296,18 @@ class TestRichardsonResidual:
                 assert err <= max(res.residual, quadrature.ABS_TOL)
 
 
+class TestCircleNodes:
+    @pytest.mark.parametrize("n_theta", [32, 64, 128, 512, 1024])
+    def test_fixed_read_only_table(self, n_theta):
+        nodes = circle_nodes(n_theta)
+        want = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
+        assert nodes.dtype == want.dtype and np.array_equal(nodes, want)
+        assert np.array_equal(np.signbit(nodes.view(float)), np.signbit(want.view(float)))
+        with pytest.raises(ValueError):
+            nodes[0] = 0
+        assert circle_nodes(n_theta) is nodes
+
+
 def vp_by_dblquad(g, chi) -> complex:
     """int g(z) chi dz ^ dzbar over the square |x|, |y| <= 1 by scipy's adaptive
     dblquad, with dz ^ dzbar = -2i dA; the integrand must be bounded."""

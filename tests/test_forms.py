@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from residuum.bump import BumpFunction, embed_holomorphic
 from residuum.forms import MeroForm, TestForm, merge_indices
-from residuum.polynomials import MultiPoly
+from residuum.polynomials import MultiPoly, _horner_numeric
 from residuum.ratfn import RatFn
 from residuum.scalars import GaussianRational
 
@@ -247,6 +247,118 @@ class TestBump:
         assert b.eval_numeric(np.array([z])).shape == ()
         assert b.eval_numeric(np.array([[z]])).shape == (1,)
         assert complex(b.eval_numeric(z)) == got[6, 7]
+
+
+def reference_eval(b, points):
+    """`BumpFunction.eval_numeric` with one path for every grid: points
+    inside the support copied out through a mask and their values scattered
+    into zeros, t by `np.sum` over the last axis, log(1 - t) always taken."""
+    pts = np.asarray(points, dtype=complex)
+    if b.nvars == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
+        pts = pts[..., np.newaxis]
+    shape = pts.shape[:-1]
+    pts = pts.reshape(-1, b.nvars)
+    rel = pts - np.array([complex(c) for c in b.center])
+    t = np.sum((rel * np.conj(rel)).real, axis=-1) / float(b.radius) ** 2
+    inside = t < 1.0
+    out = np.zeros(t.shape, dtype=complex)
+    pts = pts[inside]
+    u = 1.0 - t[inside]
+    zs = [pts[:, i] for i in range(b.nvars)]
+    cols = zs + [np.conj(z) for z in zs]
+    log_u = np.log(u)
+    acc = 0j
+    for p, m, c in b.terms:
+        damp = np.exp(-c / u - m * log_u) if m else np.exp(-c / u)
+        acc = acc + _horner_numeric(p, cols) * damp
+    out[inside] = acc
+    return out.reshape(shape)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+OFF_ORIGIN = (GaussianRational(Fraction(1, 3), Fraction(1, 5)),
+              GaussianRational(Fraction(-1, 2), Fraction(1, 7)),
+              GaussianRational(Fraction(1, 4), Fraction(-1, 3)))
+
+
+class TestBumpEvalBitForBit:
+    """eval_numeric against `reference_eval`, bit for bit and sign of zero
+    included, on its all-inside path and its masked one."""
+
+    @staticmethod
+    def bumps(n):
+        # from_poly has terms with m = 0 only, its d/dzbar terms with m > 0
+        rng = random.Random(n)
+        terms = {tuple(rng.randint(0, 2) for _ in range(2 * n)):
+                 GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                  Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                 for _ in range(5)}
+        poly = MultiPoly(2 * n, terms) - MultiPoly.variable(2 * n, 0)
+        b = BumpFunction.from_poly(n, Fraction(3, 2), poly, center=OFF_ORIGIN[:n])
+        assert all(m == 0 for _, m, _ in b.terms)
+        db = b.dzbar(n - 1)
+        assert any(m > 0 for _, m, _ in db.terms)
+        return b, db
+
+    @staticmethod
+    def inside_grid(n, shape):
+        # points strictly inside the support, the centre among them, and
+        # some with every coordinate real or imaginary relative to it
+        rng = np.random.default_rng(n)
+        a = np.array([complex(c) for c in OFF_ORIGIN[:n]])
+        rel = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+        norm = np.sqrt(np.sum(np.abs(rel) ** 2, axis=-1, keepdims=True))
+        rel *= 1.5 * rng.uniform(0.0, 0.99, size=shape + (1,)) / norm
+        flat = rel.reshape(-1, n)
+        flat[:len(flat) // 3] = flat[:len(flat) // 3].real
+        flat[len(flat) // 3:len(flat) // 2] = 1j * flat[len(flat) // 3:len(flat) // 2].imag
+        flat[-1:] = 0
+        return a + rel
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(), (7,), (6, 5)])
+    def test_all_inside_grid(self, n, shape):
+        pts = self.inside_grid(n, shape)
+        for b in self.bumps(n):
+            got = b.eval_numeric(pts)
+            assert got.shape == shape
+            assert_same_bits(got, reference_eval(b, pts))
+            assert_same_bits(b.eval_numeric(np.asfortranarray(pts)), got)
+            if n == 1:
+                assert_same_bits(b.eval_numeric(pts[..., 0]), got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("last", ["outside", "nan"])
+    def test_one_point_off_the_support_appended(self, n, last):
+        pts = self.inside_grid(n, (40,))
+        if last == "outside":
+            extra = np.array([complex(c) + 2.0 for c in OFF_ORIGIN[:n]])
+        else:
+            extra = np.full(n, complex(np.nan, 0.0))
+        crossing = np.concatenate([pts, extra[None, :]])
+        for b in self.bumps(n):
+            got = b.eval_numeric(crossing)
+            assert_same_bits(got, reference_eval(b, crossing))
+            assert got[-1] == 0
+            assert_same_bits(got[:-1], b.eval_numeric(pts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_bump_and_empty_points(self, n):
+        zero = BumpFunction(n, Fraction(3, 2), [], center=OFF_ORIGIN[:n])
+        for shape in [(), (7,), (6, 5)]:
+            pts = self.inside_grid(n, shape)
+            assert_same_bits(zero.eval_numeric(pts), np.zeros(shape, dtype=complex))
+            assert_same_bits(zero.eval_numeric(pts), reference_eval(zero, pts))
+        empty = np.zeros((0, n), dtype=complex)
+        for b in self.bumps(n) + (zero,):
+            assert_same_bits(b.eval_numeric(empty), np.zeros(0, dtype=complex))
+            assert_same_bits(b.eval_numeric(empty), reference_eval(b, empty))
 
 
 def mp_exact(g: GaussianRational):
