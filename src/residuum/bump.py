@@ -156,8 +156,8 @@ class BumpFunction:
         rels = (pts[:, i] - complex(a) for i, a in enumerate(self.center))
         t = sum(((rel * np.conj(rel)).real for rel in rels), 0.0) / float(self.radius) ** 2
         inside = t < 1.0
-        everywhere = inside.all()
-        if not everywhere:
+        all_inside = inside.all()
+        if not all_inside:
             pts = pts[inside]
             t = t[inside]
         u = 1.0 - t
@@ -168,7 +168,7 @@ class BumpFunction:
         for p, m, c in self.terms:
             damp = np.exp(-c / u - m * log_u) if m else np.exp(-c / u)
             acc = acc + _horner_numeric(p, cols) * damp
-        if everywhere:
+        if all_inside:
             return acc.reshape(shape)
         out = np.zeros(inside.shape, dtype=complex)
         out[inside] = acc
