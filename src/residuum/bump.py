@@ -41,8 +41,8 @@ class BumpFunction:
         for poly, m, c in terms:
             if poly.nvars != 2 * self.nvars:
                 raise ValueError("polynomial part must have 2*nvars variables")
-            if m < 0 or c < 1:
-                raise ValueError("need m >= 0 and c >= 1")
+            if m < 0 or c < 1 or int(m) != m or int(c) != c:
+                raise ValueError(f"need integers m >= 0 and c >= 1, not {(m, c)!r}")
             key = (int(m), int(c))
             merged[key] = merged.get(key, MultiPoly.zero(2 * self.nvars)) + poly
         self.terms = [(p, m, c) for (m, c), p in sorted(merged.items()) if not p.is_zero()]

@@ -11,27 +11,24 @@ product, which every partial-fraction denominator divides a power of, is
 has no polynomial part, since its numerator has degree 0, so the
 decomposition is its entries alone.
 
-Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var: D_0 is the identity
-and D_s = w^-(2s-1) sum_a beta_a^(s) d^a/dz_var^a for s >= 1.  Each D_s is
-stored in one form only, ((a, c_a), ...) with c_a = RatFn(beta_a^(s),
-w^(2s-1)), and ((0, 1),) at s = 0; it acts as eta -> sum_a c_a
-d^a eta/dz_var^a.  The operators of one factor come as a tower:
-`transverse_operator(rho, var, S)` returns the betas and (D_0, ..., D_S)
-from a single run of the beta recursion.
+Transverse derivatives D_s = d^s/drho^s, w = drho/dz_var, follow one step:
+D_0 is the identity and D_(s+1) = w^-1 d/dz_var D_s.  So D_s = w^-(2s-1)
+sum_a beta_a^(s) d^a/dz_var^a for s >= 1, stored in one form only,
+((a, c_a), ...) with c_a = RatFn(beta_a^(s), w^(2s-1)), and ((0, 1),) at
+s = 0; it acts as eta -> sum_a c_a d^a eta/dz_var^a.
+`transverse_operator(rho, var, S)` returns the tower (D_0, ..., D_S) of one
+factor from a single run of the beta recursion; the betas stay inside it.
 
-`transverse_derivatives(f, w, betas, var)` applies the same betas to
-h = f/w, and it is the one construction of D_s h: the residue-operator
-table here and `leray.reduced_residue` both call it.  Every denominator on
-its path is known in advance, f.den times a power of w, so it never forms
-an intermediate RatFn.  It keeps f.den, which is free of z_var for every
-partial-fraction digit, out of the chain; the derivatives d^a h/dz_var^a are
-then polynomial numerators N_a over powers of w, one chain for all orders,
-and D_s h is sum_a beta_a N_a w^(s-a) over f.den w^(3s).  The caller turns
-each (numerator, denominator) pair into one canonical RatFn, after any
-factor of its own (the table's weight adds a power of w), so each output is
-normalised once and outputs are byte-identical to term-by-term RatFn
-arithmetic.  The table stores the tower's operators as they come, as
-`OperatorEntry.op`, and `leray.reduced_residue` as `SDescriptor.delta`.
+`transverse_derivatives(f, w, count, var)` takes the same step on the
+values D_s(f/w), s < count, and it is the one construction of them: the
+residue-operator table here and `leray.reduced_residue` both call it.  It
+carries polynomial numerators over denominators known in advance and forms
+no intermediate RatFn.  The caller turns each (numerator, denominator) pair
+into one canonical RatFn, after any factor of its own (the table's weight
+adds a power of w), so each output is normalised once and outputs are
+byte-identical to term-by-term RatFn arithmetic.  The table stores the
+tower's operators as they come, as `OperatorEntry.op`, and
+`leray.reduced_residue` as `SDescriptor.delta`.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from typing import Dict, List, Tuple
 
 from .errors import (
     CoprimalityViolation,
+    DenominatorError,
     DivisionError,
     FactorFreeOfVariable,
     NonSquarefreeFactor,
@@ -79,15 +77,16 @@ def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> Facto
     """Validate a factor list in the distinguished variable: each factor
     squarefree (nonzero discriminant) and the factors pairwise coprime
     (nonzero resultants).  A factor with a factor free of `var` (unseen by
-    this chart) raises FactorFreeOfVariable."""
+    this chart) raises FactorFreeOfVariable, and a multiplicity that is not
+    an integer >= 1 raises DenominatorError."""
     if not factors:
         raise ZeroInputError("empty factor list")
     checked: List[Factor] = []
     for i, (rho, mult) in enumerate(factors):
         if rho.is_zero():
             raise ZeroInputError(f"factor {i} is zero")
-        if mult < 1:
-            raise ValueError(f"factor {i} has multiplicity {mult} < 1")
+        if mult < 1 or int(mult) != mult:
+            raise DenominatorError(f"factor {i} has multiplicity {mult!r}, not an integer >= 1")
         coeffs = rho.coeffs_in_var(var)  # no content gcd when a coefficient is constant
         if max(coeffs) < 1 or not (any(c.is_constant() for c in coeffs.values())
                                    or content_in_var(rho, var).is_constant()):
@@ -199,13 +198,10 @@ def _verify_recombination(pfd: PartialFractionDecomp, fd: FactoredDenominator,
 # ---------------------------------------------------------------------------
 
 Operator = Tuple[Tuple[int, RatFn], ...]  # ((a, c_a), ...): eta -> sum_a c_a d^a eta/dz_var^a
-Betas = Tuple[Tuple[MultiPoly, ...], ...]  # betas[s] = (beta_1^(s), ..., beta_s^(s))
 
 
-def transverse_operator(rho: MultiPoly, var: int,
-                        order: int) -> Tuple[Betas, Tuple[Operator, ...]]:
-    """(betas, tower) for D_0, ..., D_order: betas[s] = (beta_1^(s), ...,
-    beta_s^(s)), betas[0] = (), and tower[s] = D_s as ((a, c_a), ...) with
+def transverse_operator(rho: MultiPoly, var: int, order: int) -> Tuple[Operator, ...]:
+    """The tower (D_0, ..., D_order): D_s as ((a, c_a), ...) with
     c_a = beta_a^(s)/w^(2s-1), and D_0 = ((0, 1),).  The betas come from one
     run of the first-order recursion
 
@@ -222,51 +218,40 @@ def transverse_operator(rho: MultiPoly, var: int,
     nvars = rho.nvars
     wp = w.partial(var)
     zero = MultiPoly.zero(nvars)
-    betas: List[Tuple[MultiPoly, ...]] = [(), (MultiPoly.const(nvars, 1),)][:order + 1]
-    for s in range(2, order + 1):
-        prev = betas[-1] + (zero,)  # beta^(s-1), with beta_s^(s-1) = 0
-        k_wp = (2 * s - 3) * wp
-        betas.append(tuple(w * b.partial(var) - k_wp * b + (w * prev[i - 1] if i else zero)
-                           for i, b in enumerate(prev)))
     tower = [((0, RatFn.one(nvars)),)]
-    for s, bs in enumerate(betas[1:], 1):
-        scale = w if s == 1 else scale * w * w  # w^(2s-1)
-        tower.append(tuple((a, RatFn(b, scale)) for a, b in enumerate(bs, 1)))
-    return tuple(betas), tuple(tower)
+    betas, scale = (MultiPoly.const(nvars, 1),), w  # beta^(1), w^(2s-1) at s = 1
+    for s in range(1, order + 1):
+        if s > 1:
+            prev = betas + (zero,)  # beta^(s-1), with beta_s^(s-1) = 0
+            k_wp = (2 * s - 3) * wp
+            betas = tuple(w * b.partial(var) - k_wp * b + (w * prev[i - 1] if i else zero)
+                          for i, b in enumerate(prev))
+            scale = scale * w * w
+        tower.append(tuple((a, RatFn(b, scale)) for a, b in enumerate(betas, 1)))
+    return tuple(tower)
 
 
-def transverse_derivatives(f: RatFn, w: MultiPoly, betas: Betas,
+def transverse_derivatives(f: RatFn, w: MultiPoly, count: int,
                            var: int) -> List[Tuple[MultiPoly, MultiPoly]]:
-    """D_s(f/w) = num_s/den_s for s = 0, ..., len(betas) - 1, with w =
-    drho/dz_var and betas from `transverse_operator`, as unreduced pairs
-    (num_s, den_s): the caller forms one RatFn per output, after any factor
-    of its own, and that is the only normalisation.
+    """D_s(f/w) = num_s/den_s for s < count, w = drho/dz_var, as unreduced
+    pairs: the caller forms one RatFn per output, after any factor of its
+    own, and that is the only normalisation.  With F = f.den and out = 1
+    when f.den depends on z_var, else F = 1 and out = f.den (as for every
+    digit of `partial_fractions`), the step D_(s+1) = w^-1 d/dz_var D_s gives
 
-    With f/w = f.num/(out * D), where D = w and out = f.den when f.den is free
-    of z_var (every digit of `partial_fractions` is), else D = f.den * w and
-    out = 1, the derivatives are polynomial numerators over powers of D:
+        D_s(f/w) = N_s / (out * w^(2s+1) * F^(s+1)),    N_0 = f.num,
+        N_(s+1) = w F N_s' - ((2s+1) w' F + (s+1) w F') N_s,
 
-        d^a(f/w)/dz_var^a = N_a / (out * D^(a+1)),
-        N_0 = f.num,   N_(a+1) = D dN_a/dz_var - (a+1) dD/dz_var N_a,
-
-    so D_s(f/w) = sum_a beta_a^(s) N_a D^(s-a) / (out * w^(2s-1) * D^(s+1)),
-    whose numerator is formed by Horner's rule in D; with D = w the
-    denominator is out * w^(3s).  No gcd runs here.
+    with ' = d/dz_var; no gcd runs.
     """
-    if f.den.depends_on(var):
-        out, d = MultiPoly.const(f.nvars, 1), f.den * w
-    else:
-        out, d = f.den, w
-    dp = d.partial(var)
-    chain = [f.num]
-    den = out * d
-    pairs = [(f.num, den)]
-    for s in range(1, len(betas)):
-        chain.append(d * chain[-1].partial(var) - dp * chain[-1] * s)
-        num = MultiPoly.zero(f.nvars)
-        for b, n_a in zip(betas[s], chain[1:]):  # Horner's rule in D
-            num = num * d + b * n_a
-        den = den * (w * d if s == 1 else w * w * d)  # out * w^(2s-1) * D^(s+1)
+    one = MultiPoly.const(f.nvars, 1)
+    big_f, out = (f.den, one) if f.den.depends_on(var) else (one, f.den)
+    wf, wpf, wfp = w * big_f, w.partial(var) * big_f, w * big_f.partial(var)
+    num, den = f.num, out * wf
+    pairs = [(num, den)]
+    for s in range(count - 1):
+        num = wf * num.partial(var) - ((2 * s + 1) * wpf + (s + 1) * wfp) * num
+        den = den * w * wf  # out * w^(2s+3) * F^(s+2)
         pairs.append((num, den))
     return pairs
 
@@ -298,22 +283,24 @@ def residue_operator_data(pfd: PartialFractionDecomp,
     """Assemble the full (k, mu, l) table for one distinguished variable:
     with c = c_(k, mu), g = D_l(c/w) at l = mu - 1, else
     C(mu-1, l) D_l(c/w) / w^(2(mu-l)-3), and op is D_(mu-1-l).  Each factor
-    takes one tower of operators, each c one derivative chain, and each
-    cell is one RatFn formed from the chain's numerator and denominator."""
+    takes one tower of operators; each nonzero c takes its values
+    D_0(c/w), ..., D_(mu-1)(c/w) from one `transverse_derivatives` run, and
+    each of its cells is one RatFn formed from a value's numerator and
+    denominator times the weight.  The cells of a zero c are zero."""
     if pfd.var != fd.var:
         raise ValueError("partial fractions and denominator use different variables")
     var = fd.var
     entries: Dict[Tuple[int, int, int], OperatorEntry] = {}
     for k, f in enumerate(fd.factors):
         w = f.rho.partial(var)
-        betas, tower = transverse_operator(f.rho, var, f.multiplicity - 1)
+        tower = transverse_operator(f.rho, var, f.multiplicity - 1)
         for mu in range(1, f.multiplicity + 1):
             c = pfd.coefficient(k, mu)
             if c.is_zero():  # every D_l of 0 is 0
                 entries.update(((k, mu, l), OperatorEntry(c, tower[mu - 1 - l]))
                                for l in range(mu))
                 continue
-            chain = transverse_derivatives(c, w, betas[:mu], var)
+            chain = transverse_derivatives(c, w, mu, var)
             for l, (num, den) in enumerate(chain):
                 if l < mu - 1:
                     num, den = num * comb(mu - 1, l), den * w ** (2 * (mu - l) - 3)

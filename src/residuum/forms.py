@@ -36,10 +36,17 @@ def merge_indices(a: Index, b: Index) -> Tuple[Index | None, int]:
     return merged, -1 if inv % 2 else 1
 
 
+def _integer(x) -> int:
+    """x as an int; ValueError unless x is integral."""
+    if int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _checked(idx, size: int, bound: int) -> Index:
-    """idx as a tuple of ints, checked to be strictly increasing, of length
-    `size` and inside range(bound)."""
-    idx = tuple(int(i) for i in idx)
+    """idx as a tuple of ints, checked to be integral, strictly increasing,
+    of length `size` and inside range(bound)."""
+    idx = tuple(_integer(i) for i in idx)
     if len(idx) != size or list(idx) != sorted(set(idx)):
         raise ValueError(f"bad index set {idx} for degree {size}")
     if any(not 0 <= i < bound for i in idx):
@@ -125,7 +132,7 @@ class MeroForm(_Form):
     __slots__ = ()
 
     def __init__(self, nvars: int, degree: int, coeffs: Dict[Index, RatFn]):
-        self.nvars, self.grading = int(nvars), int(degree)
+        self.nvars, self.grading = _integer(nvars), _integer(degree)
         self.terms = _summed((_checked(idx, self.grading, self.nvars),
                               RatFn.from_any(c, self.nvars))
                              for idx, c in coeffs.items())
@@ -203,8 +210,8 @@ class TestForm(_Form):
 
     def __init__(self, nvars: int, bidegree: Tuple[int, int],
                  coeffs: Dict[Tuple[Index, Index], BumpFunction]):
-        n = self.nvars = int(nvars)
-        q, r = self.grading = (int(bidegree[0]), int(bidegree[1]))
+        n = self.nvars = _integer(nvars)
+        q, r = self.grading = (_integer(bidegree[0]), _integer(bidegree[1]))
         self.terms = _summed((_checked(iset, q, n) + tuple(n + j for j in _checked(jset, r, n)), b)
                              for (iset, jset), b in coeffs.items())
 

@@ -353,13 +353,13 @@ def reduced_residue(omega: MeroForm,
             if not ld.r_terms:
                 continue
             w = factor.rho.partial(var)
-            betas, tower = transverse_operator(factor.rho, var, max(ld.r_terms) - 1)
+            tower = transverse_operator(factor.rho, var, max(ld.r_terms) - 1)
             for nu, e_nu in sorted(ld.r_terms.items()):
                 if e_nu.is_zero():
                     continue
-                # D_s(f/w) for s < nu, one derivative chain per coefficient f,
-                # each output normalised once
-                derivs = {key: transverse_derivatives(f, w, betas[:nu], var)
+                # D_s(f/w) for s < nu by the step D_(s+1) = w^-1 d/dz_var D_s,
+                # one run per coefficient f, each output normalised once
+                derivs = {key: transverse_derivatives(f, w, nu, var)
                           for key, f in e_nu.coeffs.items()}
                 for l in range(0, nu):
                     coeff = GaussianRational(comb(nu - 1, l)) \

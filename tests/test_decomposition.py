@@ -5,7 +5,7 @@ from math import comb, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from residuum import decomposition, ratfn
 from residuum.bump import BumpFunction, embed_holomorphic
@@ -20,6 +20,7 @@ from residuum.decomposition import (
 )
 from residuum.errors import (
     CoprimalityViolation,
+    DenominatorError,
     FactorFreeOfVariable,
     NonSquarefreeFactor,
 )
@@ -90,6 +91,12 @@ class TestPrepareDenominator:
         # variable and silently drop the other one
         with pytest.raises(FactorFreeOfVariable):
             prepare_denominator([(rho, 1)], var)
+
+    @pytest.mark.parametrize("mult", [0, -1, 1.5, Fraction(5, 2)])
+    def test_multiplicity_not_an_integer_at_least_one(self, mult):
+        # 1.5 and 5/2 would otherwise be truncated to 1 and 2
+        with pytest.raises(DenominatorError):
+            prepare_denominator([(PARABOLA, mult)], 0)
 
 
 class TestPartialFractions:
@@ -220,40 +227,33 @@ def derivatives_of(h: RatFn, rho: MultiPoly, order: int, var: int = 0):
     """[D_0 h, ..., D_order h] through `transverse_derivatives`, which takes
     f = h w and returns unreduced (num, den) pairs."""
     w = rho.partial(var)
-    betas, _ = transverse_operator(rho, var, order)
     return [RatFn(num, den) for num, den in
-            transverse_derivatives(h * RatFn(w), w, betas, var)]
+            transverse_derivatives(h * RatFn(w), w, order + 1, var)]
 
 
 class TestTransverseOperator:
     def test_order_zero_is_identity(self):
-        betas, tower = transverse_operator(PARABOLA, 0, 0)
+        tower = transverse_operator(PARABOLA, 0, 0)
         h = RatFn(Z1 ** 3 + Z2, Z1 - 2 * Z2 + ONE)
-        assert betas == ((),) and len(tower) == 1
+        assert len(tower) == 1
         assert derivatives_of(h, PARABOLA, 0) == [h]
         assert tower[0] == ((0, RatFn.one(2)),)
 
     def test_order_one_is_plain_derivative(self):
-        betas, tower = transverse_operator(PARABOLA, 0, 1)
-        assert betas[1] == (ONE,)
-        op = tower[1]
+        op = transverse_operator(PARABOLA, 0, 1)[1]
         w = RatFn(PARABOLA.partial(0))
         # beta_a = c_a w^(2s-1), s = 1
         assert tuple(c * w for _, c in op) == (RatFn.one(2),)
 
     @pytest.mark.parametrize("rho", [PARABOLA, Z1 * Z1 - Z2 ** 3, (ONE + Z2) * Z1 * Z1 - Z2])
     def test_tower_is_the_operators_of_each_order(self, rho):
-        betas, tower = transverse_operator(rho, 0, 4)
+        tower = transverse_operator(rho, 0, 4)
         # the order of D_s is its highest derivative, 0 for D_0 = ((0, 1),)
         assert [op[-1][0] for op in tower] == [0, 1, 2, 3, 4]
-        w = RatFn(rho.partial(0))
         for s in range(5):
-            assert transverse_operator(rho, 0, s) == (betas[:s + 1], tower[:s + 1])
-            # one beta_a per a = 1..s, and c_a = beta_a/w^(2s-1)
-            assert len(betas[s]) == len([a for a, _ in tower[s] if a >= 1]) == s
-            if s:
-                assert [c for _, c in tower[s]] == [RatFn(b) / w ** (2 * s - 1)
-                                                    for b in betas[s]]
+            assert transverse_operator(rho, 0, s) == tower[:s + 1]
+            # c_a = beta_a/w^(2s-1) for a = 1..s, as D_s alone gives it
+            assert tower[s] == reference_operator(rho, 0, s)[1]
 
     def test_order_two_parabola_exact(self):
         # substitution oracle: h = z1^3, z1 = sqrt(rho + z2)
@@ -280,7 +280,7 @@ class TestTransverseOperator:
 
     def test_linear_unit_coefficient(self):
         rho = Z1 - Z2 * Z2
-        op = transverse_operator(rho, 0, 3)[1][3]
+        op = transverse_operator(rho, 0, 3)[3]
         w = RatFn(rho.partial(0))
         # beta_a = c_a w^(2s-1), s = 3
         assert [c * w ** 5 for _, c in op] == [RatFn.zero(2), RatFn.zero(2), RatFn.one(2)]
@@ -291,7 +291,7 @@ class TestTransverseOperator:
         rng = np.random.default_rng(42 + s)
         poly = embed_holomorphic(Z1 * Z1 * Z1 + 2 * Z2) + MultiPoly.variable(4, 3) ** 2
         h = BumpFunction.from_poly(2, Fraction(4), poly)
-        op = transverse_operator(PARABOLA, 0, s)[1][s]
+        op = transverse_operator(PARABOLA, 0, s)[s]
         w = PARABOLA.partial(0)
         derivs = [h]
         for _ in range(s):
@@ -379,7 +379,7 @@ def quotient_rule(h: RatFn, var: int) -> RatFn:
 
 
 def reference_operator(rho: MultiPoly, var: int, order: int):
-    """(betas, test side) of D_order alone."""
+    """(betas, test side) of D_order alone, by its own beta recursion."""
     one = RatFn.one(rho.nvars)
     if order == 0:
         return (), ((0, one),)
@@ -457,8 +457,9 @@ def test_operator_table_matches_one_order_at_a_time(factors, charts):
 
 # ---------------------------------------------------------------------------
 # transverse_derivatives against a plain quotient-rule chain: the fibre
-# derivative D_(s+1) h = w^-1 d(D_s h)/dz_var, and the stored operators
-# sum_a c_a d^a h/dz_var^a, both by RatFn.partial
+# derivative D_(s+1) h = w^-1 d(D_s h)/dz_var, and the tower's operators
+# applied to the plain derivatives, sum_a c_a d^a h/dz_var^a, both by
+# RatFn.partial
 # ---------------------------------------------------------------------------
 
 small = st.integers(-3, 3)
@@ -495,11 +496,20 @@ def chain_inputs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(chain_inputs())
+# a denominator that depends on z_var and a non-constant lc_var(rho), which
+# no benchmark input reaches
+@example(((ONE + Z2) * Z1 * Z1 - Z2, 0, RatFn(Z1 * Z1, ONE + Z1), 3))
 def test_transverse_derivatives_match_the_quotient_rule_chain(inputs):
     rho, var, f, order = inputs
     w = rho.partial(var)
-    betas, tower = transverse_operator(rho, var, order)
-    got = [RatFn(num, den) for num, den in transverse_derivatives(f, w, betas, var)]
+    tower = transverse_operator(rho, var, order)
+    pairs = transverse_derivatives(f, w, order + 1, var)
+    # the denominators out * w^(2s+1) * F^(s+1), F = f.den only when it
+    # depends on z_var
+    big_f, out = (f.den, ONE) if f.den.depends_on(var) else (ONE, f.den)
+    assert [den for _, den in pairs] == [out * w ** (2 * s + 1) * big_f ** (s + 1)
+                                         for s in range(order + 1)]
+    got = [RatFn(num, den) for num, den in pairs]
     h = f / RatFn(w)
     fibre, plain = [h], [h]
     for _ in range(order):

@@ -76,6 +76,15 @@ class TestSum:
             other + zero
 
 
+class TestMeroForm:
+    @pytest.mark.parametrize("nvars, degree, key", [(2, 1, (0.5,)), (2, 1.5, (0,)),
+                                                    (2.5, 1, (0,)), (2, 1, (Fraction(1, 2),))])
+    def test_constructor_rejects_non_integral_values(self, nvars, degree, key):
+        # int() would read (0.5,) as (0,), so f*dz1
+        with pytest.raises(ValueError):
+            MeroForm(nvars, degree, {key: RatFn(Z1)})
+
+
 class TestExteriorD:
     def test_d_of_z1_dz2(self):
         form = DZ2.scale(RatFn(Z1))
@@ -151,6 +160,12 @@ class TestBump:
     def setup_method(self):
         poly = embed_holomorphic(Z1 * Z1 + 2 * Z2) + MultiPoly.variable(4, 2)  # z1^2+2z2+zbar1
         self.b = BumpFunction.from_poly(2, Fraction(2), poly)
+
+    @pytest.mark.parametrize("m, c", [(0.5, 1.9), (1, 1.5), (Fraction(3, 2), 1)])
+    def test_constructor_rejects_non_integral_exponents(self, m, c):
+        # int() would read (0.5, 1.9) as (0, 1)
+        with pytest.raises(ValueError):
+            BumpFunction(2, Fraction(2), [(MultiPoly.const(4, 1), m, c)], None)
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -418,6 +433,12 @@ class TestTestForm:
                                                ((2, 0), ((1, 0), ())), ((0, 1), ((0,), ()))])
     def test_constructor_rejects_bad_index_sets(self, bidegree, key):
         # an out-of-range dz index would alias a dzbar generator
+        with pytest.raises(ValueError):
+            TestForm(2, bidegree, {key: BumpFunction.radial(2, Fraction(2))})
+
+    @pytest.mark.parametrize("bidegree, key", [((1, 0), ((0.5,), ())), ((0, 1), ((), (1.5,))),
+                                               ((1.5, 0), ((0,), ()))])
+    def test_constructor_rejects_non_integral_values(self, bidegree, key):
         with pytest.raises(ValueError):
             TestForm(2, bidegree, {key: BumpFunction.radial(2, Fraction(2))})
 
