@@ -25,7 +25,7 @@ from typing import List, Tuple
 from .bump import BumpFunction
 from .errors import IrrationalPole
 from .forms import TestForm
-from .polynomials import MultiPoly, cofactors
+from .polynomials import _ZERO, MultiPoly, _deflate, _taylor, cofactors
 from .quadrature import (
     LimitResult,
     circle_nodes,
@@ -52,12 +52,13 @@ class LaurentPart:
         return len(self.coeffs)
 
     def as_ratfn(self) -> RatFn:
-        """sum_l a_{-l} (z-p)^(k-l) over (z-p)^k, canonical: monic, a_{-k} != 0."""
-        lin = MultiPoly.variable(1, 0) - MultiPoly.const(1, self.pole)
-        num = MultiPoly.zero(1)
-        for a in self.coeffs:  # Horner in (z - p)
-            num = num * lin + MultiPoly.const(1, a)
-        return RatFn._of(num, lin ** self.multiplicity)
+        """N(z-p)/(z-p)^k, N(u) = sum_l a_{-l} u^(k-l), canonical: monic and
+        N(0) = a_{-k} != 0; N(u) and u^k are Taylor-shifted by -p (`_taylor`)."""
+        k, a = self.multiplicity, -self.pole
+        num = _taylor(list(self.coeffs), a, k)
+        den = _taylor([GaussianRational(1)] + [_ZERO] * k, a, k + 1)
+        return RatFn._of(*(MultiPoly._of(1, {(j,): c for j, c in enumerate(t) if not c.is_zero()})
+                           for t in (num, den)))
 
 
 @dataclass(frozen=True)
@@ -77,32 +78,10 @@ def _rationalize(x: float) -> Fraction:
     return Fraction(x).limit_denominator(RATIONALIZE_MAX_DEN)
 
 
-def _deflate(coeffs: List[GaussianRational], a: GaussianRational):
-    """Synthetic (Horner-Ruffini) division of sum coeffs[i] z^(n-i) by z - a:
-    the quotient's coefficients, highest first, and the remainder, which is
-    the polynomial's value at a."""
-    acc = [coeffs[0]]
-    for c in coeffs[1:]:
-        acc.append(c + a * acc[-1])
-    return acc[:-1], acc[-1]
-
-
 def _coeffs(p: MultiPoly, deg: int) -> List[GaussianRational]:
     """The coefficients of a one-variable p, highest first, from degree
     max(deg_z p, deg) down."""
-    zero = GaussianRational(0)
-    return [p.terms.get((e,), zero) for e in range(max(p.degree_in(0), deg), -1, -1)]
-
-
-def _taylor(p: MultiPoly, a: GaussianRational, n: int) -> List[GaussianRational]:
-    """The first n coefficients of p in powers of z - a, lowest first: a
-    Taylor shift by repeated synthetic division (Knuth, TAOCP 2, 4.6.4)."""
-    coeffs = _coeffs(p, n - 1)
-    shifted = []
-    for _ in range(n):
-        coeffs, value = _deflate(coeffs, a)
-        shifted.append(value)
-    return shifted
+    return [p.terms.get((e,), _ZERO) for e in range(max(p.degree_in(0), deg), -1, -1)]
 
 
 def find_rational_roots(den: MultiPoly) -> List[Tuple[GaussianRational, int]]:
@@ -142,7 +121,8 @@ def principal_part(num: MultiPoly, den: MultiPoly, pole: GaussianRational, k: in
     """(a_{-1}, ..., a_{-k}) of num/den at a pole p of den of multiplicity k.
     In powers of z - p (`_taylor`), d_i = 0 for i < k and d_k != 0 certify k,
     and a_{-l} = t_{k-l}, t = sum n_i (z - p)^i / sum d_{k+i} (z - p)^i."""
-    d, n, t = _taylor(den, pole, 2 * k), _taylor(num, pole, k), []
+    d = _taylor(_coeffs(den, 2 * k - 1), pole, 2 * k)
+    n, t = _taylor(_coeffs(num, k - 1), pole, k), []
     if any(not c.is_zero() for c in d[:k]) or d[k].is_zero():
         raise ArithmeticError(f"{pole} is not a pole of multiplicity {k}")
     for j in range(k):  # n_j = sum_i d_{k+i} t_{j-i}, solved for t_j

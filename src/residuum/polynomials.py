@@ -270,21 +270,15 @@ class MultiPoly:
         return self.coeffs_in_var(var).get(d, MultiPoly.zero(self.nvars))
 
     def shift_var(self, var: int, a: GaussianRational) -> "MultiPoly":
-        """Substitute z_var -> z_var + a, by Horner's rule in z_var:
-        out = out * (z_var + a) + c_k from the top degree k down."""
+        """Substitute z_var -> z_var + a: the result's coefficients in z_var
+        are self's Taylor coefficients at a in z_var (`_taylor`)."""
         a = GaussianRational.from_any(a)
         if a.is_zero() or not self.terms:
             return self
-        zv = MultiPoly.variable(self.nvars, var) + MultiPoly.const(self.nvars, a)
         coeffs = self.coeffs_in_var(var)
-        top = max(coeffs)
-        out = coeffs[top]
-        for k in range(top - 1, -1, -1):
-            out = out * zv
-            c = coeffs.get(k)
-            if c is not None:
-                out = out + c
-        return out
+        top, zero = max(coeffs), MultiPoly.zero(self.nvars)
+        shifted = _taylor([coeffs.get(k, zero) for k in range(top, -1, -1)], a, top + 1)
+        return _join_in_var(dict(enumerate(shifted)), var, self.nvars)
 
     def __eq__(self, other):
         # a constant equals its value, as the RatFn equal to it does, so
@@ -364,6 +358,29 @@ def _horner_numeric(p: MultiPoly, cols: Sequence[np.ndarray]):
     if not p.terms:
         return 0j
     return _horner([(e, complex(c)) for e, c in p.terms.items()], cols)
+
+
+def _deflate(coeffs: List, a: GaussianRational):
+    """Synthetic (Horner-Ruffini) division of sum coeffs[i] z^(n-i) by z - a:
+    the quotient's coefficients, highest first, and the remainder, which is
+    the polynomial's value at a.  Coefficients, scalars or polynomials in
+    other variables, are multiplied as `c * a`: a MultiPoly scales directly."""
+    acc = [coeffs[0]]
+    for c in coeffs[1:]:
+        acc.append(c + acc[-1] * a)
+    return acc[:-1], acc[-1]
+
+
+def _taylor(coeffs: List, a: GaussianRational, n: int) -> List:
+    """The first n coefficients, lowest first, in powers of z - a of the
+    polynomial with coefficients `coeffs` (highest first, at least n of
+    them), scalars or polynomials in other variables: a Taylor shift by
+    repeated synthetic division (Knuth, TAOCP 2, 4.6.4)."""
+    shifted = []
+    for _ in range(n):
+        coeffs, value = _deflate(coeffs, a)
+        shifted.append(value)
+    return shifted
 
 
 # ---------------------------------------------------------------------------
