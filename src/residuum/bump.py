@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .polynomials import MultiPoly, _horner_numeric
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _exact, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,8 +28,8 @@ class BumpFunction:
 
     def __init__(self, nvars: int, radius, terms: List[Tuple[MultiPoly, int, int]],
                  center: Tuple[GaussianRational, ...] | None):
-        self.nvars = int(nvars)
-        self.radius = Fraction(radius)
+        self.nvars = _integer(nvars)
+        self.radius = _exact(radius)
         if self.radius <= 0:
             raise ValueError("support radius must be positive")
         if center is None:
@@ -41,10 +41,10 @@ class BumpFunction:
         for poly, m, c in terms:
             if poly.nvars != 2 * self.nvars:
                 raise ValueError("polynomial part must have 2*nvars variables")
-            if m < 0 or c < 1 or int(m) != m or int(c) != c:
+            m, c = _integer(m), _integer(c)
+            if m < 0 or c < 1:
                 raise ValueError(f"need integers m >= 0 and c >= 1, not {(m, c)!r}")
-            key = (int(m), int(c))
-            merged[key] = merged.get(key, MultiPoly.zero(2 * self.nvars)) + poly
+            merged[m, c] = merged.get((m, c), MultiPoly.zero(2 * self.nvars)) + poly
         self.terms = [(p, m, c) for (m, c), p in sorted(merged.items()) if not p.is_zero()]
 
     # -- constructors ---------------------------------------------------

@@ -40,6 +40,7 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from .errors import (
+    ChartError,
     CoprimalityViolation,
     DenominatorError,
     DivisionError,
@@ -77,12 +78,14 @@ def prepare_denominator(factors: List[Tuple[MultiPoly, int]], var: int) -> Facto
     """Validate a factor list in the distinguished variable: each factor
     squarefree (nonzero discriminant) and the factors pairwise coprime
     (nonzero resultants).  A factor with a factor free of `var` (unseen by
-    this chart) raises FactorFreeOfVariable, and a multiplicity that is not
-    an integer >= 1 raises DenominatorError."""
+    this chart) raises FactorFreeOfVariable, a multiplicity that is not an
+    integer >= 1 DenominatorError, and a var outside range(nvars) ChartError."""
     if not factors:
         raise ZeroInputError("empty factor list")
     checked: List[Factor] = []
     for i, (rho, mult) in enumerate(factors):
+        if not 0 <= var < rho.nvars:
+            raise ChartError(f"no variable {var} in factor {i} of {rho.nvars} variables")
         if rho.is_zero():
             raise ZeroInputError(f"factor {i} is zero")
         if mult < 1 or int(mult) != mult:

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 from .bump import BumpFunction
 from .polynomials import MultiPoly
 from .ratfn import RatFn
+from .scalars import _integer
 
 Index = Tuple[int, ...]
 
@@ -34,13 +35,6 @@ def merge_indices(a: Index, b: Index) -> Tuple[Index | None, int]:
     # count inversions: pairs (x in a, y in b) with y < x
     inv = sum(1 for x in a for y in b if y < x)
     return merged, -1 if inv % 2 else 1
-
-
-def _integer(x) -> int:
-    """x as an int; ValueError unless x is integral."""
-    if int(x) != x:
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
 
 
 def _checked(idx, size: int, bound: int) -> Index:

@@ -56,8 +56,11 @@ def to_frame(form: MeroForm, rho: MultiPoly, var: int) -> Dict[FrameKey, RatFn]:
         a = i(form) / w,    b = form|_{no dz_var} - (sum_{l != var} drho/dz_l dz_l) ^ a,
 
     since dz_var = (drho - sum_{l != var} drho/dz_l dz_l) / w.  The frame maps
-    (True, I) to a's dz_I coefficient and (False, I) to b's.
+    (True, I) to a's dz_I coefficient and (False, I) to b's.  A var outside
+    range(nvars) raises ChartError.
     """
+    if not 0 <= var < form.nvars:
+        raise ChartError(f"no chart variable {var} in {form.nvars} variables")
     w = RatFn(rho.partial(var))
     if w.is_zero():
         raise ChartError("factor free of the chart variable")

@@ -20,7 +20,7 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DivisionError, ZeroInputError
-from .scalars import GaussianRational, _over_common_denominator, _reduced
+from .scalars import GaussianRational, _integer, _over_common_denominator, _reduced
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,16 +39,17 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, GaussianRational]):
-        self.nvars = int(nvars)
+        self.nvars = _integer(nvars)
         clean: Dict[Exponent, GaussianRational] = {}
         for exp, c in terms.items():
             c = GaussianRational.from_any(c)
             if c.is_zero():
                 continue
             # integral exponents: two keys cannot name one monomial
-            if len(exp) != self.nvars or any(e < 0 or int(e) != e for e in exp):
+            exp = tuple(_integer(e) for e in exp)
+            if len(exp) != self.nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for nvars={self.nvars}")
-            clean[tuple(int(e) for e in exp)] = c
+            clean[exp] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------
@@ -75,6 +76,7 @@ class MultiPoly:
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
+        nvars, i = _integer(nvars), _integer(i)
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         exp = [0] * nvars

@@ -257,7 +257,8 @@ class RatFn:
 # denominator, so a caller forms one RatFn per result instead of one per
 # coefficient operation.  `uni_digits` is the one routine that expands a
 # quotient in powers of a factor rho: the partial fractions and the normal
-# forms on Y = Z(rho) are its digits (for rho = z - p, `dim1` Taylor-shifts).
+# forms on Y = Z(rho) are its digits (for rho = z - p, `dim1` Taylor-shifts
+# by `polynomials._taylor` instead).
 # It inverts the denominator modulo rho only, never modulo rho^m, and takes
 # the digits one at a time by a recurrence whose exact divisions by rho
 # certify them.

@@ -34,7 +34,7 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        re, im = _exact(re), _exact(im)
         rd, id_ = re.denominator, im.denominator
         # with both parts in lowest terms, the lcm of the denominators
         # leaves gcd(a, b, d) = 1
@@ -190,6 +190,21 @@ class GaussianRational:
 
 
 _new = object.__new__
+
+
+def _integer(x) -> int:
+    """x as an int; ValueError unless x is integral."""
+    if int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction; TypeError for a float, whose binary value (0.1 is
+    3602879701896397/2**55) would pass silently for the decimal meant."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact scalar; use an int or a Fraction")
+    return Fraction(x)
 
 
 def _scalar(x):

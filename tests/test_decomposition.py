@@ -19,6 +19,7 @@ from residuum.decomposition import (
     transverse_operator,
 )
 from residuum.errors import (
+    ChartError,
     CoprimalityViolation,
     DenominatorError,
     FactorFreeOfVariable,
@@ -91,6 +92,12 @@ class TestPrepareDenominator:
         # variable and silently drop the other one
         with pytest.raises(FactorFreeOfVariable):
             prepare_denominator([(rho, 1)], var)
+
+    @pytest.mark.parametrize("var", [2, -1])
+    def test_chart_variable_out_of_range(self, var):
+        # 2 indexed past the exponents, and -1 read z2 into a corrupt chart
+        with pytest.raises(ChartError):
+            prepare_denominator([(PARABOLA, 1), (Z1 - Z2, 1)], var)
 
     @pytest.mark.parametrize("mult", [0, -1, 1.5, Fraction(5, 2)])
     def test_multiplicity_not_an_integer_at_least_one(self, mult):

@@ -292,6 +292,12 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             GaussianRational(1) + object()
 
+    @pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (Fraction(1, 2), 2.0)])
+    def test_float_parts_rejected(self, parts):
+        # 0.1 would pass as its binary value 3602879701896397/2**55
+        with pytest.raises(TypeError):
+            GaussianRational(*parts)
+
     def test_zero_and_one(self):
         assert GaussianRational(Fraction(0, 3), Fraction(0, 5)).is_zero()
         assert GaussianRational(Fraction(3, 3)).is_one()
@@ -335,6 +341,16 @@ class TestArithmetic:
         # would name one monomial
         with pytest.raises(ValueError):
             MultiPoly(2, {exp: 1, (1, 0): 1})
+
+    def test_non_integral_nvars_rejected(self):
+        # int() would read 2.5 as 2 and build z1 in two variables
+        with pytest.raises(ValueError):
+            MultiPoly(2.5, {(1, 0): 1})
+
+    def test_variable_needs_integral_nvars(self):
+        # a ValueError, not the TypeError of the list product [0] * 2.5
+        with pytest.raises(ValueError):
+            MultiPoly.variable(2.5, 0)
 
     def test_exact_divide_roundtrip(self):
         p = (Z1 - Z2) * (Z1 + Z2) * (2 * Z1 * Z2 + ONE2)

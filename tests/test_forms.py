@@ -167,6 +167,16 @@ class TestBump:
         with pytest.raises(ValueError):
             BumpFunction(2, Fraction(2), [(MultiPoly.const(4, 1), m, c)], None)
 
+    def test_constructor_rejects_non_integral_nvars(self):
+        # int() would read 1.5 as 1 and build a bump in one variable
+        with pytest.raises(ValueError):
+            BumpFunction(1.5, 2, [(MultiPoly.const(2, 1), 0, 1)], None)
+
+    def test_float_radius_rejected(self):
+        # 0.1 would pass as its binary value 3602879701896397/2**55
+        with pytest.raises(TypeError):
+            BumpFunction.radial(1, 0.1)
+
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.8, 0.8, size=(10, 2)) + 1j * rng.uniform(-0.8, 0.8, size=(10, 2))

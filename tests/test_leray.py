@@ -139,6 +139,16 @@ class TestFrame:
                 frame = to_frame(omega, rho, var)
                 assert from_frame(frame, rho, n, degree) == omega
 
+    @pytest.mark.parametrize("var", [2, -1])
+    def test_chart_variable_out_of_range(self, var):
+        # rho.partial would raise an untyped error, and a var of -1 must not
+        # read the last variable
+        for build in (lambda: to_frame(DZ1, RHO, var),
+                      lambda: normal_form_on_hypersurface(DZ1, RHO, var),
+                      lambda: HypersurfaceForm(RHO, var, DZ1)):
+            with pytest.raises(ChartError):
+                build()
+
 
 class TestNormalForm:
     def test_substitution_identity_chart2(self):
