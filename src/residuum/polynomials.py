@@ -274,6 +274,8 @@ class MultiPoly:
     def shift_var(self, var: int, a: GaussianRational) -> "MultiPoly":
         """Substitute z_var -> z_var + a: the result's coefficients in z_var
         are self's Taylor coefficients at a in z_var (`_taylor`)."""
+        if not 0 <= var < self.nvars:
+            raise ValueError(f"variable index {var} out of range")
         a = GaussianRational.from_any(a)
         if a.is_zero() or not self.terms:
             return self

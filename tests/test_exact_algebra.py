@@ -1507,6 +1507,12 @@ class TestShiftVar:
             assert shifted.eval_exact(pt) == p.eval_exact(moved)
         assert shifted.shift_var(v, -a) == p
 
+    @pytest.mark.parametrize("var", [2, -1])
+    def test_variable_out_of_range(self, var):
+        # coeffs_in_var would read -1 as the last variable
+        with pytest.raises(ValueError):
+            (Z1 * Z1 - Z2).shift_var(var, 1)
+
 
 class TestEvalNumeric:
     @staticmethod

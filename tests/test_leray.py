@@ -141,8 +141,8 @@ class TestFrame:
 
     @pytest.mark.parametrize("var", [2, -1])
     def test_chart_variable_out_of_range(self, var):
-        # rho.partial would raise an untyped error, and a var of -1 must not
-        # read the last variable
+        # checked before rho.partial sees it, so -1 cannot name the last
+        # variable and 2 raises the chart's error, not a ValueError
         for build in (lambda: to_frame(DZ1, RHO, var),
                       lambda: normal_form_on_hypersurface(DZ1, RHO, var),
                       lambda: HypersurfaceForm(RHO, var, DZ1)):
