@@ -1,13 +1,14 @@
 """Residue currents of meromorphic 1-forms in one variable.
 
 A form g(z) dz with Gaussian-rational poles decomposes into exact Laurent
-principal parts, read off at a pole p of multiplicity k from Taylor shifts
-of num and den to powers of z - p; the residue current there is the
-delta-operator current sum_j b_j d^j/dz^j delta with b_j = (2 pi i / j!)
-times the Laurent coefficient a_{-(j+1)}.  A current stores each b_j once,
-as its Gaussian-rational factor a_{-(j+1)}/j! of 2 pi i; the float 2 pi i
-joins only when a test function is paired.  The constants are pinned by the
-contour oracle `contour_residue_numeric`, which is also exposed directly.
+principal parts, kept as their coefficients only (`LaurentPart`) and read
+off at a pole p of multiplicity k from Taylor shifts of num and den to
+powers of z - p; the residue current there is the delta-operator current
+sum_j b_j d^j/dz^j delta with b_j = (2 pi i / j!) times the coefficient
+a_{-(j+1)}.  A current stores each b_j once, as its Gaussian-rational
+factor a_{-(j+1)}/j! of 2 pi i; the float 2 pi i joins only when a test
+function is paired.  The constants are pinned by the contour oracle
+`contour_residue_numeric`, which is also exposed directly.
 
 Convention: (d^j delta_a)(phi) := (d^j phi/dz^j)(a), without the
 distributional (-1)^j; the b_j above are stated for this convention.
@@ -47,18 +48,18 @@ class LaurentPart:
         if not self.coeffs or self.coeffs[-1].is_zero():
             raise ValueError("a Laurent part needs a nonzero leading coefficient a_{-k}")
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.coeffs)
+    def eval_numeric(self, points):
+        """sum_l a_{-l} (z - p)^-l at an array of points, last axis the variable."""
+        return self.eval_offsets(points[..., 0] - complex(self.pole))
 
-    def as_ratfn(self) -> RatFn:
-        """N(z-p)/(z-p)^k, N(u) = sum_l a_{-l} u^(k-l), canonical: monic and
-        N(0) = a_{-k} != 0; N(u) and u^k are Taylor-shifted by -p (`_taylor`)."""
-        k, a = self.multiplicity, -self.pole
-        num = _taylor(list(self.coeffs), a, k)
-        den = _taylor([GaussianRational(1)] + [_ZERO] * k, a, k + 1)
-        return RatFn._of(*(MultiPoly._of(1, {(j,): c for j, c in enumerate(t) if not c.is_zero()})
-                           for t in (num, den)))
+    def eval_offsets(self, w):
+        """sum_l a_{-l} w^-l at offsets w = z - p by Horner's rule in 1/w: never
+        expanded, nor losing the bits of w that rounding z = p + w drops."""
+        u = 1.0 / w
+        acc = complex(self.coeffs[-1]) * u
+        for a in self.coeffs[-2::-1]:
+            acc = (acc + complex(a)) * u
+        return acc
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,8 @@ def vp_1d(g: RatFn, psi: TestForm) -> LimitResult:
     psi is a (0,1) test form b dzbar, b supported on |z - c| <= R; the
     integral excludes symmetric eps-disks around every pole (equivalent to
     the |f| >= eps family in the limit).  The exact Laurent split
-    g = regular + sum of principal parts h localizes each singular piece.
+    g = regular + sum of principal parts h localizes each singular piece;
+    each h is evaluated from its coefficients at offsets from its pole.
     Each region is a polar grid whose rays all end at the support's edge:
     order-VP_PANEL_ORDER Gauss-Legendre panels along each ray
     (`radial_panels`) times the angular trapezoid.
@@ -269,13 +271,13 @@ def vp_1d(g: RatFn, psi: TestForm) -> LimitResult:
     support = float(b.radius)
     center = complex(b.center[0])
     parts = laurent_parts(g)
-    principal = [(complex(part.pole), part.as_ratfn()) for part in parts]
+    principal = [(complex(part.pole), part) for part in parts]
     # g less its principal parts is its polynomial part, the quotient of num
     # by den; den is monic, so the pseudo-division multiplies num by 1
     _, quotient, _ = uni_divmod(g.num, g.den, 0)
     inside = [(p, h) for p, h in principal if abs(p - center) < support]
     outside = [h for p, h in principal if abs(p - center) >= support]
-    smooth = sum(outside, RatFn.from_any(quotient, 1))
+    smooth = outside if quotient.is_zero() else [quotient] + outside
     n_smooth = VP_OUTSIDE_POLE_ANGLES if outside else 1
     if not quotient.is_zero():
         freq_j = quotient.degree_in(0) + max(p.degree_in(0) for p, _, _ in b.terms)
@@ -283,20 +285,22 @@ def vp_1d(g: RatFn, psi: TestForm) -> LimitResult:
         n_smooth = max(n_smooth, freq_j + 1, freq_k + 1)
 
     def polar_integrals(fn, origin, regions):
-        # integral of fn * b * (-2i) dA over each polar grid (rs, ws, n_theta)
-        # about origin, from one evaluation on all their nodes: rs and ws
-        # hold each ray's radii and weights, or one row for all rays
-        grids = [origin + rs * circle_nodes(n)[:, None] for rs, _, n in regions]
-        zs = np.concatenate([z.ravel() for z in grids])[:, None]
-        vals = np.split(fn.eval_numeric(zs) * b.eval_numeric(zs),
-                        np.cumsum([z.size for z in grids])[:-1])
-        return [complex(np.sum(v.reshape(z.shape) * rs * ws) * (-4j * np.pi / n))
-                for v, z, (rs, ws, n) in zip(vals, grids, regions)]
+        # integral of fn(z - origin) * b * (-2i) dA over each polar grid
+        # (rs, ws, n_theta) about origin, from one evaluation on all their
+        # nodes: rs and ws hold each ray's radii and weights, or one row for all
+        offsets = [rs * circle_nodes(n)[:, None] for rs, _, n in regions]
+        w = np.concatenate([o.ravel() for o in offsets])
+        vals = np.split(fn(w) * b.eval_numeric((origin + w)[:, None]),
+                        np.cumsum([o.size for o in offsets])[:-1])
+        return [complex(np.sum(v.reshape(o.shape) * rs * ws) * (-4j * np.pi / n))
+                for v, o, (rs, ws, n) in zip(vals, offsets, regions)]
 
     total = 0j
-    if not smooth.is_zero():
+    if smooth:
         rs, ws = radial_panels(0.0, support, VP_PANEL_ORDER)
-        (total,) = polar_integrals(smooth, center, [(rs, ws, n_smooth)])
+        (total,) = polar_integrals(
+            lambda w: reduce(add, (f.eval_numeric((center + w)[:, None]) for f in smooth)),
+            center, [(rs, ws, n_smooth)])
     if not parts:
         return LimitResult(total, [(0.0, total)], 0.0, True, note="no poles")
 
@@ -312,7 +316,7 @@ def vp_1d(g: RatFn, psi: TestForm) -> LimitResult:
         beta = ((p - center) * np.conj(circle_nodes(n_theta))).real
         r_edge = -beta + np.sqrt(beta * beta + gap * (2.0 * support - gap))
         rs, ws = radial_panels(eps0, r_edge, VP_PANEL_ORDER)
-        per_pole.append(polar_integrals(h, p, [(rs, ws, n_theta)] + annuli))
+        per_pole.append(polar_integrals(h.eval_offsets, p, [(rs, ws, n_theta)] + annuli))
     values = []
     for level in range(len(eps_list)):
         for sums in per_pole:

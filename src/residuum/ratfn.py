@@ -209,14 +209,9 @@ class RatFn:
     # -- evaluation ------------------------------------------------------
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
-        """Values at complex points (last axis the variables); a constant
-        numerator or denominator is one scalar, not a filled array.  As for
-        `MultiPoly.eval_numeric`, a point's value does not depend on the
-        other points passed with it, bit for bit."""
-        if self.num.is_constant():
-            return complex(self.num.constant_value()) / self.den.eval_numeric(points)
-        if self.den.is_constant():
-            return self.num.eval_numeric(points) / complex(self.den.constant_value())
+        """num's values over den's at complex points (last axis the variables);
+        a point's value does not depend on the others, bit for bit.  Near a
+        pole of order k, den cancels by about (|p| / |z - p|)^k."""
         return self.num.eval_numeric(points) / self.den.eval_numeric(points)
 
     # -- comparison -------------------------------------------------------
