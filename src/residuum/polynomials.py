@@ -33,6 +33,13 @@ def _grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
+def _check_var(var: int, nvars: int):
+    """ValueError unless var indexes one of nvars variables: a negative
+    index would read the exponents from the end."""
+    if not 0 <= var < nvars:
+        raise ValueError(f"variable index {var} out of range for nvars={nvars}")
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with GaussianRational coefficients."""
 
@@ -65,10 +72,14 @@ class MultiPoly:
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
+        if type(nvars) is not int:  # ints skip the check: zero runs on hot paths
+            nvars = _integer(nvars)
         return MultiPoly._of(nvars, {})
 
     @staticmethod
     def const(nvars: int, c) -> "MultiPoly":
+        if type(nvars) is not int:
+            nvars = _integer(nvars)
         c = GaussianRational.from_any(c)
         if c.is_zero():
             return MultiPoly.zero(nvars)
@@ -77,8 +88,7 @@ class MultiPoly:
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
         nvars, i = _integer(nvars), _integer(i)
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for nvars={nvars}")
+        _check_var(i, nvars)
         exp = [0] * nvars
         exp[i] = 1
         return MultiPoly(nvars, {tuple(exp): GaussianRational(1)})
@@ -106,11 +116,13 @@ class MultiPoly:
         return c
 
     def degree_in(self, var: int) -> int:
+        _check_var(var, self.nvars)
         if self.is_zero():
             return -1
         return max(e[var] for e in self.terms)
 
     def depends_on(self, var: int) -> bool:
+        _check_var(var, self.nvars)
         return any(e[var] > 0 for e in self.terms)
 
     def leading_exponent(self) -> Exponent:
@@ -208,8 +220,7 @@ class MultiPoly:
             base = base * base
 
     def partial(self, var: int) -> "MultiPoly":
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
+        _check_var(var, self.nvars)
         terms: Dict[Exponent, GaussianRational] = {}
         for exp, c in self.terms.items():
             k = exp[var]
@@ -256,6 +267,7 @@ class MultiPoly:
 
     def coeffs_in_var(self, var: int) -> Dict[int, "MultiPoly"]:
         """View as univariate in `var`; values are polynomials with exponent 0 in `var`."""
+        _check_var(var, self.nvars)
         out: Dict[int, MultiPoly] = {}
         for exp, c in self.terms.items():
             k = exp[var]
@@ -274,8 +286,7 @@ class MultiPoly:
     def shift_var(self, var: int, a: GaussianRational) -> "MultiPoly":
         """Substitute z_var -> z_var + a: the result's coefficients in z_var
         are self's Taylor coefficients at a in z_var (`_taylor`)."""
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range")
+        _check_var(var, self.nvars)
         a = GaussianRational.from_any(a)
         if a.is_zero() or not self.terms:
             return self

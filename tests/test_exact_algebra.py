@@ -25,6 +25,7 @@ from residuum.polynomials import (
     MultiPoly,
     _prs_gcd,
     cofactors,
+    content_in_var,
     discriminant,
     divides,
     exact_divide,
@@ -351,6 +352,32 @@ class TestArithmetic:
         # a ValueError, not the TypeError of the list product [0] * 2.5
         with pytest.raises(ValueError):
             MultiPoly.variable(2.5, 0)
+
+    @pytest.mark.parametrize("make", [MultiPoly.zero, lambda n: MultiPoly.const(n, 1),
+                                      RatFn.zero], ids=["MultiPoly.zero", "MultiPoly.const",
+                                                        "RatFn.zero"])
+    def test_zero_and_const_need_integral_nvars(self, make):
+        # zero took 2.5 as nvars; const raised the TypeError of (0,) * 2.5
+        with pytest.raises(ValueError):
+            make(2.5)
+        assert make(2.0).nvars == 2 and type(make(2.0).nvars) is int
+
+    @pytest.mark.parametrize("var", [-1, 2])
+    @pytest.mark.parametrize("query", [
+        lambda p, v: p.degree_in(v),
+        lambda p, v: p.depends_on(v),
+        lambda p, v: p.coeffs_in_var(v),
+        lambda p, v: resultant(p, Z1 - Z2, v),
+        lambda p, v: uni_divmod(p, Z1 - Z2, v),
+        lambda p, v: discriminant(p, v),
+        lambda p, v: content_in_var(p, v),
+        lambda p, v: squarefree_decompose(p, v),
+    ], ids=["degree_in", "depends_on", "coeffs_in_var", "resultant", "uni_divmod",
+            "discriminant", "content_in_var", "squarefree_decompose"])
+    def test_variable_index_out_of_range(self, query, var):
+        # degree_in(-1) read the last variable; the others raised IndexError
+        with pytest.raises(ValueError, match="out of range"):
+            query(Z1 * Z1 - Z2, var)
 
     def test_exact_divide_roundtrip(self):
         p = (Z1 - Z2) * (Z1 + Z2) * (2 * Z1 * Z2 + ONE2)
