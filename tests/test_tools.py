@@ -3,8 +3,8 @@ into the medians, quartiles and pair counts of a BENCH_*.json;
 `tools/bench_pairs.timed_passes` and `raw_medians`, which read each run's
 number of timed passes, raw pass time and reference loop;
 `tools/bench_pairs.main`, which records both checkouts' stage
-digests and traced per-layer metrics; `tools/stage_digests.run_digest`, which hashes a workload's
-outputs; and `tools/oracle_errors.py`, which reports the `dim1` oracles'
+digests and traced per-layer metrics; `tools/stage_digests.run_digests`, which hashes each
+stage's outputs of a workload and, apart, its errors; and `tools/oracle_errors.py`, which reports the `dim1` oracles'
 worst errors."""
 
 import importlib.util
@@ -108,8 +108,8 @@ def _fake_main(tmp_path, monkeypatch, digests):
     (median 2/n) and a median reference loop of n/10 ms, or with --trace 1
     no passes line and
     per-layer metrics x.calls (n passes times the seed) and x.total_s, and
-    tools/stage_digests.py prints one line per (workload, seed) ending in
-    digests[side].  Returns the written JSON and the commands run."""
+    tools/stage_digests.py prints one line per (workload, seed, stage),
+    for a stage `s` and `errors`, each ending in digests[side].  Returns the written JSON and the commands run."""
     passes = {"parent": 10, "change": 20}
     for side in passes:
         (tmp_path / side).mkdir()
@@ -123,7 +123,7 @@ def _fake_main(tmp_path, monkeypatch, digests):
             side = Path(cmd[2]).name
             seeds = cmd[cmd.index("--seeds") + 1:cmd.index("--workloads")]
             return types.SimpleNamespace(stdout="".join(
-                f"w seed {s} {digests[side]}\n" for s in seeds))
+                f"w seed {s} {stage} {digests[side]}\n" for s in seeds for stage in ("s", "errors")))
         n = passes[Path(cwd).name]
         if cmd[cmd.index("--trace") + 1] == "1":
             seed = int(cmd[cmd.index("--seed") + 1])
@@ -151,7 +151,8 @@ class TestStageDigestsInBench:
         out = _fake_main(tmp_path, monkeypatch, {"parent": "abc", "change": "abc"})
         block = out["stage_digests"]
         assert block["seeds"] == [5, 7]
-        assert block["parent"] == block["change"] == ["w seed 5 abc", "w seed 7 abc"]
+        assert block["parent"] == block["change"] == [
+            "w seed 5 s abc", "w seed 5 errors abc", "w seed 7 s abc", "w seed 7 errors abc"]
         assert block["outputs_identical"] is True
         # both checkouts are hashed by the change's tool, once each
         runs = [c for c in out["commands"] if c[1].endswith("stage_digests.py")]
@@ -182,14 +183,15 @@ class TestTracedRuns:
         assert [c[c.index("--seed") + 1] for c in runs[6:]] == ["5", "5"]
 
 
-def _fake_workloads(outputs):
-    """A module with the interface `run_digest` reads: WORKLOADS, run_cases
+def _fake_workloads(outputs, probe_error="probe"):
+    """A module with the interface `run_digests` reads: WORKLOADS, run_cases
     and check_runs (here finding no mismatch).  Workload "w" has one case,
-    whose one stage returns `outputs[seed]`, and one probe that raises."""
+    whose stages a and b return outputs[seed][0] and outputs[seed][1], and
+    one probe that raises ValueError(probe_error) in stage a."""
 
     class W:
         def __init__(self, seed):
-            self.cases = [("case", {"stage": outputs[seed]})]
+            self.cases = [("case", dict(zip("ab", outputs[seed])))]
             self.probes = [("probe", {})]
 
     def run_cases(cases):
@@ -199,7 +201,7 @@ def _fake_workloads(outputs):
                                         outputs=dict(outs), error=None, error_stage=None,
                                         mismatches=[])
             if not outs:
-                run.error, run.error_stage = ValueError("probe"), "stage"
+                run.error, run.error_stage = ValueError(probe_error), "a"
             runs.append(run)
         return 0.0, runs
 
@@ -209,17 +211,30 @@ def _fake_workloads(outputs):
 
 class TestRunDigest:
     def test_same_outputs_same_digest(self):
-        wl = _fake_workloads({5: (1, "a"), 7: (1, "a"), 9: (2, "a")})
-        first = stage_digests.run_digest(wl, "w", 5)
-        assert len(first) == 64
-        assert stage_digests.run_digest(wl, "w", 5) == first
-        assert stage_digests.run_digest(wl, "w", 7) == first
-        assert stage_digests.run_digest(wl, "w", 9) != first
+        wl = _fake_workloads({5: (1, "a"), 7: (1, "a")})
+        first = stage_digests.run_digests(wl, "w", 5)
+        assert list(first) == ["a", "b", "errors"]
+        assert all(len(d) == 64 for d in first.values())
+        assert stage_digests.run_digests(wl, "w", 5) == first
+        assert stage_digests.run_digests(wl, "w", 7) == first
+
+    def test_a_moved_stage_moves_its_line_only(self):
+        wl = _fake_workloads({5: (1, "a"), 7: (2, "a"), 9: (1, "b")})
+        base, *moved = (stage_digests.run_digests(wl, "w", s) for s in (5, 7, 9))
+        assert [[k for k in base if d[k] != base[k]] for d in moved] == [["a"], ["b"]]
+
+    def test_errors_line_covers_errors_and_mismatches(self):
+        base = stage_digests.run_digests(_fake_workloads({5: (1, "a")}), "w", 5)
+        other = stage_digests.run_digests(_fake_workloads({5: (1, "a")}, "other"), "w", 5)
+        assert [k for k in base if other[k] != base[k]] == ["errors"]
+        wl = _fake_workloads({5: (1, "a")})
+        wl.check_runs = lambda runs: [setattr(r, "mismatches", ["bad"]) for r in runs]
+        assert stage_digests.run_digests(wl, "w", 5)["errors"] != base["errors"]
 
     def test_address_in_a_repr_exits(self):
-        wl = _fake_workloads({5: object()})
+        wl = _fake_workloads({5: (object(), "a")})
         with pytest.raises(SystemExit, match="address"):
-            stage_digests.run_digest(wl, "w", 5)
+            stage_digests.run_digests(wl, "w", 5)
 
 
 class TestOracleErrors:

@@ -32,9 +32,10 @@ parent's interquartile range.  --extra copies the keys of a JSON object
 (trace counts, say) into the output unchanged.
 
 Before the timed runs, the change's `tools/stage_digests.py` hashes the
-outputs of both checkouts at seeds 5 and 7, for the same workloads;
-its lines for each side and `outputs_identical`, whether they agree, go
-under `stage_digests`, and a difference is printed.
+outputs of both checkouts at seeds 5 and 7, for the same workloads, one
+line per (workload, seed, stage) and one for errors; its lines for each
+side and `outputs_identical`, whether all of them agree, go under
+`stage_digests`, and a difference is printed.
 
 After each workload's pairs, each checkout makes one traced run,
 `bench/run.py --trace 1`, at seed 5 whatever --seed is, so that traced
