@@ -27,13 +27,11 @@ class BumpFunction:
     __slots__ = ("nvars", "radius", "center", "terms")
 
     def __init__(self, nvars: int, radius, terms: List[Tuple[MultiPoly, int, int]],
-                 center: Tuple[GaussianRational, ...] | None):
+                 center: Tuple[GaussianRational, ...]):
         self.nvars = _integer(nvars)
         self.radius = _exact(radius)
         if self.radius <= 0:
             raise ValueError("support radius must be positive")
-        if center is None:
-            center = tuple(GaussianRational(0) for _ in range(self.nvars))
         self.center = tuple(GaussianRational.from_any(c) for c in center)
         if len(self.center) != self.nvars:
             raise ValueError("center dimension mismatch")
@@ -50,13 +48,7 @@ class BumpFunction:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def radial(nvars: int, radius, center=None) -> "BumpFunction":
-        """The plain cutoff exp(-1/(1-t))."""
-        return BumpFunction(nvars, radius, [(MultiPoly.const(2 * nvars, 1), 0, 1)],
-                            center=center)
-
-    @staticmethod
-    def from_poly(nvars: int, radius, poly: MultiPoly, center=None) -> "BumpFunction":
+    def from_poly(nvars: int, radius, poly: MultiPoly, center) -> "BumpFunction":
         """poly(z, zbar) * exp(-1/(1-t))."""
         return BumpFunction(nvars, radius, [(poly, 0, 1)], center=center)
 
@@ -126,7 +118,8 @@ class BumpFunction:
     # -- evaluation -----------------------------------------------------------
 
     def eval_numeric(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at complex points, shape (..., nvars) -> (...).
+        """Evaluate at complex points, shape (..., nvars) -> (...); the last
+        axis indexes the variables, also in one variable.
 
         t is summed over the variables one column at a time, left to right
         from 0.0, each column (rel * conj(rel)).real with rel = z_i - a_i.
@@ -145,10 +138,7 @@ class BumpFunction:
 
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 0 or pts.shape[-1] != self.nvars:
-            if self.nvars == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-                pts = pts[..., np.newaxis]
-            else:
-                raise ValueError("point dimension mismatch")
+            raise ValueError("point dimension mismatch")
         shape = pts.shape[:-1]
         if not self.terms:
             return np.zeros(shape, dtype=complex)
@@ -196,11 +186,3 @@ class BumpFunction:
     def __repr__(self):
         return f"BumpFunction(nvars={self.nvars}, R={self.radius}, {len(self.terms)} terms)"
 
-
-def embed_holomorphic(p: MultiPoly) -> MultiPoly:
-    """Embed an n-variable polynomial in z into the 2n-variable (z, zbar) ring."""
-    n2 = 2 * p.nvars
-    terms = {}
-    for exp, c in p.terms.items():
-        terms[tuple(exp) + (0,) * p.nvars] = c
-    return MultiPoly(n2, terms)

@@ -156,7 +156,7 @@ def _pair_currents(currents: List[DeltaOperatorCurrent], phi: BumpFunction) -> c
     others); each current's terms are added left to right, then the sums."""
     import numpy as np
 
-    if currents and phi.nvars != 1:
+    if phi.nvars != 1:
         raise ValueError("expected a one-variable test function")
     terms = [[] for _ in currents]
     d = phi
@@ -186,8 +186,7 @@ VP_ANNULUS_ANGLES = 32        # trapezoid nodes on each thin annulus of vp_1d
 VP_OUTSIDE_POLE_ANGLES = 512  # angles when a pole lies on or outside the edge
 
 
-def contour_residue_numeric(g: RatFn, phi: BumpFunction,
-                            center: complex = 0j) -> LimitResult:
+def contour_residue_numeric(g: RatFn, phi: BumpFunction, center: complex) -> LimitResult:
     """lim_eps contour integral of g phi dz over |z - center| = eps.
 
     CONTOUR_ANGLES trapezoid nodes (spectral) on each of EPS_LEVELS circles

@@ -48,6 +48,13 @@ def _checked(idx, size: int, bound: int) -> Index:
     return idx
 
 
+def _in(nvars: int, c):
+    """c, checked to be a coefficient in nvars variables."""
+    if c.nvars != nvars:
+        raise ValueError(f"nvars mismatch: {c.nvars} vs {nvars}")
+    return c
+
+
 def _summed(pairs) -> dict:
     """Sum (key, coefficient) pairs by key; zero sums are dropped."""
     out = {}
@@ -128,7 +135,7 @@ class MeroForm(_Form):
     def __init__(self, nvars: int, degree: int, coeffs: Dict[Index, RatFn]):
         self.nvars, self.grading = _integer(nvars), _integer(degree)
         self.terms = _summed((_checked(idx, self.grading, self.nvars),
-                              RatFn.from_any(c, self.nvars))
+                              _in(self.nvars, RatFn.from_any(c, self.nvars)))
                              for idx, c in coeffs.items())
 
     @property
@@ -140,11 +147,6 @@ class MeroForm(_Form):
     @staticmethod
     def zero(nvars: int, degree: int) -> "MeroForm":
         return MeroForm(nvars, degree, {})
-
-    @staticmethod
-    def function(f: RatFn | MultiPoly) -> "MeroForm":
-        f = RatFn.from_any(f, f.nvars)
-        return MeroForm(f.nvars, 0, {(): f})
 
     @staticmethod
     def dz(nvars: int, i: int) -> "MeroForm":
@@ -206,8 +208,8 @@ class TestForm(_Form):
                  coeffs: Dict[Tuple[Index, Index], BumpFunction]):
         n = self.nvars = _integer(nvars)
         q, r = self.grading = (_integer(bidegree[0]), _integer(bidegree[1]))
-        self.terms = _summed((_checked(iset, q, n) + tuple(n + j for j in _checked(jset, r, n)), b)
-                             for (iset, jset), b in coeffs.items())
+        self.terms = _summed((_checked(iset, q, n) + tuple(n + j for j in _checked(jset, r, n)),
+                              _in(n, b)) for (iset, jset), b in coeffs.items())
 
     @property
     def bidegree(self) -> Tuple[int, int]:

@@ -441,14 +441,6 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return _zi_with_lc(f, p.nvars, p.leading_coefficient() / q.leading_coefficient())
 
 
-def divides(q: MultiPoly, p: MultiPoly) -> bool:
-    try:
-        exact_divide(p, q)
-        return True
-    except DivisionError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # pseudo-division, content and the primitive PRS
 # ---------------------------------------------------------------------------

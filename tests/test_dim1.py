@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from residuum import dim1, quadrature
-from residuum.bump import BumpFunction, embed_holomorphic
+from residuum.bump import BumpFunction
 from residuum.dim1 import (
     LaurentPart,
     _pair_currents,
@@ -44,7 +44,7 @@ def bump_poly(*exps_coeffs, radius=Fraction(1)):
     terms = {}
     for (a, b), re, im in exps_coeffs:
         terms[(a, b)] = GaussianRational(re, im)
-    return BumpFunction.from_poly(1, radius, MultiPoly(2, terms))
+    return BumpFunction.from_poly(1, radius, MultiPoly(2, terms), center=(GaussianRational(0),))
 
 
 def exact_part(part) -> RatFn:
@@ -214,7 +214,7 @@ class TestDeltaCurrents:
         phi = GENERIC_BUMP
         for l in range(1, 6):
             g = RatFn(ONE, Z ** l)
-            oracle = contour_residue_numeric(g, phi).value
+            oracle = contour_residue_numeric(g, phi, center=0j).value
             d = phi
             for _ in range(l - 1):
                 d = d.dz(0)
@@ -234,6 +234,15 @@ class TestDeltaCurrents:
         zero_cur = type(zero_cur)(zero_cur.pole, ())
         assert _pair_currents([zero_cur], phi) == 0j
 
+    def test_two_variable_test_function_raises(self):
+        # with a pole in g or without: with no current to pair, a 2-variable
+        # phi would read as the zero pairing
+        phi = BumpFunction.from_poly(2, 2, MultiPoly.const(4, 1),
+                                     center=(GaussianRational(0),) * 2)
+        for g in (RatFn(Z), RatFn(ONE, Z)):
+            with pytest.raises(ValueError):
+                residue_pairing_1d(g, phi)
+
     def test_linearity(self):
         phi = GENERIC_BUMP
         g1 = RatFn(ONE, Z ** 2)
@@ -245,7 +254,7 @@ class TestDeltaCurrents:
 
 class TestContourOracle:
     def test_holomorphic_gives_zero(self):
-        res = contour_residue_numeric(RatFn(Z ** 2 + ONE), GENERIC_BUMP)
+        res = contour_residue_numeric(RatFn(Z ** 2 + ONE), GENERIC_BUMP, center=0j)
         assert abs(res.value) < 1e-12
 
     def test_third_order_pole(self):
@@ -253,7 +262,7 @@ class TestContourOracle:
         g = RatFn(ONE, Z ** 3)
         d2 = phi.dz(0).dz(0)
         expect = (2j * math.pi / 2.0) * complex(d2.eval_numeric(np.array([0j])))
-        assert contour_residue_numeric(g, phi).value == pytest.approx(expect, rel=1e-8)
+        assert contour_residue_numeric(g, phi, center=0j).value == pytest.approx(expect, rel=1e-8)
 
     def test_translation_covariance(self):
         a = GaussianRational(Fraction(1, 2), Fraction(1, 3))
@@ -264,14 +273,15 @@ class TestContourOracle:
         v0 = residue_pairing_1d(g, phi)
         v1 = residue_pairing_1d(g_shift, phi_shift)
         assert v1 == pytest.approx(v0, rel=1e-10)
-        c0 = contour_residue_numeric(g, phi).value
+        c0 = contour_residue_numeric(g, phi, center=0j).value
         c1 = contour_residue_numeric(g_shift, phi_shift, center=complex(a)).value
         assert c1 == pytest.approx(c0, rel=1e-10)
 
     def test_circles_an_irrational_pole(self):
         # the circles' clearance from the other poles does not rationalise
         # them: 1/(z^2 - 2) at sqrt 2 has residue 1/(2 sqrt 2)
-        phi, center = BumpFunction.radial(1, 4), math.sqrt(2)
+        phi = BumpFunction.from_poly(1, 4, MultiPoly.const(2, 1), center=(GaussianRational(0),))
+        center = math.sqrt(2)
         res = contour_residue_numeric(RatFn(ONE, Z ** 2 - 2 * ONE), phi, center=center)
         expect = 2j * math.pi * complex(phi.eval_numeric(np.array([[center]]))[0]) / (2 * center)
         assert res.converged
@@ -282,7 +292,7 @@ class TestContourOracle:
         # on |z| < 1/sqrt 8; without clearance the largest circle, R/4 = 1/2,
         # would enclose the poles at +-1/sqrt 8
         g = RatFn(ONE, Z ** 2 * (8 * Z ** 2 - ONE))
-        res = contour_residue_numeric(g, GENERIC_BUMP)
+        res = contour_residue_numeric(g, GENERIC_BUMP, center=0j)
         assert res.table[0][0] == pytest.approx(0.5 / math.sqrt(8), rel=1e-12)
         expect = residue_pairing_1d(RatFn(-ONE, Z ** 2), GENERIC_BUMP)
         assert res.converged
@@ -518,7 +528,7 @@ class TestVp:
         # ccw contour convention and dz^dzbar = -2i dA
         for g in (RatFn(ONE, Z), RatFn(ONE, Z ** 2), RatFn(Z + ONE, Z ** 3)):
             phi = GENERIC_BUMP
-            lhs = contour_residue_numeric(g, phi).value
+            lhs = contour_residue_numeric(g, phi, center=0j).value
             rhs = vp_1d(g, TestForm.function(phi).d_bar()).value
             assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
 

@@ -106,7 +106,7 @@ def pull_form(form: MeroForm, images) -> MeroForm:
     n = form.nvars
     out = MeroForm.zero(n, form.degree)
     for index, c in form.coeffs.items():
-        term = MeroForm.function(pull_ratfn(c, images))
+        term = MeroForm(n, 0, {(): pull_ratfn(c, images)})
         for i in index:
             term = term.wedge(MeroForm.d_of_poly(images[i]))
         out = out + term

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from residuum.bump import BumpFunction, embed_holomorphic
+from residuum.bump import BumpFunction
 from residuum.forms import MeroForm, TestForm, merge_indices
 from residuum.polynomials import MultiPoly, _horner_numeric
 from residuum.ratfn import RatFn
@@ -18,6 +18,13 @@ Z1 = MultiPoly.variable(2, 0)
 Z2 = MultiPoly.variable(2, 1)
 DZ1 = MeroForm.dz(2, 0)
 DZ2 = MeroForm.dz(2, 1)
+# z1, z2, zbar1, zbar2 in the 4-variable ring of a bump's polynomial part
+W1, W2, W1BAR, W2BAR = (MultiPoly.variable(4, i) for i in range(4))
+
+
+def origin(n):
+    """The centre 0 of C^n."""
+    return (GaussianRational(0),) * n
 
 
 def rand_ratfn(rng):
@@ -84,6 +91,14 @@ class TestMeroForm:
         with pytest.raises(ValueError):
             MeroForm(nvars, degree, {key: RatFn(Z1)})
 
+    @pytest.mark.parametrize("coeff", [MultiPoly.variable(3, 2),
+                                       RatFn(MultiPoly.const(1, 1), MultiPoly.variable(1, 0))],
+                             ids=["poly", "ratfn"])
+    def test_constructor_rejects_coefficients_in_other_nvars(self, coeff):
+        # a 3-variable z3 would pass through, and d(z3) in two variables read 0
+        with pytest.raises(ValueError):
+            MeroForm(2, 0, {(): coeff})
+
 
 class TestExteriorD:
     def test_d_of_z1_dz2(self):
@@ -122,7 +137,7 @@ class TestContract:
     def test_scalar_result(self):
         a = DZ1.scale(RatFn(2 * Z1)) - DZ2
         out = a.contract(1)
-        assert out == MeroForm.function(RatFn.const(2, -1))
+        assert out == MeroForm(2, 0, {(): RatFn.const(2, -1)})
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2))
@@ -158,24 +173,24 @@ def central_diff(b, z0, var, conjugate, h=1e-5):
 
 class TestBump:
     def setup_method(self):
-        poly = embed_holomorphic(Z1 * Z1 + 2 * Z2) + MultiPoly.variable(4, 2)  # z1^2+2z2+zbar1
-        self.b = BumpFunction.from_poly(2, Fraction(2), poly)
+        poly = W1 * W1 + 2 * W2 + W1BAR  # z1^2+2z2+zbar1
+        self.b = BumpFunction.from_poly(2, Fraction(2), poly, center=origin(2))
 
     @pytest.mark.parametrize("m, c", [(0.5, 1.9), (1, 1.5), (Fraction(3, 2), 1)])
     def test_constructor_rejects_non_integral_exponents(self, m, c):
         # int() would read (0.5, 1.9) as (0, 1)
         with pytest.raises(ValueError):
-            BumpFunction(2, Fraction(2), [(MultiPoly.const(4, 1), m, c)], None)
+            BumpFunction(2, Fraction(2), [(MultiPoly.const(4, 1), m, c)], origin(2))
 
     def test_constructor_rejects_non_integral_nvars(self):
         # int() would read 1.5 as 1 and build a bump in one variable
         with pytest.raises(ValueError):
-            BumpFunction(1.5, 2, [(MultiPoly.const(2, 1), 0, 1)], None)
+            BumpFunction(1.5, 2, [(MultiPoly.const(2, 1), 0, 1)], origin(1))
 
     def test_float_radius_rejected(self):
         # 0.1 would pass as its binary value 3602879701896397/2**55
         with pytest.raises(TypeError):
-            BumpFunction.radial(1, 0.1)
+            BumpFunction.from_poly(1, 0.1, MultiPoly.const(2, 1), center=origin(1))
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -203,7 +218,7 @@ class TestBump:
     def test_antiholomorphic_chain_term(self):
         # purely holomorphic polynomial x cutoff: dzbar_j only hits the cutoff,
         # producing the z_j/R^2 chain factor
-        b = BumpFunction.from_poly(2, Fraction(2), embed_holomorphic(Z1))
+        b = BumpFunction.from_poly(2, Fraction(2), W1, center=origin(2))
         db = b.dzbar(0)
         z = np.array([0.3 + 0.1j, -0.2j])
         t = (abs(z[0]) ** 2 + abs(z[1]) ** 2) / 4.0
@@ -267,11 +282,20 @@ class TestBump:
         assert np.all(got[outside] == 0)
         for z, value in zip(grid.reshape(-1), got.reshape(-1)):
             assert complex(b.eval_numeric(np.array([z]))) == value
-        z = grid[6, 7, 0]
+        z = grid[6, 7]  # one point, shape (1,)
         assert b.eval_numeric(z).shape == ()
-        assert b.eval_numeric(np.array([z])).shape == ()
-        assert b.eval_numeric(np.array([[z]])).shape == (1,)
+        assert b.eval_numeric(z[np.newaxis]).shape == (1,)
         assert complex(b.eval_numeric(z)) == got[6, 7]
+
+    def test_points_without_a_variable_axis_raise(self):
+        # points are (..., nvars) arrays, in one variable too: a bare point,
+        # a 0-d array or a last axis of another length is rejected
+        for n in (1, 2):
+            b = BumpFunction.from_poly(n, Fraction(3, 2), MultiPoly.const(2 * n, 1),
+                                       center=origin(n))
+            for pts in (0.5j, np.array(0.5j), np.full(3, 0.5j), np.full((2, n + 1), 0.5j)):
+                with pytest.raises(ValueError):
+                    b.eval_numeric(pts)
 
 
 def reference_eval(b, points):
@@ -279,8 +303,6 @@ def reference_eval(b, points):
     inside the support copied out through a mask and their values scattered
     into zeros, t by `np.sum` over the last axis, log(1 - t) always taken."""
     pts = np.asarray(points, dtype=complex)
-    if b.nvars == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., np.newaxis]
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, b.nvars)
     rel = pts - np.array([complex(c) for c in b.center])
@@ -355,8 +377,6 @@ class TestBumpEvalBitForBit:
             assert got.shape == shape
             assert_same_bits(got, reference_eval(b, pts))
             assert_same_bits(b.eval_numeric(np.asfortranarray(pts)), got)
-            if n == 1:
-                assert_same_bits(b.eval_numeric(pts[..., 0]), got)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("last", ["outside", "nan"])
@@ -434,8 +454,12 @@ def simple_testform(nvars, bidegree, seed=0, radius=Fraction(2)):
             poly = MultiPoly(2 * nvars, terms)
             if poly.is_zero():
                 poly = MultiPoly.const(2 * nvars, 1)
-            coeffs[(iset, jset)] = BumpFunction.from_poly(nvars, radius, poly)
+            coeffs[(iset, jset)] = BumpFunction.from_poly(nvars, radius, poly,
+                                                          center=origin(nvars))
     return TestForm(nvars, bidegree, coeffs)
+
+
+CUTOFF2 = BumpFunction.from_poly(2, Fraction(2), MultiPoly.const(4, 1), center=origin(2))
 
 
 class TestTestForm:
@@ -444,13 +468,18 @@ class TestTestForm:
     def test_constructor_rejects_bad_index_sets(self, bidegree, key):
         # an out-of-range dz index would alias a dzbar generator
         with pytest.raises(ValueError):
-            TestForm(2, bidegree, {key: BumpFunction.radial(2, Fraction(2))})
+            TestForm(2, bidegree, {key: CUTOFF2})
 
     @pytest.mark.parametrize("bidegree, key", [((1, 0), ((0.5,), ())), ((0, 1), ((), (1.5,))),
                                                ((1.5, 0), ((0,), ()))])
     def test_constructor_rejects_non_integral_values(self, bidegree, key):
         with pytest.raises(ValueError):
-            TestForm(2, bidegree, {key: BumpFunction.radial(2, Fraction(2))})
+            TestForm(2, bidegree, {key: CUTOFF2})
+
+    def test_constructor_rejects_a_bump_in_other_nvars(self):
+        # a 2-variable bump would pass as a 1-variable coefficient
+        with pytest.raises(ValueError):
+            TestForm(1, (0, 0), {((), ()): CUTOFF2})
 
     def test_dbar_then_dbar_zero(self):
         phi = simple_testform(2, (1, 0), seed=9)
@@ -461,8 +490,8 @@ class TestTestForm:
 
     def test_dbar_puts_dz_before_dzbar(self):
         # d''(b dz1) = sum_j db/dzbar_j dzbar_j ^ dz1 = -sum_j db/dzbar_j dz1 ^ dzbar_j
-        poly = embed_holomorphic(Z1 * Z2) + MultiPoly.variable(4, 3)  # z1 z2 + zbar2
-        b = BumpFunction.from_poly(2, Fraction(2), poly)
+        poly = W1 * W2 + W2BAR  # z1 z2 + zbar2
+        b = BumpFunction.from_poly(2, Fraction(2), poly, center=origin(2))
         got = TestForm(2, (1, 0), {((0,), ()): b}).d_bar()
         assert got == TestForm(2, (1, 1), {((0,), (j,)): -b.dzbar(j) for j in (0, 1)})
         assert len(got.terms) == 2

@@ -12,9 +12,11 @@ a second rule asks for the qualified `Class.name` (or `cls.name`).
 A definition that only the tests reach is listed in `TEST_FACING`, with
 its reason: the set of definitions that no code in `src/`, `bench/` or
 `tools/` reads (as a name, an attribute or an import; docstrings do not
-count) must equal its keys.  This rule cannot see a name shared with a
-live definition either: a test-only `TestForm.wedge` would hide behind
-`MeroForm.wedge`.
+count) must equal its keys.  A static or class method counts as read there
+only as `Class.name` (or `cls.name`), and is keyed so, since a bare name
+such as `function` can belong to a live method of another class.  For
+other methods the rule cannot see a name shared with a live definition: a
+test-only `TestForm.wedge` would hide behind `MeroForm.wedge`.
 
 Every error type without subclasses in `errors.py` is raised somewhere in
 `src/`: a type whose check was deleted would still be referenced by the
@@ -55,6 +57,8 @@ SEARCHED = ("src", "tests", "bench")
 
 
 def _definitions():
+    """How often each name is defined by a def or class of the package,
+    dunders apart."""
     defined = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -64,9 +68,32 @@ def _definitions():
     return defined
 
 
-def _corpus() -> str:
-    return "\n".join(path.read_text() for top in SEARCHED
-                     for path in sorted((ROOT / top).rglob("*.py")))
+def _corpus(tops=SEARCHED, tests=True) -> str:
+    """The text of every Python file under `tops`, test files only when
+    `tests`."""
+    return "\n".join(path.read_text() for top in tops
+                     for path in sorted((ROOT / top).rglob("*.py"))
+                     if tests or "tests" not in path.relative_to(ROOT).parts)
+
+
+def _class_level_methods():
+    """(class, name) for every staticmethod and classmethod of the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef):
+                out += [(cls.name, fn.name) for fn in cls.body
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                            isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                            for d in fn.decorator_list)]
+    return out
+
+
+def _unqualified(methods, text: str):
+    """Class.name for each (class, name) that `text` never reads as
+    `Class.name` or `cls.name`."""
+    return [f"{cls}.{name}" for cls, name in methods
+            if not re.search(rf"\b(?:{re.escape(cls)}|cls)\.{re.escape(name)}\b", text)]
 
 
 def _redefined():
@@ -105,13 +132,11 @@ def test_every_definition_is_referenced():
 TEST_FACING = {
     "certificate_holds": "test oracle of the Leray certificate; ROADMAP item 12 records it",
     "d_on_hypersurface": "test oracle of residue-class equality; ROADMAP item 0's witness check",
-    "divides": "test oracle of exact division",
-    "embed_holomorphic": "builds test functions from holomorphic polynomials",
     "entry": "reads the (k, mu, l) operator table in tests; ROADMAP item 3 deletes the table",
     "eval_exact": "test oracle of polynomial arithmetic at exact points",
-    "radial": "builds the plain cutoff as a test function",
     "squarefree_decompose": "ROADMAP item 1 splits denominators with it; tests pin it until then",
-    "translate": "builds off-centre test functions",
+    "translate": ("with MultiPoly.shift_var, which only it reaches, the covariance oracle "
+                  "of test_translation_covariance and OFF_CENTRE_BUMP"),
 }
 
 
@@ -133,33 +158,24 @@ def _read_outside_tests() -> set:
     return read
 
 
+def _test_only() -> set:
+    """The definitions that only the tests reach: bare names for plain
+    definitions, `Class.name` for static and class methods."""
+    methods = _class_level_methods()
+    plain = set(_definitions() - Counter(name for _, name in methods))
+    return (plain - _read_outside_tests()) | set(
+        _unqualified(methods, _corpus(("src", "bench", "tools"), tests=False)))
+
+
 def test_only_listed_definitions_are_test_facing():
-    test_only = set(_definitions()) - _read_outside_tests()
+    test_only = _test_only()
     assert test_only == set(TEST_FACING), (
         f"reached only by tests, not listed: {sorted(test_only - set(TEST_FACING))}; "
         f"listed, but read outside the tests: {sorted(set(TEST_FACING) - test_only)}")
 
 
-def _unqualified_class_level_methods():
-    """Class.name for every staticmethod and classmethod of the package that
-    the corpus never reads as `Class.name` or `cls.name`."""
-    text, out = _corpus(), []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for fn in cls.body:
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                        isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
-                        for d in fn.decorator_list):
-                    pattern = rf"\b(?:{re.escape(cls.name)}|cls)\.{re.escape(fn.name)}\b"
-                    if not re.search(pattern, text):
-                        out.append(f"{cls.name}.{fn.name}")
-    return out
-
-
 def test_every_static_and_class_method_is_called_by_class():
-    unused = _unqualified_class_level_methods()
+    unused = _unqualified(_class_level_methods(), _corpus())
     assert not unused, f"static or class methods never called as Class.name: {unused}"
 
 
@@ -274,9 +290,6 @@ def test_every_global_read_is_defined():
 
 # Every default of the package, each with a caller that omits it.
 DEFAULTS = {
-    "BumpFunction.radial.center": "tests build centred cutoffs: test_forms.py",
-    "BumpFunction.from_poly.center": "tests build centred bumps: test_forms.py",
-    "contour_residue_numeric.center": "the contour about 0: test_dim1.py",
     "_Form._new.grading": "map_coeffs and __add__ keep the grading",
     "_horner.var": "MultiPoly.eval_exact and _horner_numeric start at variable 0",
     "RatFn.__init__.den": "RatFn(p) for a polynomial p, throughout src/",
